@@ -87,6 +87,13 @@ def _resolve_seed(args) -> int:
     return args.seed
 
 
+def _require(args, context: str, *names: str) -> None:
+    """Options a subcommand needs only in some modes, so argparse cannot demand them."""
+    missing = ["--" + name.replace("_", "-") for name in names if getattr(args, name) is None]
+    if missing:
+        raise ParameterError(f"{context} needs {', '.join(missing)}")
+
+
 def _spec_from_args(args) -> EnsembleSpec:
     return EnsembleSpec(
         kind=Kind(args.ensemble),
@@ -135,6 +142,9 @@ def _cmd_sumrule(args) -> int:
 
 def _cmd_rate(args) -> int:
     fam = args.family
+    context = f"rate --family {fam}"
+    if fam in ("fg", "fl", "fj"):
+        _require(args, context, "x")
     if fam == "fg":
         _emit_json(args, {"value": rate_fg(args.x)})
         return 0
@@ -150,10 +160,12 @@ def _cmd_rate(args) -> int:
                               np.asarray(_float_list(args.a or "")))
         report = hermite_rate(coeffs)
     elif fam == "laguerre":
+        _require(args, context, "d", "s")
         report = laguerre_rate(
             np.asarray(_float_list(args.d)), np.asarray(_float_list(args.s)), args.tau
         )
     elif fam == "jacobi":
+        _require(args, context, "alpha")
         report = jacobi_ensemble_rate(
             VerblunskyCoeffs(np.asarray(_float_list(args.alpha))),
             args.kappa1 or 0.0, args.kappa2 or 0.0, variant,
@@ -169,6 +181,7 @@ def _cmd_mc(args) -> int:
         with open(args.experiment) as fh:
             exp = McExperiment.from_json(json.load(fh))
     else:
+        _require(args, "mc without --experiment", "x")
         spec = _spec_from_args(args)
         exp = McExperiment(
             spec=spec,
@@ -203,6 +216,7 @@ def _cmd_moments(args) -> int:
 
 def _cmd_probe(args) -> int:
     if args.family == "laguerre":
+        _require(args, "probe --family laguerre", "model")
         with open(args.model) as fh:
             model = TailJacobiModel.from_json(json.load(fh))
         report = conjecture_probe_laguerre(model, args.tau)

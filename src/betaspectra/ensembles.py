@@ -37,6 +37,11 @@ __all__ = [
 ]
 
 
+def _check_interval(interval: str) -> None:
+    if interval not in ("[-2,2]", "[0,1]"):
+        raise ParameterError(f"interval must be '[-2,2]' or '[0,1]', got {interval!r}")
+
+
 class Kind(str, Enum):
     HERMITE = "hermite"
     LAGUERRE = "laguerre"
@@ -89,6 +94,7 @@ class EnsembleSpec:
             raise ParameterError(f"beta must be > 0, got {self.beta}")
         if self.n < 1:
             raise ParameterError(f"N must be >= 1, got {self.n}")
+        _check_interval(self.interval)
         if self.kind is Kind.LAGUERRE:
             if self.m is None and self.tau is None:
                 raise ParameterError("Laguerre needs m or tau")
@@ -266,6 +272,7 @@ def sample_jacobi_kn(spec: EnsembleSpec, rng: RngStream) -> tuple[VerblunskyCoef
 
 def spectral_measure(coeffs: JacobiCoeffs, interval: str = "[-2,2]") -> DiscreteMeasure:
     """Spectral measure mu_w of (J, e_1); optionally mapped to [0, 1]."""
+    _check_interval(interval)
     mu = spectral_decompose(coeffs)
     if interval == "[0,1]":
         mu = mu.pushforward(affine_s)
@@ -274,6 +281,7 @@ def spectral_measure(coeffs: JacobiCoeffs, interval: str = "[-2,2]") -> Discrete
 
 def esd(coeffs: JacobiCoeffs, interval: str = "[-2,2]") -> DiscreteMeasure:
     """Empirical spectral distribution: equal weights 1/N at the eigenvalues."""
+    _check_interval(interval)
     mu = spectral_decompose(coeffs)
     n = mu.n_atoms
     out = DiscreteMeasure(mu.locations, np.full(n, 1.0 / n))

@@ -11,7 +11,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
 
 from .errors import (
     DegenerateMeasureError,
@@ -156,9 +155,18 @@ def spectral_decompose(coeffs: JacobiCoeffs, n: int | None = None) -> DiscreteMe
     sec = coeffs.section(n)
     if n == 1:
         return DiscreteMeasure(np.array([sec.b[0]]), np.array([1.0]))
+    # imported here so that paths without an eigensolve never load scipy.linalg
+    from scipy.linalg import eigh_tridiagonal
+
+    # The n x n eigenvectors and the solver's n^2 workspace are the only big
+    # arrays. Allocating nothing while they are alive (the first row goes
+    # into a buffer made beforehand) lets the allocator return their memory
+    # to the system instead of keeping it under a small live array.
+    pi = np.empty(n)
     lam, vecs = eigh_tridiagonal(sec.b, sec.a)
-    pi = vecs[0, :] ** 2
-    pi = pi / np.sum(pi)  # unit-norm guard; analytically sums to 1
+    np.square(vecs[0], out=pi)
+    del vecs
+    pi /= np.sum(pi)  # unit-norm guard; analytically sums to 1
     return DiscreteMeasure(lam, pi)
 
 

@@ -12,7 +12,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import cholesky, solve_triangular
 
 from .equilibria import SC, ChebGrid, density
 from .errors import NotPositiveDefiniteError, ParameterError
@@ -93,12 +92,12 @@ def moments_to_jacobi(c: MomentConstraint) -> JacobiCoeffs:
     h = c.hankel()
     _check_interior(h)
     try:
-        low = cholesky(h, lower=True)
+        low = np.linalg.cholesky(h)
     except np.linalg.LinAlgError as exc:
         raise NotPositiveDefiniteError(str(exc)) from exc
     h1 = c.shifted_hankel()
-    tmp = solve_triangular(low, h1, lower=True)
-    j = solve_triangular(low, tmp.T, lower=True).T
+    tmp = np.linalg.solve(low, h1)
+    j = np.linalg.solve(low, tmp.T).T
     b = np.diag(j).copy()
     a = np.diag(j, 1).copy()
     if a.size and a.min() <= 0.0:

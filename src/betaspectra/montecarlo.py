@@ -13,7 +13,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import stats
 
 from .ensembles import EnsembleSpec, Kind, RngStream, sample_hermite, sample_laguerre
 from .equilibria import mp_edges, u_pm
@@ -331,6 +330,9 @@ def stat_suite(
     on the mean first moment. wrong_marginal swaps in Beta(2 beta', .) as a
     deliberate negative control.
     """
+    # scipy.stats costs most of a cold start; only this suite needs it
+    from scipy import stats
+
     from .ensembles import spectral_measure
 
     stream = RngStream(seed=seed, stream=1)

@@ -12,15 +12,12 @@ from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
-from scipy.integrate import quad
 
 from .equilibria import EquilibriumLaw, density, integrate_against, mp_edges
 from .errors import ParameterError
 
 __all__ = [
     "RateReport",
-    "CoordinateRate",
-    "CoordinateFamily",
     "BetaHVariant",
     "GridDensity",
     "rate_fg",
@@ -68,11 +65,64 @@ def rate_fg(x: float) -> float:
     return 0.5 * ax * root - 2.0 * math.log(0.5 * (ax + root))
 
 
+def _atanh_minus_id(z: float, one_minus_z2: float) -> float:
+    """artanh(z) - z for 0 <= z < 1, given 1 - z^2 computed without cancellation.
+
+    Below z = 1/4 the Taylor series (ratio z^2 <= 1/16, 15 terms) avoids the
+    cancellation of artanh(z) - z ~ z^3/3; above it the logarithmic form
+    uses the supplied 1 - z^2, which stays accurate as z -> 1.
+    """
+    if z > 0.25:
+        return math.log1p(z) - 0.5 * math.log(one_minus_z2) - z
+    z2 = z * z
+    acc = 0.0
+    for j in range(15, 0, -1):
+        acc = acc * z2 + 1.0 / (2 * j + 1)
+    return z * z2 * acc
+
+
+def _edge_cost(t: float, a: float, b: float, gap: float, near: float, far: float) -> float:
+    """Integral of sqrt(|(s - a)(s - b)|)/s from the nearer edge of [a, b] to t.
+
+    Needs 0 <= a < b and t > 0 outside [a, b]; gap = b - a, near =
+    |t - nearer edge| and far = |t - farther edge| are passed in so the
+    caller keeps them exact.
+    Under s = (a + b)/2 +- ((b - a)/2) cosh(theta) the integral is
+    elementary in h = tanh(theta/2) = sqrt(near/far). Writing
+    A(z) = artanh(z) - z, g = sqrt(b) - sqrt(a) and e, o for the nearer and
+    the other edge, it equals
+
+        h^2 w (near + g (sqrt(e) + 2 sqrt(o))) - g^2 A(h) -+ 2 sqrt(ab) A(w),
+        w = h far / (t + sqrt(ab)),
+
+    with - on the upper leg. The terms do not cancel to leading order,
+    neither as t approaches the edge (each is O(h^3) and the result
+    vanishes like near^(3/2)) nor for a narrow bulk (each carries g^2).
+    """
+    upper = 2.0 * t > a + b
+    ra, rb = math.sqrt(a), math.sqrt(b)
+    re, ro = (rb, ra) if upper else (ra, rb)
+    g = gap / (ra + rb)
+    h = math.sqrt(near / far)
+    hf = h * far
+    c = t + ra * rb
+    w = hf / c
+    # 1 - w = t (sqrt(a) + sqrt(b))^2 / (c (c + h far)), exact as w -> 1
+    one_minus_w2 = t * (ra + rb) ** 2 / (c * (c + hf)) * (1.0 + w)
+    outlier = 2.0 * ra * rb * _atanh_minus_id(w, one_minus_w2)
+    return (
+        h * h * w * (near + g * (re + 2.0 * ro))
+        - g * g * _atanh_minus_id(h, gap / far)
+        + (-outlier if upper else outlier)
+    )
+
+
 def rate_fl(x: float, tau: float) -> float:
     """Extreme-eigenvalue cost for the Laguerre bulk [a(tau), b(tau)].
 
     Upper leg x >= b(tau); lower leg 0 < x <= a(tau); 0 inside the bulk;
-    +inf at and below 0 (the integrand ~ c/t diverges).
+    +inf at and below 0 (the integrand ~ c/t diverges). Closed form, see
+    `_edge_cost`.
     """
     if not (0.0 < tau <= 1.0):
         raise ParameterError(f"tau must be in (0, 1], got {tau}")
@@ -82,29 +132,32 @@ def rate_fl(x: float, tau: float) -> float:
     if a <= x <= b:
         return 0.0
     if x > b:
-        val, _ = quad(lambda t: math.sqrt((t - a) * (t - b)) / t, b, x)
-    else:
-        val, _ = quad(lambda t: math.sqrt((a - t) * (b - t)) / t, x, a)
-    return val
+        return _edge_cost(x, a, b, b - a, x - b, x - a)
+    return _edge_cost(x, a, b, b - a, a - x, b - x)
 
 
 def rate_fj(x: float, u_minus: float, u_plus: float) -> float:
-    """Extreme-eigenvalue cost for the Jacobi bulk [u_-, u_+] inside (0, 1)."""
+    """Extreme-eigenvalue cost for the Jacobi bulk [u_-, u_+] inside (0, 1).
+
+    The integrand sqrt(|(t - u_-)(t - u_+)|)/(t(1 - t)) splits into a 1/t
+    part and a 1/(1 - t) part; under t -> 1 - t the second is the 1/t cost
+    of the reflected bulk [1 - u_+, 1 - u_-] on the opposite leg, so both
+    are `_edge_cost`, with the gap and edge distances taken from x directly.
+    """
     if not (0.0 <= u_minus < u_plus <= 1.0):
         raise ParameterError(f"need 0 <= u_minus < u_plus <= 1, got ({u_minus}, {u_plus})")
     if x <= 0.0 or x >= 1.0:
         return INF
     if u_minus <= x <= u_plus:
         return 0.0
+    gap = u_plus - u_minus
     if x > u_plus:
-        val, _ = quad(
-            lambda t: math.sqrt((t - u_minus) * (t - u_plus)) / (t * (1.0 - t)), u_plus, x
-        )
+        near, far = x - u_plus, x - u_minus
     else:
-        val, _ = quad(
-            lambda t: math.sqrt((u_minus - t) * (u_plus - t)) / (t * (1.0 - t)), x, u_minus
-        )
-    return val
+        near, far = u_minus - x, u_plus - x
+    return _edge_cost(x, u_minus, u_plus, gap, near, far) + _edge_cost(
+        1.0 - x, 1.0 - u_plus, 1.0 - u_minus, gap, near, far
+    )
 
 
 def small_g(x: float) -> float:
@@ -152,31 +205,6 @@ def beta_h(u: float, v: float, q: float, variant: BetaHVariant = BetaHVariant.CO
         - u * math.log1p(-q)
         - v * math.log1p(q)
     )
-
-
-class CoordinateFamily(str, Enum):
-    GAUSS_SQ = "gauss_sq"
-    GAMMA_G = "gamma_g"
-    BETA_H = "beta_h"
-
-
-@dataclass(frozen=True)
-class CoordinateRate:
-    """One coordinate rate: x^2/2 (Gaussian), g(alpha x) (gamma) or the
-    symmetric-beta rate h_{u,v}."""
-
-    family: CoordinateFamily
-    alpha: float = 1.0
-    u: float = 1.0
-    v: float = 1.0
-    variant: BetaHVariant = BetaHVariant.CORRECTED
-
-    def __call__(self, x: float) -> float:
-        if self.family is CoordinateFamily.GAUSS_SQ:
-            return 0.5 * x * x
-        if self.family is CoordinateFamily.GAMMA_G:
-            return small_g(self.alpha * x)
-        return beta_h(self.u, self.v, x, self.variant)
 
 
 def hermite_rate(coeffs, order: int | None = None) -> RateReport:

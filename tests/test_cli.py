@@ -2,10 +2,14 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import betaspectra
 from betaspectra.cli import cli
 from betaspectra.jacobi import JacobiCoeffs
 from betaspectra.sumrule import TailJacobiModel
@@ -154,3 +158,52 @@ def test_numerical_exit_code(capsys, tmp_path):
     code, _, err = run(capsys, "moments", "--c", "0,0,0")
     assert code == 2
     assert "numerical" in err
+
+
+MISUSE = [
+    ("rate", "--family", "fg"),
+    ("rate", "--family", "fl", "--tau", "0.5"),
+    ("rate", "--family", "fj", "--u-minus", "0.2", "--u-plus", "0.6"),
+    ("rate", "--family", "laguerre"),
+    ("rate", "--family", "laguerre", "--d", "1.0"),
+    ("rate", "--family", "jacobi"),
+    ("probe", "--family", "laguerre", "--tau", "0.5"),
+    ("mc", "--ensemble", "hermite", "--n-list", "8"),
+]
+
+
+@pytest.mark.parametrize("argv", MISUSE, ids=" ".join)
+def test_missing_option_is_one_error_line(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    lines = err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+    assert "Traceback" not in err
+
+
+SCIPY_HEAVY = ("scipy.integrate", "scipy.stats", "scipy.linalg")
+
+IMPORT_PROBE = """
+import json, sys
+import betaspectra
+after_import = sorted(m for m in {heavy!r} if m in sys.modules)
+from betaspectra.cli import cli
+code = cli(["rate", "--family", "fg", "--x", "2.5"])
+after_rate = sorted(m for m in {heavy!r} if m in sys.modules)
+print(json.dumps([code, after_import, after_rate]))
+"""
+
+
+def test_import_and_rate_load_no_heavy_scipy():
+    src = os.path.dirname(os.path.dirname(betaspectra.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", IMPORT_PROBE.format(heavy=SCIPY_HEAVY)],
+        env=env, capture_output=True, text=True, timeout=60, check=True,
+    )
+    code, after_import, after_rate = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert code == 0
+    assert after_import == []
+    assert after_rate == []

@@ -30,9 +30,20 @@ def test_spec_validation():
         EnsembleSpec(kind=Kind.LAGUERRE, n=4, beta=2.0, m=6)
     with pytest.raises(ParameterError):
         EnsembleSpec(kind=Kind.JACOBI_KN, n=4, beta=2.0, a=-1.5)
+    with pytest.raises(ParameterError):
+        EnsembleSpec(kind=Kind.JACOBI_KN, n=4, beta=2.0, interval="bogus")
     spec = EnsembleSpec(kind=Kind.LAGUERRE, n=10, beta=2.0, tau=0.5)
     assert spec.laguerre_m == 5
     assert spec.beta_prime == 1.0
+
+
+def test_measure_interval_validation():
+    spec = EnsembleSpec(kind=Kind.HERMITE, n=4, beta=2.0)
+    coeffs = sample_hermite(spec, RngStream(seed=1))
+    with pytest.raises(ParameterError):
+        spectral_measure(coeffs, interval="[0, 1]")
+    with pytest.raises(ParameterError):
+        esd(coeffs, interval="bogus")
 
 
 def test_spec_slope_scaling():

@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -60,6 +61,56 @@ def test_rate_fj_values():
     assert rate_fj(0.9, 0.25, 0.75) == pytest.approx(0.23438, abs=5e-6)
     with pytest.raises(ParameterError):
         rate_fj(0.5, 0.75, 0.25)
+
+
+def _oracle(x, lo, hi, weight):
+    """50-digit tanh-sinh quadrature of sqrt(|(t - lo)(t - hi)|) * weight(t)
+    from the nearer edge of [lo, hi] to x."""
+    with mpmath.workdps(50):
+        lo, hi, x = mpmath.mpf(lo), mpmath.mpf(hi), mpmath.mpf(x)
+        edge = hi if x > hi else lo
+        val, err = mpmath.quad(
+            lambda t: mpmath.sqrt(abs((t - lo) * (t - hi))) * weight(t),
+            sorted([edge, x]), error=True,
+        )
+        assert err < mpmath.mpf(10) ** -25 * val
+        return float(val)
+
+
+FL_ORACLE_CASES = [
+    # tau = 1: lower edge a = 0, upper leg only
+    (4.0 + 1e-12, 1.0), (4.0 + 1e-8, 1.0), (4.5, 1.0), (50.0, 1.0),
+    (mp_edges(0.5)[1] + 1e-12, 0.5), (mp_edges(0.5)[1] + 1e-8, 0.5),
+    (mp_edges(0.5)[1] + 1.0, 0.5), (mp_edges(0.5)[1] + 1e4, 0.5),
+    (mp_edges(0.5)[0] - 1e-12, 0.5), (mp_edges(0.5)[0] - 1e-8, 0.5),
+    (mp_edges(0.5)[0] / 2.0, 0.5), (1e-6, 0.5), (1e-12, 0.5),
+    (mp_edges(0.05)[1] + 1e-8, 0.05), (mp_edges(0.05)[0] - 1e-8, 0.05),
+]
+
+FJ_ORACLE_CASES = [
+    (0.6 + 1e-12, 0.2, 0.6), (0.6 + 1e-8, 0.2, 0.6), (0.8, 0.2, 0.6),
+    (1.0 - 1e-6, 0.2, 0.6), (1.0 - 1e-12, 0.2, 0.6),
+    (0.2 - 1e-12, 0.2, 0.6), (0.2 - 1e-8, 0.2, 0.6), (0.1, 0.2, 0.6), (1e-12, 0.2, 0.6),
+    # u_- = 0: upper leg only
+    (0.5 + 1e-8, 0.0, 0.5), (0.9, 0.0, 0.5), (1.0 - 1e-12, 0.0, 0.5),
+    # u_+ = 1: lower leg only
+    (0.3 - 1e-8, 0.3, 1.0), (0.1, 0.3, 1.0), (1e-12, 0.3, 1.0),
+    # narrow bulk
+    (0.5005, 0.499, 0.5), (0.4985, 0.499, 0.5),
+]
+
+
+@pytest.mark.parametrize("x,tau", FL_ORACLE_CASES)
+def test_rate_fl_mpmath_oracle(x, tau):
+    a, b = mp_edges(tau)
+    ref = _oracle(x, a, b, lambda t: 1 / t)
+    assert rate_fl(x, tau) == pytest.approx(ref, rel=1e-10, abs=0.0)
+
+
+@pytest.mark.parametrize("x,u_minus,u_plus", FJ_ORACLE_CASES)
+def test_rate_fj_mpmath_oracle(x, u_minus, u_plus):
+    ref = _oracle(x, u_minus, u_plus, lambda t: 1 / (t * (1 - t)))
+    assert rate_fj(x, u_minus, u_plus) == pytest.approx(ref, rel=1e-10, abs=0.0)
 
 
 def test_small_big_g():
