@@ -60,7 +60,7 @@ NUMERICAL_ERRORS = (NotPositiveDefiniteError, PoleError, DegenerateMeasureError)
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
-        self.print_usage(sys.stderr)
+        print(f"error: {message}", file=sys.stderr)
         raise SystemExit(1)
 
 
@@ -133,11 +133,8 @@ def _cmd_sumrule(args) -> int:
     with open(args.model) as fh:
         model = TailJacobiModel.from_json(json.load(fh))
     report = sumrule_verify(model)
-    if abs(report.gap) > args.tol * (1.0 + abs(report.jacobi_side)):
-        _emit_json(args, report.to_json())
-        return 2
     _emit_json(args, report.to_json())
-    return 0
+    return 2 if abs(report.gap) > args.tol * (1.0 + abs(report.jacobi_side)) else 0
 
 
 def _cmd_rate(args) -> int:
@@ -191,7 +188,7 @@ def _cmd_mc(args) -> int:
             seed=_resolve_seed(args),
             direction=args.direction,
         )
-    result = mc_tail_rate(exp, workers=args.workers)
+    result = mc_tail_rate(exp)
     if args.format == "json":
         _emit_json(args, result.to_json())
     else:
@@ -241,9 +238,6 @@ def _cmd_stats(args) -> int:
 
 def _add_common(p, seed=True):
     p.add_argument("--out", default=None, help="output file (default stdout)")
-    p.add_argument("--format", choices=["json", "csv"], default=None)
-    p.add_argument("--tol", type=float, default=1e-6)
-    p.add_argument("--workers", type=int, default=1)
     if seed:
         p.add_argument("--seed", type=int, default=0)
 
@@ -272,6 +266,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sumrule")
     p.add_argument("--model", required=True)
+    p.add_argument("--tol", type=float, default=1e-6,
+                   help="exit 2 when |gap| exceeds tol * (1 + jacobi_side)")
     _add_common(p, seed=False)
     p.set_defaults(func=_cmd_sumrule)
 
@@ -307,12 +303,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n-list", default="20,40,80")
     p.add_argument("--samples", type=int, default=10000)
     p.add_argument("--direction", choices=["max_above", "min_below"], default="max_above")
+    p.add_argument("--format", choices=["json", "csv"], default="csv")
     _add_common(p)
     p.set_defaults(func=_cmd_mc)
 
     p = sub.add_parser("moments")
     p.add_argument("--constraint", default=None, help="constraint JSON file")
     p.add_argument("--c", default=None, help="comma-separated moments c_1..c_{2l-1}")
+    p.add_argument("--tol", type=float, default=1e-6,
+                   help="exit 2 when primal - dual exceeds tol without a flag")
     _add_common(p, seed=False)
     p.set_defaults(func=_cmd_moments)
 
@@ -342,10 +341,6 @@ def cli(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
-    if args.command == "mc" and args.format is None:
-        args.format = "csv"
-    elif args.format is None:
-        args.format = "json"
     try:
         return args.func(args)
     except VALIDATION_ERRORS as exc:

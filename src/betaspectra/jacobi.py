@@ -8,7 +8,7 @@ affine [0,1] <-> [-2,2] maps and the bidiagonal d/s factorization.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

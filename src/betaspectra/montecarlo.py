@@ -214,9 +214,9 @@ def _jacobi_batch(spec: EnsembleSpec, gen: np.random.Generator, batch: int):
 
 
 def _count_hits(spec: EnsembleSpec, n: int, x: float, direction: str, samples: int,
-                stream: RngStream, workers: int = 1) -> int:
-    """Hits over fixed-size chunks with per-chunk derived generators, so the
-    result does not depend on how the chunks are distributed."""
+                stream: RngStream) -> int:
+    """Hits over fixed-size chunks, chunk i drawn from stream.generator(n, i),
+    so the count is a sum of independent per-chunk counts."""
     eff = EnsembleSpec(
         kind=spec.kind, n=n, beta=spec.beta,
         m=None, tau=spec.laguerre_tau if spec.kind is Kind.LAGUERRE else None,
@@ -250,10 +250,10 @@ def _count_hits(spec: EnsembleSpec, n: int, x: float, direction: str, samples: i
     return hits
 
 
-def mc_tail_rate(exp: McExperiment, workers: int = 1) -> McResult:
+def mc_tail_rate(exp: McExperiment) -> McResult:
     """Estimate the tail rate -log P(lambda_max >= x)/(beta' N) per N.
 
-    Deterministic for a fixed seed and independent of worker count.
+    Deterministic for a fixed seed.
     """
     spec = exp.spec
     theory = theory_rate(spec, exp.x, exp.direction)
@@ -280,7 +280,7 @@ def mc_tail_rate(exp: McExperiment, workers: int = 1) -> McResult:
     stream = RngStream(seed=exp.seed, stream=0)
     rows = []
     for n in exp.n_list:
-        hits = _count_hits(spec, n, exp.x, exp.direction, exp.samples, stream, workers)
+        hits = _count_hits(spec, n, exp.x, exp.direction, exp.samples, stream)
         p_hat = hits / exp.samples
         if hits == 0:
             # lower bound from the unobserved-event scale 1/samples

@@ -276,10 +276,11 @@ def jacobi_ensemble_rate(
     """Verblunsky-side rate of the Jacobi ensemble with slopes (kappa1, kappa2).
 
     paper_literal evaluates the displayed series verbatim; corrected sums
-    the corrected symmetric-beta rate with (u, v) = (1 + kappa1, 1 + kappa2)
+    the corrected symmetric-beta rate with (u, v) = (1 + kappa2, 1 + kappa1)
     at even indices and (1 + kappa1 + kappa2, 1) at odd ones, which vanishes
-    at the almost-sure limits of the coefficients. At kappa = 0 both reduce
-    to -sum log(1 - alpha_k^2).
+    at the almost-sure limits of the coefficients (sumrule.jacobi_limit_alphas)
+    and matches the sampler's even-index mean (kappa1 - kappa2)/(2 + kappa1
+    + kappa2). At kappa = 0 both reduce to -sum log(1 - alpha_k^2).
     """
     vec = np.asarray(alpha.alpha if hasattr(alpha, "alpha") else alpha, dtype=float)
     k1, k2 = kappa1, kappa2
@@ -302,7 +303,7 @@ def jacobi_ensemble_rate(
                     - math.log1p(-al)
                 )
         else:
-            u, v = (1.0 + k1, 1.0 + k2) if k % 2 == 0 else (1.0 + k1 + k2, 1.0)
+            u, v = (1.0 + k2, 1.0 + k1) if k % 2 == 0 else (1.0 + k1 + k2, 1.0)
             t = beta_h(u, v, al, BetaHVariant.CORRECTED)
         terms.append((f"alpha_{k}", t))
         total += t

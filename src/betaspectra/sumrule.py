@@ -3,14 +3,16 @@ operators, and the sum-rule machinery built on top of it.
 
 The m-function of a TailJacobiModel is a finite continued fraction
 terminated by the closed-form transform of the constant tail; its boundary
-values give the a.c. density, its real poles outside the bulk give the
-outliers. sumrule_verify checks the Killip-Simon identity; conjecture_probe
-evaluates the (unproven) Laguerre and Jacobi analogues and reports gaps.
+values give the a.c. density. The zeros of the Jost function of the model
+reduced to the free tail give the outliers, their masses and the Kullback
+information against the semicircle as exact finite sums (Killip-Simon, Ann.
+Math. 158, 2003; Damanik-Simon, Invent. Math. 165, 2006). sumrule_verify
+checks the Killip-Simon identity; conjecture_probe evaluates the (unproven)
+Laguerre and Jacobi analogues and reports gaps.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass, field
 
@@ -23,17 +25,15 @@ from .equilibria import (
     EquilibriumLaw,
     Family,
     density,
-    mp_edges,
     u_pm,
 )
 from .errors import DomainError, ParameterError, PoleError
 from .jacobi import JacobiCoeffs, VerblunskyCoeffs, affine_s, ds_factorize, geronimus
 from .rates import (
-    BetaHVariant,
     RateReport,
-    beta_h,
     big_g,
     hermite_rate,
+    jacobi_ensemble_rate,
     laguerre_rate,
     rate_fg,
     rate_fj,
@@ -55,9 +55,6 @@ __all__ = [
     "ConjectureReport",
     "jacobi_limit_alphas",
 ]
-
-EDGE_DEGENERACY_TOL = 1e-10
-
 
 @dataclass(frozen=True)
 class TailJacobiModel:
@@ -112,25 +109,15 @@ class TailJacobiModel:
         )
 
 
-def _m_free_complex(w):
-    """Transform of the free matrix at complex w: (-w + sqrt(w^2 - 4))/2,
-    branch analytic off [-2, 2] with m ~ -1/w at infinity."""
+def _m_free(w):
+    """Transform of the free matrix, (-w + sqrt(w^2 - 4))/2, with the branch
+    analytic off [-2, 2] and m ~ -1/w at infinity (vectorized, complex).
+
+    Real w outside [-2, 2] give the real Herglotz value; real w inside
+    (-2, 2), passed as w + 0j, give the boundary value from above.
+    """
     w = np.asarray(w, dtype=complex)
     return 0.5 * (-w + np.sqrt(w - 2.0) * np.sqrt(w + 2.0))
-
-
-def _m_free_real(w: float) -> float:
-    """Free transform on the real axis outside [-2, 2] (Herglotz branch)."""
-    if abs(w) <= 2.0:
-        raise DomainError(f"real argument {w} inside the free bulk")
-    root = math.sqrt(w * w - 4.0)
-    return 0.5 * (-w + root) if w > 2.0 else 0.5 * (-w - root)
-
-
-def _m_free_boundary(w):
-    """Boundary value lim_{eta->0} of the free transform at w + i eta in (-2, 2)."""
-    w = np.asarray(w, dtype=float)
-    return 0.5 * (-w + 1j * np.sqrt(np.maximum(4.0 - w * w, 0.0)))
 
 
 def m_function(model: TailJacobiModel, z, level: int = 0):
@@ -143,7 +130,7 @@ def m_function(model: TailJacobiModel, z, level: int = 0):
     zc = np.asarray(z)
     if np.iscomplexobj(zc) and np.any(zc.imag != 0.0):
         w = (np.asarray(z, dtype=complex) - model.b_inf) / model.a_inf
-        m = _m_free_complex(w) / model.a_inf
+        m = _m_free(w) / model.a_inf
         for j in range(k - 1, level - 1, -1):
             m = 1.0 / (model.b_at(j) - np.asarray(z, dtype=complex) - model.a_at(j) ** 2 * m)
         return m if m.ndim else complex(m)
@@ -152,7 +139,7 @@ def m_function(model: TailJacobiModel, z, level: int = 0):
     lo, hi = model.bulk
     if lo <= x <= hi:
         raise DomainError(f"real z = {x} lies in the bulk [{lo}, {hi}]")
-    m = _m_free_real((x - model.b_inf) / model.a_inf) / model.a_inf
+    m = float(_m_free((x - model.b_inf) / model.a_inf).real) / model.a_inf
     for j in range(k - 1, level - 1, -1):
         den = model.b_at(j) - x - model.a_at(j) ** 2 * m
         # a zero denominator is a pole of this stripping level; the limit of
@@ -170,113 +157,88 @@ def ac_density(model: TailJacobiModel, x):
     lo, hi = model.bulk
     if np.any((xs <= lo) | (xs >= hi)):
         raise DomainError("ac_density is defined strictly inside the bulk")
-    w = (xs - model.b_inf) / model.a_inf
-    m = _m_free_boundary(w) / model.a_inf
+    m = _m_free((xs - model.b_inf) / model.a_inf + 0j) / model.a_inf
     for j in range(model.head_len - 1, -1, -1):
         m = 1.0 / (model.b_at(j) - xs - model.a_at(j) ** 2 * m)
     out = np.imag(m) / math.pi
     return float(out) if out.ndim == 0 else out
 
 
-def _reciprocal_m(model: TailJacobiModel, x: float) -> float:
-    try:
-        m = m_function(model, x)
-    except PoleError:
-        return 0.0
-    if m == 0.0:
-        return math.inf
-    return 1.0 / m
+# A real Jost root this close to the unit circle (1 < |w| <= 1 + delta) would
+# be an eigenvalue within about delta^2 * a_inf = 1e-12 * a_inf of the band
+# edge. Rounding of a threshold resonance (|w| = 1) lands there as well, so
+# such roots are reported as edge resonances and not counted as outliers.
+JOST_EDGE_DELTA = 1e-6
 
 
-def _secular(model: TailJacobiModel, x):
-    """Secular function on the real axis outside the bulk (vectorized).
+@dataclass(frozen=True)
+class _JostRoots:
+    """Roots w = 1/z of the Jost function of the model reduced to the free
+    tail, u(z) = prod(1 - z w) / prod(a_j), and what follows from them."""
 
-    Running the continued fraction as a joint numerator/denominator
-    recursion m_j = N_j/D_j with N_j = D_{j+1}, D_j = (b_j - x) D_{j+1}
-    - a_j^2 N_{j+1} keeps the result pole-free: eigenvalues of the model
-    are exactly the (simple) zeros of D_0. Each step is renormalized, so
-    only the sign and the zeros are meaningful.
+    w: np.ndarray  # all 2K roots, complex
+    log_a: float  # sum of log a_j over the reduced head
+    outlier_list: list  # (E, mass), sorted by E
+    edge_resonances: list  # E of the real roots with 1 < |w| <= 1 + delta
+
+    def kullback_sc(self) -> float:
+        """K(SC | nu) exactly. rho_nu(2 cos t) = sin t / (pi |u(e^{it})|^2),
+        so K is the semicircle integral of log|u|^2, whose Fourier
+        coefficients give 2 [sum_{|w|>1} log|w| - sum log a_j]
+        + 1/2 [sum_{|w|<=1} Re w^2 + sum_{|w|>1} Re w^-2]."""
+        w = self.w
+        out = np.abs(w) > 1.0
+        val = 2.0 * (float(np.sum(np.log(np.abs(w[out])))) - self.log_a)
+        val += 0.5 * float(np.sum((w[~out] ** 2).real) + np.sum((w[out] ** -2.0).real))
+        return val
+
+
+def _jost(model: TailJacobiModel) -> _JostRoots:
+    """Reduce the model to the free tail, (J - b_inf)/a_inf, with K = head
+    length. A solution equal to w^{-n} on the tail solves J u = (w + 1/w) u
+    iff its head v = (u_0..u_{K-1}) solves the quadratic eigenproblem
+    (w^2 I - w J_K - M) v = 0, M = a_{K-1}^2 e_K e_K^T - I. Its 2K roots come
+    from the companion matrix; the real ones with |w| > 1 are the outliers
+    E = b_inf + a_inf (w + 1/w), the ell^2 eigenvectors.
+
+    Complex roots are never outliers: the operator is self-adjoint, and a
+    complex root just outside the circle is a resonance pushed there by
+    rounding.
     """
-    xs = np.asarray(x, dtype=float)
-    w = (xs - model.b_inf) / model.a_inf
-    root = np.sqrt(np.maximum(w * w - 4.0, 0.0))
-    mt = np.where(w > 0.0, 0.5 * (-w + root), 0.5 * (-w - root)) / model.a_inf
-    num = mt
-    den = np.ones_like(xs)
-    for j in range(model.head_len - 1, -1, -1):
-        num, den = den, (model.b_at(j) - xs) * den - model.a_at(j) ** 2 * num
-        scale = np.maximum(np.abs(num), np.abs(den))
-        scale = np.where(scale == 0.0, 1.0, scale)
-        num = num / scale
-        den = den / scale
-    return den
-
-
-def _scan_side(model: TailJacobiModel, edge: float, direction: float, span: float, grid_n: int):
-    """Sign-change scan of the secular function on one side of the bulk."""
-    # quadratic spacing (dense near the edge) plus a geometric ladder for
-    # roots exponentially close to the edge
-    t = np.linspace(1e-8, 1.0, grid_n)
-    offsets = np.concatenate(
-        [span * model.a_inf * t * t, np.geomspace(1e-12, span * model.a_inf, grid_n // 2)]
+    k = model.head_len
+    if k == 0:
+        return _JostRoots(np.empty(0, dtype=complex), 0.0, [], [])
+    b = (np.array([model.b_at(j) for j in range(k)]) - model.b_inf) / model.a_inf
+    a = np.array([model.a_at(j) for j in range(k)]) / model.a_inf
+    comp = np.zeros((2 * k, 2 * k))
+    comp[:k, k:] = np.eye(k)
+    comp[k:, :k] = -np.eye(k)
+    comp[-1, k - 1] += a[-1] ** 2
+    comp[k:, k:] = np.diag(b) + np.diag(a[:-1], 1) + np.diag(a[:-1], -1)
+    w, vecs = np.linalg.eig(comp)
+    real = w.imag == 0.0
+    mag = np.abs(w)
+    bound = real & (mag > 1.0 + JOST_EDGE_DELTA)
+    wr = w[bound].real
+    v = vecs[:k, bound].real
+    # ||u||^2 of the eigenvector: the head plus the geometric tail
+    # u_{K+j} = u_K w^{-j}, u_K = a_{K-1} v_{K-1} / w
+    tail = (a[-1] * v[-1] / wr) ** 2 / (1.0 - wr**-2.0)
+    mass = v[0] ** 2 / (np.sum(v * v, axis=0) + tail)
+    energy = model.b_inf + model.a_inf * (wr + 1.0 / wr)
+    edge = w[real & (mag > 1.0) & ~bound].real
+    return _JostRoots(
+        w=w,
+        log_a=float(np.sum(np.log(a))),
+        outlier_list=sorted(zip(energy.tolist(), mass.tolist())),
+        edge_resonances=sorted((model.b_inf + model.a_inf * (edge + 1.0 / edge)).tolist()),
     )
-    offsets = np.unique(offsets)
-    xs = edge + direction * offsets
-    xs = np.sort(xs) if direction > 0 else np.sort(xs)[::-1]
-    vals = _secular(model, xs)
-    roots = []
-    for i in np.flatnonzero(vals[:-1] * vals[1:] < 0.0):
-        x1, x2 = float(xs[i]), float(xs[i + 1])
-        g1 = float(vals[i])
-        for _ in range(200):
-            xm = 0.5 * (x1 + x2)
-            if xm == x1 or xm == x2:
-                break
-            gm = float(_secular(model, np.array([xm]))[0])
-            if gm == 0.0:
-                x1 = x2 = xm
-                break
-            if (gm > 0) == (g1 > 0):
-                x1, g1 = xm, gm
-            else:
-                x2 = xm
-        roots.append(0.5 * (x1 + x2))
-    return roots
 
 
-def _residue_mass(model: TailJacobiModel, e: float, edge_dist: float) -> float:
-    """Outlier mass = -1/(d(1/m)/dz at E), by Richardson-extrapolated
-    central differences."""
-    h = 1e-6 * max(1.0, abs(e))
-    h = min(h, 0.25 * edge_dist)
-
-    def diff(step):
-        return (_reciprocal_m(model, e + step) - _reciprocal_m(model, e - step)) / (2.0 * step)
-
-    d1 = diff(h)
-    d2 = diff(h / 2.0)
-    deriv = (4.0 * d2 - d1) / 3.0
-    return -1.0 / deriv
-
-
-def outliers(model: TailJacobiModel, span: float = 50.0, grid_n: int = 8000):
-    """All isolated eigenvalues outside the bulk, with their masses.
-
-    Roots of the pole-free secular function, located by sign-change
-    bracketing and bisection; masses by numeric residue of m. Roots within
-    1e-10 of a band edge are excluded (edge-degenerate warning case).
-    """
-    lo, hi = model.bulk
-    found = []
-    for edge, direction in ((hi, +1.0), (lo, -1.0)):
-        for e in _scan_side(model, edge, direction, span, grid_n):
-            if abs(e - hi) < EDGE_DEGENERACY_TOL or abs(e - lo) < EDGE_DEGENERACY_TOL:
-                continue
-            edge_dist = min(abs(e - hi), abs(e - lo))
-            mass = _residue_mass(model, e, edge_dist)
-            found.append((e, mass))
-    found.sort(key=lambda t: t[0])
-    return found
+def outliers(model: TailJacobiModel):
+    """All isolated eigenvalues outside the bulk, with their masses, sorted:
+    the real Jost roots outside the unit circle, from one eigensolve."""
+    return _jost(model).outlier_list
 
 
 @dataclass
@@ -304,8 +266,8 @@ class MeasureDecomposition:
         return ac_mass + sum(m for _, m in self.outlier_list)
 
 
-def decompose(model: TailJacobiModel, span: float = 50.0) -> MeasureDecomposition:
-    outs = outliers(model, span=span)
+def decompose(model: TailJacobiModel) -> MeasureDecomposition:
+    outs = outliers(model)
     lo, hi = model.bulk
     above = [e for e, _ in outs if e > hi]
     below = [e for e, _ in outs if e < lo]
@@ -318,24 +280,35 @@ def decompose(model: TailJacobiModel, span: float = 50.0) -> MeasureDecompositio
     )
 
 
-def _kullback_vs_model(reference: EquilibriumLaw, model: TailJacobiModel, n: int) -> float:
+def _kullback_quadrature(reference: EquilibriumLaw, model_density, n: int) -> float:
+    """K(reference | nu) by n-node Chebyshev quadrature on the reference
+    support, with nu's a.c. density given there by model_density."""
     lo, hi = reference.support
     grid = ChebGrid.for_interval(lo, hi, n)
     px = density(reference, grid.nodes)
-    qx = ac_density(model, grid.nodes)
+    qx = model_density(grid.nodes)
     if np.any(qx <= 0.0):
         return math.inf
     return float(np.dot(grid.weights, px * (np.log(px) - np.log(qx))))
 
 
-def measure_side_rate(
-    model: TailJacobiModel, reference: EquilibriumLaw, n: int = 8192
-) -> RateReport:
-    """Measure-side rate K(reference | nu) + sum of outlier costs.
+def _outlier_terms(roots: _JostRoots, cost, label: str, to_x=lambda e: e):
+    """Outlier cost terms and the edge-resonance flags."""
+    terms = []
+    for e, _ in roots.outlier_list:
+        x = to_x(e)
+        terms.append((f"{label}({x:.12g})", cost(x)))
+    flags = [
+        f"edge resonance at {to_x(e):.12g}: Jost root within {JOST_EDGE_DELTA:g} "
+        "of the unit circle, not counted as an outlier"
+        for e in roots.edge_resonances
+    ]
+    return terms, flags
 
-    reference must share its support with the model bulk: SC for the free
-    tail, MP(tau) for the Laguerre tail.
-    """
+
+def _measure_side(
+    model: TailJacobiModel, reference: EquilibriumLaw, n: int, roots: _JostRoots
+) -> RateReport:
     lo, hi = model.bulk
     rlo, rhi = reference.support
     if abs(lo - rlo) > 1e-9 or abs(hi - rhi) > 1e-9:
@@ -344,24 +317,33 @@ def measure_side_rate(
         )
     if reference.family is Family.SEMICIRCLE:
         cost = rate_fg
-    elif reference.family is Family.MARCHENKO_PASTUR:
-        cost = lambda e: rate_fl(e, reference.tau)
+        kterm = roots.kullback_sc()
+        n = 0
     else:
-        cost = lambda e: rate_fj(e, rlo, rhi)
-    terms = []
-    flags = []
-    kterm = _kullback_vs_model(reference, model, n)
-    terms.append(("kullback", kterm))
-    total = kterm
-    for e, mass in outliers(model):
-        c = cost(e)
-        if c == 0.0:
-            flags.append(f"outlier {e} inside bulk: zero cost by convention")
-        terms.append((f"F({e:.12g})", c))
-        total += c
+        if reference.family is Family.MARCHENKO_PASTUR:
+            cost = lambda e: rate_fl(e, reference.tau)
+        else:
+            cost = lambda e: rate_fj(e, rlo, rhi)
+        kterm = _kullback_quadrature(reference, lambda x: ac_density(model, x), n)
+    terms, flags = _outlier_terms(roots, cost, "F")
+    terms.insert(0, ("kullback", kterm))
+    total = sum(t for _, t in terms)
     if not math.isfinite(total):
         flags.append("infinite")
     return RateReport(value=total, terms=terms, truncation=n, tail_bound=0.0, flags=flags)
+
+
+def measure_side_rate(
+    model: TailJacobiModel, reference: EquilibriumLaw, n: int = 8192
+) -> RateReport:
+    """Measure-side rate K(reference | nu) + sum of outlier costs.
+
+    reference must share its support with the model bulk: SC for the free
+    tail, MP(tau) for the Laguerre tail. Against SC the Kullback term is the
+    exact Jost-root sum (truncation 0); against other references it is an
+    n-node quadrature. Outliers are always the exact Jost roots.
+    """
+    return _measure_side(model, reference, n, _jost(model))
 
 
 @dataclass
@@ -380,13 +362,15 @@ class SumRuleReport:
         }
 
 
-def sumrule_verify(model: TailJacobiModel, n: int = 8192) -> SumRuleReport:
+def sumrule_verify(model: TailJacobiModel) -> SumRuleReport:
     """Killip-Simon check for a free-tail model: coefficient side
-    sum b_j^2/2 + sum G(a_j) against K(SC|nu) + sum F_G(E_j)."""
+    sum b_j^2/2 + sum G(a_j) against K(SC|nu) + sum F_G(E_j), both sides
+    exact finite sums."""
     if model.a_inf != 1.0 or model.b_inf != 0.0:
         raise ParameterError("sumrule_verify requires the free (SC) tail")
     jacobi_side = hermite_rate(model.head).value
-    measure = measure_side_rate(model, SC, n=n)
+    roots = _jost(model)
+    measure = _measure_side(model, SC, 0, roots)
     gap = jacobi_side - measure.value
     if math.isinf(jacobi_side) and math.isinf(measure.value):
         gap = 0.0
@@ -394,7 +378,7 @@ def sumrule_verify(model: TailJacobiModel, n: int = 8192) -> SumRuleReport:
         jacobi_side=jacobi_side,
         measure_side=measure.value,
         gap=gap,
-        outlier_list=outliers(model),
+        outlier_list=roots.outlier_list,
     )
 
 
@@ -454,21 +438,6 @@ def jacobi_limit_alphas(kappa1: float, kappa2: float) -> tuple[float, float]:
     return (kappa1 - kappa2) / d, -(kappa1 + kappa2) / d
 
 
-def _jacobi_coefficient_rate(alpha: np.ndarray, kappa1: float, kappa2: float) -> RateReport:
-    """Per-index corrected rate vanishing at jacobi_limit_alphas: even index
-    (u, v) = (1 + kappa2, 1 + kappa1), odd (u, v) = (1 + kappa1 + kappa2, 1)."""
-    terms = []
-    total = 0.0
-    for k, al in enumerate(alpha):
-        u, v = (
-            (1.0 + kappa2, 1.0 + kappa1) if k % 2 == 0 else (1.0 + kappa1 + kappa2, 1.0)
-        )
-        t = beta_h(u, v, float(al), BetaHVariant.CORRECTED)
-        terms.append((f"alpha_{k}", t))
-        total += t
-    return RateReport(value=total, terms=terms, truncation=len(alpha))
-
-
 def conjecture_probe_jacobi(
     alpha_head,
     kappa1: float,
@@ -495,7 +464,7 @@ def conjecture_probe_jacobi(
             for k in range(total_len)
         ]
     )
-    coeff_report = _jacobi_coefficient_rate(alpha, kappa1, kappa2)
+    coeff_report = jacobi_ensemble_rate(alpha, kappa1, kappa2)
 
     # constant-tail model via Geronimus: coefficients settle once past the head
     head_span = len(head) // 2 + 2
@@ -516,22 +485,15 @@ def conjecture_probe_jacobi(
         reference = EquilibriumLaw(Family.KESTEN_MCKAY, u_minus=u_minus, u_plus=u_plus)
 
     # Kullback term on [0, 1]: the model lives on [-2, 2], push through s
-    lo, hi = reference.support
-    grid = ChebGrid.for_interval(lo, hi, n_quad)
-    px = density(reference, grid.nodes)
-    qx = 4.0 * ac_density(model, 4.0 * grid.nodes - 2.0)
-    if np.any(qx <= 0.0):
-        kterm = math.inf
-    else:
-        kterm = float(np.dot(grid.weights, px * (np.log(px) - np.log(qx))))
-    terms = [("kullback", kterm)]
-    total = kterm
-    for e, mass in outliers(model, span=4.0 / a_star):
-        eu = float(affine_s(e))
-        c = rate_fj(eu, u_minus, u_plus) if 0.0 < eu < 1.0 else math.inf
-        terms.append((f"F_J({eu:.12g})", c))
-        total += c
-    measure_report = RateReport(value=total, terms=terms, truncation=n_quad)
+    kterm = _kullback_quadrature(
+        reference, lambda x: 4.0 * ac_density(model, 4.0 * x - 2.0), n_quad
+    )
+    cost = lambda eu: rate_fj(eu, u_minus, u_plus) if 0.0 < eu < 1.0 else math.inf
+    terms, flags = _outlier_terms(_jost(model), cost, "F_J", lambda e: float(affine_s(e)))
+    terms.insert(0, ("kullback", kterm))
+    measure_report = RateReport(
+        value=sum(t for _, t in terms), terms=terms, truncation=n_quad, flags=flags
+    )
     return ConjectureReport(
         family="jacobi_kn",
         coefficient_side=coeff_report,

@@ -72,6 +72,16 @@ def test_sumrule_command(capsys, tmp_path):
     assert abs(obj["gap"]) < 1e-8
 
 
+def test_sumrule_command_long_head(capsys, tmp_path):
+    # L = 20 on the wide coefficient range: the sum rule holds to rounding
+    rng = np.random.default_rng(20)
+    path = model_file(tmp_path, rng.uniform(-1.5, 1.5, 20), rng.uniform(0.5, 1.8, 20))
+    code, out, _ = run(capsys, "sumrule", "--model", path)
+    assert code == 0
+    obj = json.loads(out)
+    assert abs(obj["gap"]) < 1e-12 * (1.0 + obj["jacobi_side"])
+
+
 def test_sumrule_missing_file(capsys):
     code, _, err = run(capsys, "sumrule", "--model", "/nonexistent.json")
     assert code == 1
@@ -169,6 +179,11 @@ MISUSE = [
     ("rate", "--family", "jacobi"),
     ("probe", "--family", "laguerre", "--tau", "0.5"),
     ("mc", "--ensemble", "hermite", "--n-list", "8"),
+    ("rate", "--family", "unknown"),
+    ("rate",),
+    ("moments", "--c", "0,1,0", "--format", "csv"),
+    ("rate", "--family", "fg", "--x", "2.5", "--tol", "1e-3"),
+    ("mc", "--x", "2.5", "--workers", "4"),
 ]
 
 
@@ -191,19 +206,25 @@ after_import = sorted(m for m in {heavy!r} if m in sys.modules)
 from betaspectra.cli import cli
 code = cli(["rate", "--family", "fg", "--x", "2.5"])
 after_rate = sorted(m for m in {heavy!r} if m in sys.modules)
-print(json.dumps([code, after_import, after_rate]))
+code_sumrule = cli(["sumrule", "--model", {model!r}])
+after_sumrule = sorted(m for m in {heavy!r} if m in sys.modules)
+print(json.dumps([code, after_import, after_rate, code_sumrule, after_sumrule]))
 """
 
 
-def test_import_and_rate_load_no_heavy_scipy():
+def test_import_and_rate_load_no_heavy_scipy(tmp_path):
     src = os.path.dirname(os.path.dirname(betaspectra.__file__))
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    model = model_file(tmp_path, [1.25, -0.4, 0.3], [1.6, 0.7])
     proc = subprocess.run(
-        [sys.executable, "-c", IMPORT_PROBE.format(heavy=SCIPY_HEAVY)],
+        [sys.executable, "-c", IMPORT_PROBE.format(heavy=SCIPY_HEAVY, model=model)],
         env=env, capture_output=True, text=True, timeout=60, check=True,
     )
-    code, after_import, after_rate = json.loads(proc.stdout.strip().splitlines()[-1])
-    assert code == 0
+    code, after_import, after_rate, code_sumrule, after_sumrule = json.loads(
+        proc.stdout.strip().splitlines()[-1]
+    )
+    assert code == 0 and code_sumrule == 0
     assert after_import == []
     assert after_rate == []
+    assert after_sumrule == []

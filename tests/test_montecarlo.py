@@ -59,11 +59,27 @@ def test_sturm_count_matches_eigensolve():
 
 
 def test_mc_determinism_and_chunk_invariance():
+    # 20000 samples span three chunks (CHUNK, CHUNK and the rest); the hit
+    # count must be the sum of direct counts over the per-chunk generators
     exp = McExperiment(spec=HERMITE, x=2.1, n_list=(12,), samples=20000, seed=3)
     r1 = mc_tail_rate(exp)
-    r2 = mc_tail_rate(exp, workers=4)
-    assert r1.rows[0].hits == r2.rows[0].hits
-    assert r1.rows[0].hits > 0
+    assert mc_tail_rate(exp).rows[0].hits == r1.rows[0].hits
+    from betaspectra.montecarlo import CHUNK, _hermite_batch
+
+    stream = RngStream(seed=3, stream=0)
+    sizes = [CHUNK, CHUNK, 20000 - 2 * CHUNK]
+    assert sizes[-1] > 0
+    direct = 0
+    for chunk_id, size in enumerate(sizes):
+        b, a = _hermite_batch(12, 1.0, stream.generator(12, chunk_id), size)
+        mats = np.zeros((size, 12, 12))
+        idx = np.arange(12)
+        mats[:, idx, idx] = b
+        mats[:, idx[:-1], idx[1:]] = a
+        mats[:, idx[1:], idx[:-1]] = a
+        direct += int(np.sum(np.linalg.eigvalsh(mats)[:, -1] >= 2.1))
+    assert r1.rows[0].hits == direct
+    assert direct > 0
 
 
 def test_mc_hit_counting_against_direct_sampling():

@@ -215,13 +215,24 @@ def test_jacobi_ensemble_rate_structure():
     alpha = VerblunskyCoeffs(np.array([0.1, 0.2, 0.3]))
     k1, k2 = 0.7, 0.4
     report = jacobi_ensemble_rate(alpha, k1, k2)
+    # even index (u, v) = (1 + kappa2, 1 + kappa1): the orientation whose
+    # minimizer (kappa1 - kappa2)/(2 + kappa1 + kappa2) is the sampler's mean
     expect = (
-        beta_h(1.0 + k1, 1.0 + k2, 0.1)
+        beta_h(1.0 + k2, 1.0 + k1, 0.1)
         + beta_h(1.0 + k1 + k2, 1.0, 0.2)
-        + beta_h(1.0 + k1, 1.0 + k2, 0.3)
+        + beta_h(1.0 + k2, 1.0 + k1, 0.3)
     )
     assert report.value == pytest.approx(expect, abs=1e-13)
     assert len(report.terms) == 3
+
+
+def test_jacobi_ensemble_rate_vanishes_at_limits():
+    from betaspectra.sumrule import jacobi_limit_alphas
+
+    for k1, k2 in ((1.0, 0.3), (0.3, 1.0), (0.7, 0.4), (1.5, 0.0)):
+        even, odd = jacobi_limit_alphas(k1, k2)
+        alpha = VerblunskyCoeffs(np.array([even if k % 2 == 0 else odd for k in range(9)]))
+        assert jacobi_ensemble_rate(alpha, k1, k2).value == pytest.approx(0.0, abs=1e-13)
 
 
 def test_kullback():

@@ -5,7 +5,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.linalg import eigh_tridiagonal, eigvalsh_tridiagonal
 
+from betaspectra.equilibria import SC
 from betaspectra.errors import DomainError, ParameterError
 from betaspectra.jacobi import JacobiCoeffs, spectral_decompose
 from betaspectra.rates import big_g, rate_fg
@@ -89,8 +93,8 @@ def test_outlier_single_diagonal_bump():
         outs = outliers(model)
         assert len(outs) == 1
         e, mass = outs[0]
-        assert e == pytest.approx(t + 1.0 / t, abs=1e-10)
-        assert mass == pytest.approx(1.0 - 1.0 / t**2, rel=1e-7)
+        assert e == pytest.approx(t + 1.0 / t, abs=1e-14)
+        assert mass == pytest.approx(1.0 - 1.0 / t**2, abs=1e-15)
 
 
 def test_outlier_single_offdiagonal_bump():
@@ -117,6 +121,81 @@ def test_outliers_match_truncation_eigenvalues():
     assert len(mine) == len(lam_out)
     for e, le in zip(sorted(mine), np.sort(lam_out)):
         assert e == pytest.approx(le, abs=1e-5)
+
+
+# A head from the wide-range long-head generator (b in +-1.5, a in [0.5,
+# 1.8], L = 35, rounded to 4 digits) with a pair of outliers 1e-4 apart near
+# 2.6517: a sign-change scan of the secular function steps over both.
+CLOSE_PAIR_B = [
+    -1.0182, 0.386, -1.3025, -0.1451, -1.2049, -1.2706, 1.0734, -1.2654, 0.5168, 0.1374,
+    -0.9831, 0.3949, -1.144, 0.7011, -0.7611, 0.7961, -1.115, 1.2477, -0.3045, -0.2087,
+    1.3503, -1.1425, 1.2737, -1.1047, -0.9318, 0.1669, 0.5862, 1.2093, 0.9185, 0.5353,
+    0.2935, 0.9303, -0.3673, -1.0487, 0.677,
+]
+CLOSE_PAIR_A = [
+    1.3442, 1.3004, 1.4961, 1.0658, 0.9157, 1.2474, 1.6974, 1.6093, 0.8727, 0.5005,
+    0.7712, 1.3301, 1.2139, 0.5608, 0.6774, 0.7381, 1.4987, 0.6558, 1.2934, 1.5067,
+    0.9337, 0.6283, 0.5187, 1.2863, 0.9888, 0.5856, 1.7734, 1.1215, 1.5547, 1.7684,
+    1.3011, 1.0619, 1.4528, 0.8499, 1.5652,
+]
+
+
+def outlier_mismatches(model, found, margin=1e-3, tol=1e-8):
+    """Outliers farther than margin from the bulk against the eigenvalues of
+    the (head + 400) truncation, both ways."""
+    coeffs = model.coefficients(model.head_len + 400)
+    ev = eigvalsh_tridiagonal(coeffs.b, coeffs.a)
+    lib = np.array([e for e, _ in found])
+    far = lambda xs: xs[np.abs(xs) > 2.0 + margin]
+    bad = [e for e in far(lib) if np.min(np.abs(ev - e)) > tol * abs(e)]
+    bad += [e for e in far(ev) if lib.size == 0 or np.min(np.abs(lib - e)) > tol * abs(e)]
+    return bad
+
+
+def test_outliers_close_pair():
+    model = head(CLOSE_PAIR_B, CLOSE_PAIR_A)
+    outs = outliers(model)
+    assert outlier_mismatches(model, outs) == []
+    pair = [e for e, _ in outs if 2.6516 < e < 2.6519]
+    assert len(pair) == 2 and pair[1] - pair[0] == pytest.approx(1.03e-4, rel=1e-2)
+    # masses are the first-row weights of the truncation's eigenvectors
+    coeffs = model.coefficients(model.head_len + 600)
+    ev, vec = eigh_tridiagonal(coeffs.b, coeffs.a)
+    for e, mass in outs:
+        assert mass == pytest.approx(vec[0, np.argmin(np.abs(ev - e))] ** 2, abs=1e-12)
+    report = sumrule_verify(model)
+    assert abs(report.gap) < 1e-12 * (1.0 + report.jacobi_side)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    nb=st.integers(0, 100),
+    na=st.integers(0, 100),
+    data=st.data(),
+)
+def test_sumrule_exact_on_random_heads(nb, na, data):
+    coord = lambda lo, hi: st.floats(lo, hi, allow_nan=False, allow_infinity=False)
+    b = data.draw(st.lists(coord(-1.5, 1.5), min_size=nb, max_size=nb))
+    a = data.draw(st.lists(coord(0.5, 1.8), min_size=na, max_size=na))
+    model = head(b, a)
+    report = sumrule_verify(model)
+    assert abs(report.gap) <= 1e-10 * (1.0 + abs(report.jacobi_side))
+    assert outlier_mismatches(model, report.outlier_list) == []
+
+
+def test_edge_resonance_is_flagged_not_counted():
+    # b_0 = t puts a Jost root at w = t: an eigenvalue t + 1/t at distance
+    # (t - 1)^2 / t from the edge. Within JOST_EDGE_DELTA of the circle it is
+    # reported as an edge resonance instead of an outlier.
+    near = head([1.0 + 1e-8], [])
+    assert outliers(near) == []
+    (flag,) = measure_side_rate(near, SC).flags
+    assert flag.startswith("edge resonance at 2:")
+    far = head([1.0 + 1e-5], [])
+    assert len(outliers(far)) == 1
+    assert measure_side_rate(far, SC).flags == []
+    # a_0 = sqrt(2): threshold resonances at w = +-1, never outliers
+    assert outliers(head([], [math.sqrt(2.0)])) == []
 
 
 def test_decompose_total_mass():
