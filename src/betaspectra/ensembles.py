@@ -175,7 +175,7 @@ def sample_beta_s(a: float, b: float, rng: np.random.Generator, size=None):
 
     The (a, b) order is pinned by the mean (b - a)/(b + a): x = 2*Beta(b, a) - 1.
     """
-    if a <= 0.0 or b <= 0.0:
+    if np.min(a) <= 0.0 or np.min(b) <= 0.0:
         raise ParameterError("beta_s parameters must be > 0")
     return 2.0 * rng.beta(b, a, size=size) - 1.0
 
@@ -246,15 +246,18 @@ def sample_laguerre(spec: EnsembleSpec, rng: RngStream) -> LaguerreDraw:
 
 def _jacobi_kn_alpha(n: int, ea: float, eb: float, beta_prime: float, gen: np.random.Generator) -> VerblunskyCoeffs:
     # alpha_0..alpha_{2N-2}; even index 2p and odd index 2p-1 laws per Killip-Nenciu
+    k = np.arange(2 * n - 1)
+    p = (k + 1) // 2
+    rest = (n - p - 1) * beta_prime
+    even = k % 2 == 0
+    first = np.where(even, rest + ea + 1.0, rest + ea + eb + 2.0)
+    second = np.where(even, rest + eb + 1.0, (n - p) * beta_prime)
+    # drawn as alpha_0, alpha_2, alpha_1, alpha_4, alpha_3, ...; numpy draws
+    # array parameters element by element, so this is one beta_s call per index
+    order = k.copy()
+    order[1:] = k[1:].reshape(-1, 2)[:, ::-1].ravel()
     alpha = np.empty(2 * n - 1)
-    for p in range(n):
-        alpha[2 * p] = sample_beta_s(
-            (n - p - 1) * beta_prime + ea + 1.0, (n - p - 1) * beta_prime + eb + 1.0, gen
-        )
-        if p >= 1:
-            alpha[2 * p - 1] = sample_beta_s(
-                (n - p - 1) * beta_prime + ea + eb + 2.0, (n - p) * beta_prime, gen
-            )
+    alpha[order] = sample_beta_s(first[order], second[order], gen)
     return VerblunskyCoeffs(alpha)
 
 

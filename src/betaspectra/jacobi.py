@@ -1,6 +1,6 @@
 """The Jacobi mapping between discrete measures and tridiagonal coefficients.
 
-Spectral decomposition, Lanczos/Gram-Schmidt in the other direction, the
+Spectral decomposition, Householder reduction in the other direction, the
 section moment identity, the Geronimus relations from Verblunsky data, the
 affine [0,1] <-> [-2,2] maps and the bidiagonal d/s factorization.
 """
@@ -35,6 +35,10 @@ __all__ = [
 ]
 
 ATOM_SEPARATION_RTOL = 1e-13
+# stevd deflation can round a first eigenvector component to exactly 0 where
+# the true weight is far below eigh's absolute accuracy (1e-60 next to an
+# exact zero on a 102 x 102 random head); such weights are floored here
+WEIGHT_FLOOR = np.finfo(float).tiny
 
 
 @dataclass(frozen=True)
@@ -166,45 +170,40 @@ def spectral_decompose(coeffs: JacobiCoeffs, n: int | None = None) -> DiscreteMe
     lam, vecs = eigh_tridiagonal(sec.b, sec.a)
     np.square(vecs[0], out=pi)
     del vecs
+    np.maximum(pi, WEIGHT_FLOOR, out=pi)
     pi /= np.sum(pi)  # unit-norm guard; analytically sums to 1
     return DiscreteMeasure(lam, pi)
 
 
 def measure_to_jacobi(mu: DiscreteMeasure) -> JacobiCoeffs:
-    """Gram-Schmidt (Lanczos with full reorthogonalization) on the atoms.
+    """Householder reduction of the bordered matrix
+    [[0, sqrt(w)^T], [sqrt(w), diag(loc)]] (Boley-Golub 1987).
 
-    Returns b_0..b_{N-1}, a_0..a_{N-2}; inverse of spectral_decompose.
+    The reflectors fix e_1, so the trailing block of the tridiagonal form is
+    the Jacobi matrix of (diag(loc), sqrt(w)): b_0..b_{N-1}, a_0..a_{N-2};
+    inverse of spectral_decompose. The atoms enter in decreasing weight; in
+    location order, measures with tiny weights lose up to 1e-5.
     """
     loc, w = mu.locations, mu.weights
     n = mu.n_atoms
     span = max(float(loc[-1] - loc[0]), 1.0)
     if n > 1 and np.min(np.diff(loc)) < ATOM_SEPARATION_RTOL * span:
         raise DegenerateMeasureError("coincident atoms: Jacobi map is ill-posed")
-    # Lanczos on diag(loc) with starting vector sqrt(w).
-    v = np.sqrt(w)
-    basis = np.empty((n, n))
-    basis[0] = v
-    b = np.empty(n)
-    a = np.empty(max(n - 1, 0))
-    v_prev = np.zeros(n)
-    a_prev = 0.0
-    for k in range(n):
-        av = loc * basis[k]
-        b[k] = float(np.dot(basis[k], av))
-        if k == n - 1:
-            break
-        r = av - b[k] * basis[k] - a_prev * v_prev
-        # full reorthogonalization, twice for safety
-        for _ in range(2):
-            r -= basis[: k + 1].T @ (basis[: k + 1] @ r)
-        nrm = float(np.linalg.norm(r))
-        if nrm <= 1e-14 * span:
-            raise DegenerateMeasureError("Lanczos broke down: measure effectively degenerate")
-        a[k] = nrm
-        v_prev = basis[k]
-        a_prev = nrm
-        basis[k + 1] = r / nrm
-    return JacobiCoeffs(b, a)
+    # imported here so that paths without an eigensolve never load scipy.linalg
+    from scipy.linalg import lapack
+
+    order = np.argsort(-w, kind="stable")
+    bordered = np.zeros((n + 1, n + 1), order="F")
+    bordered[1:, 0] = np.sqrt(w[order])
+    np.fill_diagonal(bordered[1:, 1:], loc[order])
+    lwork, _ = lapack.dsytrd_lwork(n + 1, lower=1)
+    _, d, e, _, info = lapack.dsytrd(bordered, lower=1, lwork=int(lwork), overwrite_a=1)
+    if info != 0:
+        raise RuntimeError(f"dsytrd failed with info = {info}")
+    a = np.abs(e[1:])
+    if a.size and np.min(a) <= 1e-14 * span:
+        raise DegenerateMeasureError("reduction broke down: measure effectively degenerate")
+    return JacobiCoeffs(d[1:], a)
 
 
 def jacobi_moments(coeffs: JacobiCoeffs, j: int, rmax: int) -> np.ndarray:
@@ -232,22 +231,11 @@ def geronimus(alpha: VerblunskyCoeffs, n: int) -> JacobiCoeffs:
     """
     if len(alpha) < 2 * n - 1:
         raise RangeError(f"need alpha_0..alpha_{2 * n - 2}, got {len(alpha)} coefficients")
-
-    def al(k: int) -> float:
-        if k == -1:
-            return -1.0
-        if k < -1:
-            return 0.0
-        return float(alpha.alpha[k])
-
-    b = np.empty(n)
-    a = np.empty(n - 1)
-    for k in range(n):
-        b[k] = (1.0 - al(2 * k - 1)) * al(2 * k) - (1.0 + al(2 * k - 1)) * al(2 * k - 2)
-    for k in range(n - 1):
-        a[k] = math.sqrt(
-            (1.0 - al(2 * k - 1)) * (1.0 - al(2 * k) ** 2) * (1.0 + al(2 * k + 1))
-        )
+    # al[k + 2] = alpha_k, with alpha_{-2} = 0 and alpha_{-1} = -1
+    al = np.concatenate(([0.0, -1.0], alpha.alpha[: 2 * n - 1]))
+    even, odd = al[2::2], al[1:-1:2]  # alpha_{2k}, alpha_{2k-1} for k = 0..n-1
+    b = (1.0 - odd) * even - (1.0 + odd) * al[:-2:2]
+    a = np.sqrt((1.0 - odd[:-1]) * (1.0 - even[:-1] ** 2) * (1.0 + al[3::2]))
     return JacobiCoeffs(b, a)
 
 
@@ -296,7 +284,7 @@ def ds_assemble(d: np.ndarray, s: np.ndarray) -> JacobiCoeffs:
     n = len(d) + (1 if len(s) == len(d) else 0)
     b = np.empty(n)
     b[0] = d[0] ** 2
-    for k in range(1, n):
-        b[k] = s[k - 1] ** 2 + (d[k] ** 2 if k < len(d) else 0.0)
+    b[1:] = s**2
+    b[1 : len(d)] += d[1:] ** 2
     a = s[: n - 1] * d[: n - 1]
     return JacobiCoeffs(b, a)

@@ -330,6 +330,8 @@ def stat_suite(
     on the mean first moment. wrong_marginal swaps in Beta(2 beta', .) as a
     deliberate negative control.
     """
+    if reps < 2:
+        raise ParameterError(f"reps must be >= 2 for the correlation test, got {reps}")
     # scipy.stats costs most of a cold start; only this suite needs it
     from scipy import stats
 

@@ -197,14 +197,17 @@ def beta_h(u: float, v: float, q: float, variant: BetaHVariant = BetaHVariant.CO
         return INF
     if variant is BetaHVariant.PAPER_LITERAL:
         return q * (v - u) - u * math.log1p(-q) - v * math.log1p(q)
+    # (u + v) times the relative entropy of Bernoulli((1 - q)/2) against
+    # Bernoulli(u/(u + v)), as u g(x) + v g(y) with g(x) = x - log(1 + x) >= 0,
+    # 1 + x = (1 - q)(u + v)/(2u) and 1 + y = (1 + q)(u + v)/(2v): no term
+    # goes below 0 in floating point. Away from x = 0 the log is taken of the
+    # product, which stays accurate as x -> -1 (q -> 1), likewise for y.
     uv = u + v
-    return (
-        u * math.log(u)
-        + v * math.log(v)
-        - uv * math.log(uv / 2.0)
-        - u * math.log1p(-q)
-        - v * math.log1p(q)
-    )
+    t = v - u - q * uv
+    x, y = t / (2.0 * u), -t / (2.0 * v)
+    lx = math.log1p(x) if abs(x) < 0.5 else math.log1p(-q) + math.log(uv / (2.0 * u))
+    ly = math.log1p(y) if abs(y) < 0.5 else math.log1p(q) + math.log(uv / (2.0 * v))
+    return u * (x - lx) + v * (y - ly)
 
 
 def hermite_rate(coeffs, order: int | None = None) -> RateReport:

@@ -184,6 +184,8 @@ MISUSE = [
     ("moments", "--c", "0,1,0", "--format", "csv"),
     ("rate", "--family", "fg", "--x", "2.5", "--tol", "1e-3"),
     ("mc", "--x", "2.5", "--workers", "4"),
+    ("stats", "--ensemble", "hermite", "--n", "5", "--reps", "0"),
+    ("stats", "--ensemble", "hermite", "--n", "5", "--reps", "1"),
 ]
 
 

@@ -8,10 +8,12 @@ from betaspectra.ensembles import (
     EnsembleSpec,
     Kind,
     RngStream,
+    _jacobi_kn_alpha,
     esd,
     sample_hermite,
     sample_jacobi_kn,
     sample_laguerre,
+    sample_beta_s,
     sample_primitive,
     spectral_measure,
 )
@@ -153,6 +155,29 @@ def test_jacobi_kn_spectrum_and_interval():
     mapped = spectral_measure(coeffs, interval="[0,1]")
     assert np.all((mapped.locations >= -1e-9) & (mapped.locations <= 1.0 + 1e-9))
     assert mapped.locations == pytest.approx((mu.locations + 2.0) / 4.0, abs=1e-14)
+
+
+def test_jacobi_kn_alpha_matches_scalar_draws():
+    # reference: one scalar beta_s draw per index, alpha_{2p} before alpha_{2p-1}
+    def scalar(n, ea, eb, bp, gen):
+        alpha = np.empty(2 * n - 1)
+        for p in range(n):
+            alpha[2 * p] = sample_beta_s(
+                (n - p - 1) * bp + ea + 1.0, (n - p - 1) * bp + eb + 1.0, gen
+            )
+            if p >= 1:
+                alpha[2 * p - 1] = sample_beta_s(
+                    (n - p - 1) * bp + ea + eb + 2.0, (n - p) * bp, gen
+                )
+        return alpha
+
+    rng = np.random.default_rng(40)
+    for seed in range(40):
+        n = int(rng.integers(1, 60))
+        ea, eb = rng.uniform(-0.99, 20.0, 2)
+        bp = float(rng.choice([0.5, 1.0, rng.uniform(0.1, 4.0)]))
+        fast = _jacobi_kn_alpha(n, ea, eb, bp, np.random.default_rng(seed))
+        assert np.array_equal(fast.alpha, scalar(n, ea, eb, bp, np.random.default_rng(seed)))
 
 
 def test_jacobi_kn_even_alpha_mean_sign():

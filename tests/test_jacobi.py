@@ -1,10 +1,14 @@
 """Discrete measure <-> Jacobi coefficient maps and their identities."""
 
+import hashlib
 import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+from betaspectra.ensembles import _jacobi_kn_alpha
 from betaspectra.errors import (
     DegenerateMeasureError,
     InvalidMatrixError,
@@ -28,6 +32,23 @@ from betaspectra.jacobi import (
 
 def random_coeffs(rng, n):
     return JacobiCoeffs(rng.uniform(-1, 1, n), rng.uniform(0.2, 1.5, n - 1))
+
+
+def localised_head(index):
+    """Head number `index` of a generator whose larger heads have
+    eigenvectors localised away from e_1 (spectral weights down to 1e-60)."""
+    rng = np.random.default_rng(0)
+    for _ in range(index + 1):
+        n = int(rng.integers(1, 120))
+        coeffs = random_coeffs(rng, n)
+    return coeffs
+
+
+def digest(*arrays):
+    h = hashlib.sha256()
+    for x in arrays:
+        h.update(np.ascontiguousarray(x, dtype="<f8").tobytes())
+    return h.hexdigest()
 
 
 def test_uniform_three_atoms():
@@ -58,6 +79,55 @@ def test_measure_roundtrip():
     back = spectral_decompose(measure_to_jacobi(mu))
     assert back.locations == pytest.approx(mu.locations, abs=1e-10)
     assert back.weights == pytest.approx(mu.weights, abs=1e-10)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(n=st.integers(1, 40), data=st.data())
+def test_roundtrip_property(n, data):
+    coord = lambda lo, hi: st.floats(lo, hi, allow_nan=False, allow_infinity=False)
+    b = data.draw(st.lists(coord(-1.0, 1.0), min_size=n, max_size=n))
+    a = data.draw(st.lists(coord(0.2, 1.5), min_size=n - 1, max_size=n - 1))
+    coeffs = JacobiCoeffs(b, a)
+    mu = spectral_decompose(coeffs)
+    assume(np.min(mu.weights) >= 1e-8)
+    back = measure_to_jacobi(mu)
+    assert back.b == pytest.approx(coeffs.b, abs=1e-9)
+    assert back.a == pytest.approx(coeffs.a, abs=1e-9)
+    again = spectral_decompose(back)
+    assert again.locations == pytest.approx(mu.locations, abs=1e-9)
+    assert again.weights == pytest.approx(mu.weights, abs=1e-9)
+
+
+def test_roundtrip_localised_head():
+    # smallest weight 3.8e-18; with the atoms in location order instead of
+    # decreasing weight the Householder reduction loses 3.9e-7 here
+    coeffs = localised_head(111)
+    mu = spectral_decompose(coeffs)
+    assert coeffs.n == 44 and np.min(mu.weights) < 1e-17
+    back = measure_to_jacobi(mu)
+    assert np.max(np.abs(back.b - coeffs.b)) <= 1e-8
+    assert np.max(np.abs(back.a - coeffs.a)) <= 1e-8
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(n=st.integers(1, 40), data=st.data())
+def test_spectral_decompose_never_raises(n, data):
+    b = data.draw(st.lists(st.floats(-1e100, 1e100), min_size=n, max_size=n))
+    a = data.draw(
+        st.lists(st.floats(0.0, 1e100, exclude_min=True), min_size=n - 1, max_size=n - 1)
+    )
+    mu = spectral_decompose(JacobiCoeffs(b, a))
+    assert mu.n_atoms == n and np.min(mu.weights) > 0.0
+
+
+def test_spectral_decompose_deflated_weights():
+    # the eigensolver returns an exact zero first component beside true
+    # weights near 1e-60; the zero is floored, not rejected
+    coeffs = localised_head(0)
+    mu = spectral_decompose(coeffs)
+    assert coeffs.n == 102
+    assert np.min(mu.weights) > 0.0
+    assert float(np.sum(mu.weights)) == pytest.approx(1.0, abs=1e-15)
 
 
 def test_degenerate_measures_rejected():
@@ -126,6 +196,46 @@ def test_geronimus_matches_direct_recursion():
         assert coeffs.a[k] == pytest.approx(expect, abs=1e-14)
 
 
+# sha256 of the little-endian float64 bytes, taken from the scalar-loop
+# implementations these array forms replace. The KN draws equal them on any
+# input; geronimus and ds_assemble equal them here, but elsewhere can differ
+# by one ulp, where the loops' pow squares were not correctly rounded
+KN_ALPHA_DIGESTS = {
+    (1, 0.0, 0.0, 1.0, 11): "e47ebff0e3c92abd022432e3885e592747d9be21ad55e6a4ef072448a8f26f0f",
+    (2, 0.3, -0.4, 0.5, 12): "f0ce12869f13764a7d2904d78a5f5a527547dc7f4e2ee8bd64455cb4d12a508d",
+    (50, 25.0, 50.0, 1.0, 13): "193c6b9b2471dd4b80b0f95db59692037f2ed5978e2e7eb4760d4c4de08dbd8a",
+}
+GERONIMUS_DIGESTS = {
+    1: "314d7f02d6741eb08f683c5a2d94d248b2c41f6f1fe8a117b71c996689111fc5",
+    2: "7a60e2f7853ae1dbcbfc26ca6743a94ae630f1d2dbdbc61723e249d91281006f",
+    50: "e3657fe2779aed939f9627d32a78962bffa09cdf6771454ac50234460e0ecf65",
+}
+DS_ASSEMBLE_DIGESTS = {
+    (1, 0): "8c12847a3af11a7456584276741ba8c907e188c7608b51701f37a3b1f23e076f",
+    (1, 1): "729cb3518422b9e3bdae111a4d66e60ae425da6655e24dc4974bd6e587c3c213",
+    (2, 1): "21ad5090a057471696cc7b83e9c80f1d90c0f3026f8a2b65dd8e503b9bd4982c",
+    (2, 2): "e3acda3a5409c0f3537c59d34d7e320b47ed5670b3a18355537321f1c219793e",
+    (50, 49): "00e7597ad73e649a1448b80a3d714060713321583a9027d3d4cfe3cd7286c90c",
+    (50, 50): "7770d22b8940ce7b14780cd1e529da6223d57df904287136804bcf253a00584a",
+}
+
+
+def test_golden_digests():
+    for (n, ea, eb, bp, seed), expect in KN_ALPHA_DIGESTS.items():
+        alpha = _jacobi_kn_alpha(n, ea, eb, bp, np.random.default_rng(seed))
+        assert digest(alpha.alpha) == expect
+    rng = np.random.default_rng(21)
+    for n, expect in GERONIMUS_DIGESTS.items():
+        coeffs = geronimus(VerblunskyCoeffs(rng.uniform(-0.99, 0.99, 2 * n - 1)), n)
+        assert digest(coeffs.b, coeffs.a) == expect
+    rng = np.random.default_rng(22)
+    for m in (1, 2, 50):
+        d = rng.uniform(0.1, 2.0, m)
+        for k in (m - 1, m):
+            coeffs = ds_assemble(d, rng.uniform(0.1, 2.0, k))
+            assert digest(coeffs.b, coeffs.a) == DS_ASSEMBLE_DIGESTS[(m, k)]
+
+
 def test_geronimus_spectrum_in_reference_interval():
     rng = np.random.default_rng(9)
     for _ in range(25):
@@ -159,6 +269,22 @@ def test_ds_factorize_requires_positive_definite():
         ds_factorize(JacobiCoeffs([-1.0, 2.0], [0.5]))
     with pytest.raises(NotPositiveDefiniteError):
         ds_factorize(JacobiCoeffs([0.01, 0.01], [1.0]))
+
+
+def test_ds_assemble_matches_scalar_loop():
+    # reference: the entrywise recurrence; squares by float pow are within an
+    # ulp of the correctly rounded array squares
+    rng = np.random.default_rng(11)
+    for m in (1, 2, 3, 17, 60):
+        d = rng.uniform(0.01, 3.0, m)
+        for s in (rng.uniform(0.01, 3.0, m - 1), rng.uniform(0.01, 3.0, m)):
+            coeffs = ds_assemble(d, s)
+            n = m + (1 if len(s) == m else 0)
+            expect = [d[0] ** 2] + [
+                s[k - 1] ** 2 + (d[k] ** 2 if k < m else 0.0) for k in range(1, n)
+            ]
+            assert coeffs.b == pytest.approx(expect, rel=5e-16, abs=0)
+            assert np.array_equal(coeffs.a, s[: n - 1] * d[: n - 1])
 
 
 def test_ds_assemble_boundary_row():

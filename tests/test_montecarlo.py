@@ -166,6 +166,13 @@ def test_stat_suite_laguerre():
     assert report.all_passed
 
 
+def test_stat_suite_needs_two_reps():
+    spec = EnsembleSpec(kind=Kind.HERMITE, n=5, beta=2.0)
+    for reps in (0, 1):
+        with pytest.raises(ParameterError):
+            stat_suite(spec, seed=1, reps=reps)
+
+
 def test_stat_suite_negative_control():
     report = stat_suite(
         EnsembleSpec(kind=Kind.HERMITE, n=40, beta=2.0), seed=42, wrong_marginal=True

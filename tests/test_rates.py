@@ -235,6 +235,36 @@ def test_jacobi_ensemble_rate_vanishes_at_limits():
         assert jacobi_ensemble_rate(alpha, k1, k2).value == pytest.approx(0.0, abs=1e-13)
 
 
+def test_jacobi_ensemble_rate_nonnegative_near_limits():
+    from betaspectra.sumrule import jacobi_limit_alphas
+
+    # the single-log form gave -1.2e-13 at (0.7, 1.3) and -8.0e-13 at (2, 5)
+    rng = np.random.default_rng(31)
+    kappas = [(0.7, 1.3), (2.0, 5.0)] + [tuple(rng.uniform(0.0, 6.0, 2)) for _ in range(30)]
+    for k1, k2 in kappas:
+        even, odd = jacobi_limit_alphas(k1, k2)
+        limits = np.array([even if k % 2 == 0 else odd for k in range(599)])
+        for shift in (0.0, 1e-15, -1e-15, 1e-9, -1e-9):
+            report = jacobi_ensemble_rate(limits + shift, k1, k2)
+            assert report.value >= 0.0
+            assert all(t >= 0.0 for _, t in report.terms)
+
+
+def _beta_h_single_log(u, v, q):
+    uv = u + v
+    return (u * math.log(u) + v * math.log(v) - uv * math.log(uv / 2.0)
+            - u * math.log1p(-q) - v * math.log1p(q))
+
+
+def test_beta_h_matches_single_log_form():
+    rng = np.random.default_rng(32)
+    for _ in range(2000):
+        u, v = rng.uniform(0.05, 10.0, 2)
+        q = rng.uniform(-0.999, 0.999)
+        old = _beta_h_single_log(u, v, q)
+        assert beta_h(u, v, q) == pytest.approx(old, abs=1e-12 * (1.0 + abs(old)))
+
+
 def test_kullback():
     assert kullback(SC, SC) == pytest.approx(0.0, abs=1e-12)
     # K(SC | arcsine on [-2,2]) = int sc log(sc/arcsine) = 1 - log 2
