@@ -203,6 +203,7 @@ def _cmd_moments(args) -> int:
         with open(args.constraint) as fh:
             constraint = MomentConstraint.from_json(json.load(fh))
     else:
+        _require(args, "moments without --constraint", "c")
         constraint = MomentConstraint(np.asarray(_float_list(args.c)))
     report = moment_opt_report(constraint)
     _emit_json(args, report)

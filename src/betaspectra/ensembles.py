@@ -1,8 +1,10 @@
 """Tridiagonal samplers for the beta-Hermite, beta-Laguerre and
 Killip-Nenciu beta-Jacobi ensembles, plus the primitive distributions.
 
-All samplers are pure functions of an RngStream: identical (seed, stream)
-reproduces identical coefficient sequences.
+Each ensemble has one draw function with a batch axis; a single draw is a
+batch of one, and sample_batch dispatches on the kind. All samplers are
+pure functions of their generator: identical (seed, stream) reproduces
+identical coefficient sequences.
 """
 
 from __future__ import annotations
@@ -17,6 +19,8 @@ from .jacobi import (
     DiscreteMeasure,
     JacobiCoeffs,
     VerblunskyCoeffs,
+    _ds_assemble,
+    _geronimus,
     affine_s,
     ds_assemble,
     geronimus,
@@ -32,6 +36,7 @@ __all__ = [
     "sample_hermite",
     "sample_laguerre",
     "sample_jacobi_kn",
+    "sample_batch",
     "spectral_measure",
     "esd",
 ]
@@ -201,12 +206,18 @@ def sample_primitive(dist: str, params, rng: RngStream | np.random.Generator, si
     raise ParameterError(f"unknown primitive distribution {dist!r}")
 
 
-def _hermite_coeffs(n: int, beta_prime: float, gen: np.random.Generator) -> JacobiCoeffs:
+# A Beta draw with a tiny parameter can round to 0 or 1, making 2x - 1 = -1
+# or 1 exactly; the Geronimus relations need |alpha| < 1 for a_k > 0.
+ALPHA_MAX = np.nextafter(1.0, 0.0)
+
+
+def _hermite_draw(n: int, beta_prime: float, gen: np.random.Generator, batch: int):
+    """b (batch, n) and a (batch, n - 1) of `batch` Hermite models."""
     scale = 1.0 / (beta_prime * n)
-    b = gen.normal(0.0, np.sqrt(scale), size=n)
+    b = gen.normal(0.0, np.sqrt(scale), size=(batch, n))
     shapes = beta_prime * (n - 1.0 - np.arange(n - 1))
-    a = np.sqrt(gen.gamma(shapes, scale)) if n > 1 else np.empty(0)
-    return JacobiCoeffs(b, a)
+    a = np.sqrt(gen.gamma(shapes, scale, size=(batch, n - 1)))
+    return b, a
 
 
 def sample_hermite(spec: EnsembleSpec, rng: RngStream) -> JacobiCoeffs:
@@ -214,7 +225,8 @@ def sample_hermite(spec: EnsembleSpec, rng: RngStream) -> JacobiCoeffs:
     b_j ~ N(0, 1/(beta' N)), a_j^2 ~ gamma(beta'(N-1-j), 1/(beta' N))."""
     if spec.kind is not Kind.HERMITE:
         raise ParameterError("spec.kind must be hermite")
-    return _hermite_coeffs(spec.n, spec.beta_prime, rng.generator())
+    b, a = _hermite_draw(spec.n, spec.beta_prime, rng.generator(), 1)
+    return JacobiCoeffs(b[0], a[0])
 
 
 @dataclass(frozen=True)
@@ -224,14 +236,12 @@ class LaguerreDraw:
     coeffs: JacobiCoeffs
 
 
-def _laguerre_factors(n: int, m: int, beta_prime: float, gen: np.random.Generator):
+def _laguerre_draw(n: int, m: int, beta_prime: float, gen: np.random.Generator, batch: int):
+    """Bidiagonal factors d (batch, m) and s (batch, m - 1) of `batch`
+    Laguerre models."""
     scale = 1.0 / (beta_prime * n)
-    d = np.sqrt(gen.gamma(beta_prime * (n + 1.0 - np.arange(1, m + 1)), scale))
-    s = (
-        np.sqrt(gen.gamma(beta_prime * (m - np.arange(1, m)), scale))
-        if m > 1
-        else np.empty(0)
-    )
+    d = np.sqrt(gen.gamma(beta_prime * (n + 1.0 - np.arange(1, m + 1)), scale, size=(batch, m)))
+    s = np.sqrt(gen.gamma(beta_prime * (m - np.arange(1, m)), scale, size=(batch, m - 1)))
     return d, s
 
 
@@ -240,25 +250,34 @@ def sample_laguerre(spec: EnsembleSpec, rng: RngStream) -> LaguerreDraw:
     coefficients of L = B B^T (an m x m matrix)."""
     if spec.kind is not Kind.LAGUERRE:
         raise ParameterError("spec.kind must be laguerre")
-    d, s = _laguerre_factors(spec.n, spec.laguerre_m, spec.beta_prime, rng.generator())
-    return LaguerreDraw(d=d, s=s, coeffs=ds_assemble(d, s))
+    d, s = _laguerre_draw(spec.n, spec.laguerre_m, spec.beta_prime, rng.generator(), 1)
+    return LaguerreDraw(d=d[0], s=s[0], coeffs=ds_assemble(d[0], s[0]))
 
 
-def _jacobi_kn_alpha(n: int, ea: float, eb: float, beta_prime: float, gen: np.random.Generator) -> VerblunskyCoeffs:
-    # alpha_0..alpha_{2N-2}; even index 2p and odd index 2p-1 laws per Killip-Nenciu
+def _swap_pairs(x: np.ndarray) -> np.ndarray:
+    """Exchange rows 2p - 1 and 2p (p >= 1) of x in place and return x."""
+    odd = x[2::2].copy()
+    x[2::2] = x[1::2]
+    x[1::2] = odd
+    return x
+
+
+def _jacobi_kn_draw(n: int, ea: float, eb: float, beta_prime: float,
+                    gen: np.random.Generator, batch: int) -> np.ndarray:
+    """alpha_0..alpha_{2N-2} of `batch` Killip-Nenciu models, shape
+    (batch, 2N - 1); even index 2p and odd index 2p-1 laws per Killip-Nenciu."""
     k = np.arange(2 * n - 1)
     p = (k + 1) // 2
     rest = (n - p - 1) * beta_prime
     even = k % 2 == 0
     first = np.where(even, rest + ea + 1.0, rest + ea + eb + 2.0)
     second = np.where(even, rest + eb + 1.0, (n - p) * beta_prime)
-    # drawn as alpha_0, alpha_2, alpha_1, alpha_4, alpha_3, ...; numpy draws
-    # array parameters element by element, so this is one beta_s call per index
-    order = k.copy()
-    order[1:] = k[1:].reshape(-1, 2)[:, ::-1].ravel()
-    alpha = np.empty(2 * n - 1)
-    alpha[order] = sample_beta_s(first[order], second[order], gen)
-    return VerblunskyCoeffs(alpha)
+    # one beta call draws the indices in the order alpha_0, alpha_2, alpha_1,
+    # alpha_4, alpha_3, ..., each index for the whole batch
+    draws = sample_beta_s(_swap_pairs(first)[:, None], _swap_pairs(second)[:, None], gen,
+                          size=(2 * n - 1, batch))
+    np.clip(draws, -ALPHA_MAX, ALPHA_MAX, out=draws)
+    return _swap_pairs(draws).T
 
 
 def sample_jacobi_kn(spec: EnsembleSpec, rng: RngStream) -> tuple[VerblunskyCoeffs, JacobiCoeffs]:
@@ -269,8 +288,21 @@ def sample_jacobi_kn(spec: EnsembleSpec, rng: RngStream) -> tuple[VerblunskyCoef
     if spec.kind is not Kind.JACOBI_KN:
         raise ParameterError("spec.kind must be jacobi_kn")
     ea, eb = spec.exponents
-    alpha = _jacobi_kn_alpha(spec.n, ea, eb, spec.beta_prime, rng.generator())
+    draw = _jacobi_kn_draw(spec.n, ea, eb, spec.beta_prime, rng.generator(), 1)
+    alpha = VerblunskyCoeffs(draw[0])
     return alpha, geronimus(alpha, spec.n)
+
+
+def sample_batch(spec: EnsembleSpec, gen: np.random.Generator, batch: int):
+    """Jacobi coefficients of `batch` independent draws of spec's model:
+    b (batch, size) and a (batch, size - 1), size N (Laguerre: m). A batch
+    of one draws what sample_hermite/_laguerre/_jacobi_kn draw."""
+    if spec.kind is Kind.HERMITE:
+        return _hermite_draw(spec.n, spec.beta_prime, gen, batch)
+    if spec.kind is Kind.LAGUERRE:
+        return _ds_assemble(*_laguerre_draw(spec.n, spec.laguerre_m, spec.beta_prime, gen, batch))
+    ea, eb = spec.exponents
+    return _geronimus(_jacobi_kn_draw(spec.n, ea, eb, spec.beta_prime, gen, batch), spec.n)
 
 
 def spectral_measure(coeffs: JacobiCoeffs, interval: str = "[-2,2]") -> DiscreteMeasure:

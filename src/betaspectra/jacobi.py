@@ -223,20 +223,41 @@ def jacobi_moments(coeffs: JacobiCoeffs, j: int, rmax: int) -> np.ndarray:
     return out
 
 
-def geronimus(alpha: VerblunskyCoeffs, n: int) -> JacobiCoeffs:
-    """Jacobi coefficients b_0..b_{n-1}, a_0..a_{n-2} from Verblunsky data.
+def _geronimus(alpha: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Geronimus relations over the last axis of alpha (alpha_0..alpha_{2n-2});
+    leading axes are a batch. Returns b (..., n) and a (..., n - 1).
 
-    Uses alpha_0..alpha_{2n-2} with the boundary convention alpha_{-1} = -1;
+    The boundary alpha_{-1} = -1 enters as the factor 2 in b_0 and a_0;
     other negative indices never contribute (their prefactor is zero).
+    Every step writes into b, a or one scratch array, so a large batch
+    costs no padded copy of alpha.
     """
+    even = alpha[..., 0 : 2 * n - 1 : 2]  # alpha_{2k}, k = 0..n-1
+    odd = alpha[..., 1 : 2 * n - 2 : 2]  # alpha_{2k+1}, k = 0..n-2
+    # a_k = sqrt((1 - alpha_{2k-1}) (1 - alpha_{2k}^2) (1 + alpha_{2k+1}))
+    a = np.square(even[..., :-1])
+    np.subtract(1.0, a, out=a)
+    a[..., :1] *= 2.0
+    t = np.subtract(1.0, odd)
+    a[..., 1:] *= t[..., :-1]
+    # b_k = (1 - alpha_{2k-1}) alpha_{2k} - (1 + alpha_{2k-1}) alpha_{2k-2}
+    b = np.empty_like(even)
+    np.multiply(even[..., :1], 2.0, out=b[..., :1])
+    np.multiply(t, even[..., 1:], out=b[..., 1:])
+    np.add(odd, 1.0, out=t)
+    a *= t
+    np.sqrt(a, out=a)
+    t *= even[..., :-1]
+    b[..., 1:] -= t
+    return b, a
+
+
+def geronimus(alpha: VerblunskyCoeffs, n: int) -> JacobiCoeffs:
+    """Jacobi coefficients b_0..b_{n-1}, a_0..a_{n-2} from Verblunsky data
+    alpha_0..alpha_{2n-2}, with the boundary convention alpha_{-1} = -1."""
     if len(alpha) < 2 * n - 1:
         raise RangeError(f"need alpha_0..alpha_{2 * n - 2}, got {len(alpha)} coefficients")
-    # al[k + 2] = alpha_k, with alpha_{-2} = 0 and alpha_{-1} = -1
-    al = np.concatenate(([0.0, -1.0], alpha.alpha[: 2 * n - 1]))
-    even, odd = al[2::2], al[1:-1:2]  # alpha_{2k}, alpha_{2k-1} for k = 0..n-1
-    b = (1.0 - odd) * even - (1.0 + odd) * al[:-2:2]
-    a = np.sqrt((1.0 - odd[:-1]) * (1.0 - even[:-1] ** 2) * (1.0 + al[3::2]))
-    return JacobiCoeffs(b, a)
+    return JacobiCoeffs(*_geronimus(alpha.alpha, n))
 
 
 def affine_r(x):
@@ -269,6 +290,18 @@ def ds_factorize(coeffs: JacobiCoeffs) -> tuple[np.ndarray, np.ndarray]:
     return d, s
 
 
+def _ds_assemble(d: np.ndarray, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """b and a of B B^T over the last axis of d and s; leading axes are a
+    batch. s has as many entries as d, or one fewer."""
+    m = d.shape[-1]
+    n = m + (s.shape[-1] == m)
+    b = np.empty(d.shape[:-1] + (n,))
+    np.square(d[..., :1], out=b[..., :1])
+    np.square(s, out=b[..., 1:])
+    b[..., 1:m] += np.square(d[..., 1:])
+    return b, s[..., : n - 1] * d[..., : n - 1]
+
+
 def ds_assemble(d: np.ndarray, s: np.ndarray) -> JacobiCoeffs:
     """Jacobi coefficients of B B^T for lower-bidiagonal B with diagonal d
     and subdiagonal s.
@@ -281,10 +314,4 @@ def ds_assemble(d: np.ndarray, s: np.ndarray) -> JacobiCoeffs:
     s = np.asarray(s, dtype=float)
     if len(s) not in (len(d) - 1, len(d)):
         raise RangeError("need len(s) in {len(d) - 1, len(d)}")
-    n = len(d) + (1 if len(s) == len(d) else 0)
-    b = np.empty(n)
-    b[0] = d[0] ** 2
-    b[1:] = s**2
-    b[1 : len(d)] += d[1:] ** 2
-    a = s[: n - 1] * d[: n - 1]
-    return JacobiCoeffs(b, a)
+    return JacobiCoeffs(*_ds_assemble(d, s))

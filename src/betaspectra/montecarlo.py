@@ -1,9 +1,11 @@
 """Monte Carlo estimation of extreme-eigenvalue large-deviation rates and
 distributional sanity suites for the tridiagonal samplers.
 
-Hit detection uses the Sturm sign-count of the shifted tridiagonal
-recursion: lambda_max >= x iff fewer than N leading-minor pivots at x are
-negative. One vectorized pass per sample batch, no eigensolve.
+Both draw their models through ensembles.sample_batch: the tail rates a
+chunk of samples at a time, the suite one sample per generator. Hit
+detection uses the Sturm sign-count of the shifted tridiagonal recursion:
+lambda_max >= x iff fewer than N leading-minor pivots at x are negative.
+One vectorized pass per sample batch, no eigensolve.
 """
 
 from __future__ import annotations
@@ -14,10 +16,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .ensembles import EnsembleSpec, Kind, RngStream, sample_hermite, sample_laguerre
+from .ensembles import EnsembleSpec, Kind, RngStream, sample_batch, spectral_measure
 from .equilibria import mp_edges, u_pm
 from .errors import ParameterError
-from .jacobi import JacobiCoeffs, geronimus, VerblunskyCoeffs
+from .jacobi import JacobiCoeffs
 from .rates import rate_fg, rate_fj, rate_fl
 
 __all__ = [
@@ -140,77 +142,19 @@ def _sturm_negative_count(b: np.ndarray, a: np.ndarray, x: float) -> np.ndarray:
 
     b: (batch, N) diagonals, a: (batch, N-1) off-diagonals. Counts negative
     pivots of the shifted LDL^T recursion q_i = b_i - x - a_{i-1}^2/q_{i-1}.
+    Each pivot decreases in x, so a zero pivot becomes +tiny, its value
+    just below x: an eigenvalue equal to x is not counted.
     """
     batch, n = b.shape
     tiny = 1e-300
     q = b[:, 0] - x
-    q = np.where(q == 0.0, -tiny, q)
+    q = np.where(q == 0.0, tiny, q)
     count = (q < 0.0).astype(np.int64)
     for i in range(1, n):
         q = b[:, i] - x - (a[:, i - 1] ** 2) / q
-        q = np.where(q == 0.0, -tiny, q)
+        q = np.where(q == 0.0, tiny, q)
         count += q < 0.0
     return count
-
-
-def _hermite_batch(n: int, beta_prime: float, gen: np.random.Generator, batch: int):
-    scale = 1.0 / (beta_prime * n)
-    b = gen.normal(0.0, math.sqrt(scale), size=(batch, n))
-    shapes = beta_prime * (n - 1.0 - np.arange(n - 1))
-    a = np.sqrt(gen.gamma(shapes, scale, size=(batch, n - 1)))
-    return b, a
-
-
-def _laguerre_batch(n: int, m: int, beta_prime: float, gen: np.random.Generator, batch: int):
-    scale = 1.0 / (beta_prime * n)
-    d2 = gen.gamma(beta_prime * (n + 1.0 - np.arange(1, m + 1)), scale, size=(batch, m))
-    s2 = (
-        gen.gamma(beta_prime * (m - np.arange(1, m)), scale, size=(batch, m - 1))
-        if m > 1
-        else np.zeros((batch, 0))
-    )
-    b = np.empty((batch, m))
-    b[:, 0] = d2[:, 0]
-    if m > 1:
-        b[:, 1:] = s2 + d2[:, 1:]
-    a = np.sqrt(s2 * d2[:, :-1]) if m > 1 else np.zeros((batch, 0))
-    return b, a
-
-
-def _beta_s_batch(a: float, b: float, gen: np.random.Generator, size) -> np.ndarray:
-    return 2.0 * gen.beta(b, a, size=size) - 1.0
-
-
-def _jacobi_batch(spec: EnsembleSpec, gen: np.random.Generator, batch: int):
-    n = spec.n
-    ea, eb = spec.exponents
-    bp = spec.beta_prime
-    alpha = np.empty((batch, 2 * n - 1))
-    for p in range(n):
-        alpha[:, 2 * p] = _beta_s_batch(
-            (n - p - 1) * bp + ea + 1.0, (n - p - 1) * bp + eb + 1.0, gen, batch
-        )
-        if p >= 1:
-            alpha[:, 2 * p - 1] = _beta_s_batch(
-                (n - p - 1) * bp + ea + eb + 2.0, (n - p) * bp, gen, batch
-            )
-    # vectorized Geronimus relations (boundary alpha_{-1} = -1)
-    al = np.concatenate([np.full((batch, 1), -1.0), alpha], axis=1)  # shift index by 1
-
-    def col(k):  # alpha_k with the shifted layout; k >= -1
-        if k < -1:
-            return np.zeros(batch)
-        return al[:, k + 1]
-
-    b = np.empty((batch, n))
-    a = np.empty((batch, n - 1))
-    for k in range(n):
-        b[:, k] = (1.0 - col(2 * k - 1)) * col(2 * k) - (1.0 + col(2 * k - 1)) * col(2 * k - 2)
-    for k in range(n - 1):
-        a[:, k] = np.sqrt(
-            (1.0 - col(2 * k - 1)) * (1.0 - col(2 * k) ** 2) * (1.0 + col(2 * k + 1))
-        )
-    return b, a
 
 
 def _count_hits(spec: EnsembleSpec, n: int, x: float, direction: str, samples: int,
@@ -228,25 +172,10 @@ def _count_hits(spec: EnsembleSpec, n: int, x: float, direction: str, samples: i
         # the matrix acts on [-2, 2]; map a [0, 1] threshold back
         threshold = 4.0 * x - 2.0
     hits = 0
-    done = 0
-    chunk_id = 0
-    while done < samples:
-        batch = min(CHUNK, samples - done)
-        gen = stream.generator(n, chunk_id)
-        if eff.kind is Kind.HERMITE:
-            b, a = _hermite_batch(n, eff.beta_prime, gen, batch)
-        elif eff.kind is Kind.LAGUERRE:
-            b, a = _laguerre_batch(n, eff.laguerre_m, eff.beta_prime, gen, batch)
-        else:
-            b, a = _jacobi_batch(eff, gen, batch)
+    for chunk_id, done in enumerate(range(0, samples, CHUNK)):
+        b, a = sample_batch(eff, stream.generator(n, chunk_id), min(CHUNK, samples - done))
         neg = _sturm_negative_count(b, a, threshold)
-        size = b.shape[1]
-        if direction == "max_above":
-            hits += int(np.sum(neg < size))
-        else:
-            hits += int(np.sum(neg >= 1))
-        done += batch
-        chunk_id += 1
+        hits += int(np.sum(neg < b.shape[1] if direction == "max_above" else neg >= 1))
     return hits
 
 
@@ -332,39 +261,24 @@ def stat_suite(
     """
     if reps < 2:
         raise ParameterError(f"reps must be >= 2 for the correlation test, got {reps}")
+    size = spec.laguerre_m if spec.kind is Kind.LAGUERRE else spec.n
+    if size < 2:
+        raise ParameterError(f"the suite needs a matrix of size >= 2, got {size}: "
+                             "one atom always has weight 1")
     # scipy.stats costs most of a cold start; only this suite needs it
     from scipy import stats
 
-    from .ensembles import spectral_measure
-
     stream = RngStream(seed=seed, stream=1)
     bp = spec.beta_prime
-    n = spec.n
     pi1 = np.empty(reps)
     lam_max = np.empty(reps)
     m1 = np.empty(reps)
     for i in range(reps):
-        gen = stream.generator(i)
-        if spec.kind is Kind.HERMITE:
-            from .ensembles import _hermite_coeffs
-
-            coeffs = _hermite_coeffs(n, bp, gen)
-        elif spec.kind is Kind.LAGUERRE:
-            from .ensembles import _laguerre_factors
-            from .jacobi import ds_assemble
-
-            d, s = _laguerre_factors(n, spec.laguerre_m, bp, gen)
-            coeffs = ds_assemble(d, s)
-        else:
-            from .ensembles import _jacobi_kn_alpha
-
-            ea, eb = spec.exponents
-            coeffs = geronimus(_jacobi_kn_alpha(n, ea, eb, bp, gen), n)
-        mu = spectral_measure(coeffs)
+        b, a = sample_batch(spec, stream.generator(i), 1)
+        mu = spectral_measure(JacobiCoeffs(b[0], a[0]))
         pi1[i] = mu.weights[0]
         lam_max[i] = mu.locations[-1]
         m1[i] = float(np.dot(mu.weights, mu.locations))
-    size = coeffs.n
     shape1 = 2.0 * bp if wrong_marginal else bp
     ks_stat, ks_p = stats.kstest(pi1, "beta", args=(shape1, (size - 1) * bp))
     corr, corr_p = stats.pearsonr(lam_max, pi1)

@@ -13,7 +13,7 @@ from enum import Enum
 
 import numpy as np
 
-from .equilibria import EquilibriumLaw, density, integrate_against, mp_edges
+from .equilibria import EquilibriumLaw, density, mp_edges
 from .errors import ParameterError
 
 __all__ = [

@@ -186,6 +186,9 @@ MISUSE = [
     ("mc", "--x", "2.5", "--workers", "4"),
     ("stats", "--ensemble", "hermite", "--n", "5", "--reps", "0"),
     ("stats", "--ensemble", "hermite", "--n", "5", "--reps", "1"),
+    ("moments",),
+    ("stats", "--ensemble", "hermite", "--n", "1"),
+    ("stats", "--ensemble", "laguerre", "--n", "5", "--m", "1"),
 ]
 
 

@@ -3,13 +3,16 @@ bulk statistics at moderate size."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from betaspectra.ensembles import (
     EnsembleSpec,
     Kind,
     RngStream,
-    _jacobi_kn_alpha,
+    _jacobi_kn_draw,
     esd,
+    sample_batch,
     sample_hermite,
     sample_jacobi_kn,
     sample_laguerre,
@@ -19,6 +22,8 @@ from betaspectra.ensembles import (
 )
 from betaspectra.equilibria import ARCSINE_01, density, law_grid
 from betaspectra.errors import ParameterError
+from betaspectra.jacobi import VerblunskyCoeffs
+from betaspectra.montecarlo import McExperiment, mc_tail_rate, stat_suite
 
 
 def test_spec_validation():
@@ -176,8 +181,52 @@ def test_jacobi_kn_alpha_matches_scalar_draws():
         n = int(rng.integers(1, 60))
         ea, eb = rng.uniform(-0.99, 20.0, 2)
         bp = float(rng.choice([0.5, 1.0, rng.uniform(0.1, 4.0)]))
-        fast = _jacobi_kn_alpha(n, ea, eb, bp, np.random.default_rng(seed))
+        fast = VerblunskyCoeffs(_jacobi_kn_draw(n, ea, eb, bp, np.random.default_rng(seed), 1)[0])
         assert np.array_equal(fast.alpha, scalar(n, ea, eb, bp, np.random.default_rng(seed)))
+
+
+@settings(max_examples=90, deadline=None, derandomize=True)
+@given(kind=st.sampled_from(list(Kind)), n=st.integers(1, 30), beta=st.floats(0.05, 6.0),
+       seed=st.integers(0, 2**32 - 1), data=st.data())
+def test_batch_of_one_equals_public_samplers(kind, n, beta, seed, data):
+    params = {}
+    if kind is Kind.LAGUERRE:
+        params["m"] = data.draw(st.integers(1, n))
+    if kind is Kind.JACOBI_KN:
+        params["a"] = data.draw(st.floats(-0.99, 10.0))
+        params["b"] = data.draw(st.floats(-0.99, 10.0))
+    spec = EnsembleSpec(kind=kind, n=n, beta=beta, **params)
+    b, a = sample_batch(spec, RngStream(seed=seed).generator(), 1)
+    if kind is Kind.HERMITE:
+        coeffs = sample_hermite(spec, RngStream(seed=seed))
+    elif kind is Kind.LAGUERRE:
+        coeffs = sample_laguerre(spec, RngStream(seed=seed)).coeffs
+    else:
+        coeffs = sample_jacobi_kn(spec, RngStream(seed=seed))[1]
+    assert np.array_equal(b[0], coeffs.b)
+    assert np.array_equal(a[0], coeffs.a)
+
+
+# Specs whose Beta draws have a parameter near 0, so that they round to 0 or
+# 1 and 2x - 1 to -1 or 1 exactly. Before the draws were clipped to
+# (-1, 1), 148, 144, 182 and 26 of 200 seeds raised RangeError.
+KN_EDGE_SPECS = (
+    {"beta": 2.0, "a": -0.99},
+    {"beta": 2.0, "b": -0.99},
+    {"beta": 0.02},
+    {"beta": 0.1, "a": -0.5, "b": -0.5},
+)
+
+
+@pytest.mark.parametrize("params", KN_EDGE_SPECS, ids=str)
+def test_jacobi_kn_accepts_exponents_near_minus_one(params):
+    spec = EnsembleSpec(kind=Kind.JACOBI_KN, n=5, **params)
+    for seed in range(200):
+        alpha, coeffs = sample_jacobi_kn(spec, RngStream(seed=seed))
+        assert np.max(np.abs(alpha.alpha)) < 1.0
+        assert np.min(coeffs.a) > 0.0
+    stat_suite(spec, seed=0, reps=20)
+    mc_tail_rate(McExperiment(spec=spec, x=1.9, n_list=(5,), samples=2000, seed=0))
 
 
 def test_jacobi_kn_even_alpha_mean_sign():

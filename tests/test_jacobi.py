@@ -7,8 +7,9 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
-from betaspectra.ensembles import _jacobi_kn_alpha
+from betaspectra.ensembles import _jacobi_kn_draw
 from betaspectra.errors import (
     DegenerateMeasureError,
     InvalidMatrixError,
@@ -19,6 +20,8 @@ from betaspectra.jacobi import (
     DiscreteMeasure,
     JacobiCoeffs,
     VerblunskyCoeffs,
+    _ds_assemble,
+    _geronimus,
     affine_r,
     affine_s,
     ds_assemble,
@@ -222,7 +225,7 @@ DS_ASSEMBLE_DIGESTS = {
 
 def test_golden_digests():
     for (n, ea, eb, bp, seed), expect in KN_ALPHA_DIGESTS.items():
-        alpha = _jacobi_kn_alpha(n, ea, eb, bp, np.random.default_rng(seed))
+        alpha = VerblunskyCoeffs(_jacobi_kn_draw(n, ea, eb, bp, np.random.default_rng(seed), 1)[0])
         assert digest(alpha.alpha) == expect
     rng = np.random.default_rng(21)
     for n, expect in GERONIMUS_DIGESTS.items():
@@ -285,6 +288,28 @@ def test_ds_assemble_matches_scalar_loop():
             ]
             assert coeffs.b == pytest.approx(expect, rel=5e-16, abs=0)
             assert np.array_equal(coeffs.a, s[: n - 1] * d[: n - 1])
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(batch=st.integers(1, 5), n=st.integers(1, 20), boundary=st.booleans(),
+       transposed=st.booleans(), data=st.data())
+def test_batched_kernels_equal_rows(batch, n, boundary, transposed, data):
+    # the Killip-Nenciu draw hands _geronimus a transposed (batch, 2n - 1)
+    # view; either memory layout must give each row its 1-D result
+    def layout(shape, elements):
+        x = data.draw(arrays(float, shape, elements=elements))
+        return np.asfortranarray(x) if transposed else x
+
+    alpha = layout((batch, 2 * n - 1), st.floats(-1.0, 1.0, exclude_min=True, exclude_max=True))
+    b, a = _geronimus(alpha, n)
+    d = layout((batch, n), st.floats(0.01, 3.0))
+    s = layout((batch, n - 1 + boundary), st.floats(0.01, 3.0))
+    db, da = _ds_assemble(d, s)
+    for i in range(batch):
+        one = geronimus(VerblunskyCoeffs(alpha[i]), n)
+        assert np.array_equal(b[i], one.b) and np.array_equal(a[i], one.a)
+        one = ds_assemble(d[i], s[i])
+        assert np.array_equal(db[i], one.b) and np.array_equal(da[i], one.a)
 
 
 def test_ds_assemble_boundary_row():

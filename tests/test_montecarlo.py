@@ -4,6 +4,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from betaspectra.ensembles import EnsembleSpec, Kind, RngStream, sample_hermite
 from betaspectra.errors import ParameterError
@@ -58,20 +61,52 @@ def test_sturm_count_matches_eigensolve():
             assert counts[i] == int(np.sum(lam < x))
 
 
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(batch=st.integers(1, 4), n=st.integers(1, 12), data=st.data())
+def test_sturm_count_property(batch, n, data):
+    b = data.draw(arrays(float, (batch, n), elements=st.floats(-2.0, 2.0)))
+    a = data.draw(arrays(float, (batch, n - 1), elements=st.floats(0.01, 2.0)))
+    x = data.draw(st.floats(-5.0, 5.0))
+    mats = np.zeros((batch, n, n))
+    idx = np.arange(n)
+    mats[:, idx, idx] = b
+    mats[:, idx[:-1], idx[1:]] = a
+    mats[:, idx[1:], idx[:-1]] = a
+    lam = np.linalg.eigvalsh(mats)
+    # away from ties both counts are exact; ties are the next test
+    assume(np.min(np.abs(lam - x)) > 1e-9)
+    assert np.array_equal(_sturm_negative_count(b, a, x), np.sum(lam < x, axis=1))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(c=st.integers(-16, 16), t=st.integers(1, 16), upper=st.booleans())
+@example(c=0, t=4, upper=True)  # [[0, 1], [1, 0]] at x = 1 once counted 2
+def test_sturm_count_at_an_eigenvalue(c, t, upper):
+    # [[c, t], [t, c]] / 4 has the eigenvalues (c -/+ t) / 4, and the pivot
+    # recursion at either one is exact in binary and ends in a zero pivot;
+    # an eigenvalue equal to x is not below x
+    b = np.full((1, 2), c / 4.0)
+    a = np.full((1, 1), t / 4.0)
+    x = (c + t) / 4.0 if upper else (c - t) / 4.0
+    lam = np.array([(c - t) / 4.0, (c + t) / 4.0])
+    assert _sturm_negative_count(b, a, x)[0] == np.sum(lam < x) == int(upper)
+
+
 def test_mc_determinism_and_chunk_invariance():
     # 20000 samples span three chunks (CHUNK, CHUNK and the rest); the hit
     # count must be the sum of direct counts over the per-chunk generators
     exp = McExperiment(spec=HERMITE, x=2.1, n_list=(12,), samples=20000, seed=3)
     r1 = mc_tail_rate(exp)
     assert mc_tail_rate(exp).rows[0].hits == r1.rows[0].hits
-    from betaspectra.montecarlo import CHUNK, _hermite_batch
+    from betaspectra.ensembles import _hermite_draw
+    from betaspectra.montecarlo import CHUNK
 
     stream = RngStream(seed=3, stream=0)
     sizes = [CHUNK, CHUNK, 20000 - 2 * CHUNK]
     assert sizes[-1] > 0
     direct = 0
     for chunk_id, size in enumerate(sizes):
-        b, a = _hermite_batch(12, 1.0, stream.generator(12, chunk_id), size)
+        b, a = _hermite_draw(12, 1.0, stream.generator(12, chunk_id), size)
         mats = np.zeros((size, 12, 12))
         idx = np.arange(12)
         mats[:, idx, idx] = b
@@ -89,9 +124,9 @@ def test_mc_hit_counting_against_direct_sampling():
     stream = RngStream(seed=5, stream=0)
     direct = 0
     gen = stream.generator(8, 0)
-    from betaspectra.montecarlo import _hermite_batch
+    from betaspectra.ensembles import _hermite_draw
 
-    b, a = _hermite_batch(8, 1.0, gen, 3000)
+    b, a = _hermite_draw(8, 1.0, gen, 3000)
     from betaspectra.jacobi import JacobiCoeffs
 
     for i in range(3000):
@@ -171,6 +206,18 @@ def test_stat_suite_needs_two_reps():
     for reps in (0, 1):
         with pytest.raises(ParameterError):
             stat_suite(spec, seed=1, reps=reps)
+
+
+def test_stat_suite_needs_two_atoms():
+    # one atom always has weight 1: the KS and correlation tests are undefined
+    specs = (
+        EnsembleSpec(kind=Kind.HERMITE, n=1, beta=2.0),
+        EnsembleSpec(kind=Kind.LAGUERRE, n=5, beta=2.0, m=1),
+        EnsembleSpec(kind=Kind.JACOBI_KN, n=1, beta=2.0),
+    )
+    for spec in specs:
+        with pytest.raises(ParameterError):
+            stat_suite(spec, seed=1, reps=5)
 
 
 def test_stat_suite_negative_control():

@@ -1,0 +1,52 @@
+"""Static checks on the package source that no linter here performs."""
+
+import ast
+import os
+
+import pytest
+
+import betaspectra
+
+PACKAGE_DIR = os.path.dirname(betaspectra.__file__)
+MODULES = sorted(
+    name for name in os.listdir(PACKAGE_DIR)
+    if name.endswith(".py") and name != "__init__.py"
+)
+
+
+def _imported_names(tree: ast.Module) -> dict:
+    """Names bound by module-level imports, with their line numbers."""
+    names = {}
+    for node in tree.body:
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                names[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                names[alias.asname or alias.name] = node.lineno
+    return names
+
+
+def _used_names(tree: ast.Module) -> set:
+    """Names loaded anywhere in the module or listed in its __all__."""
+    used = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            used.add(node.id)
+        elif isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            used.update(ast.literal_eval(node.value))
+    return used
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_no_unused_module_imports(module):
+    with open(os.path.join(PACKAGE_DIR, module)) as fh:
+        tree = ast.parse(fh.read(), filename=module)
+    used = _used_names(tree)
+    unused = sorted(
+        f"{name} (line {line})" for name, line in _imported_names(tree).items()
+        if name not in used
+    )
+    assert not unused, f"{module} imports names it never uses: {', '.join(unused)}"
