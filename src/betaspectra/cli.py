@@ -94,10 +94,10 @@ def _require(args, context: str, *names: str) -> None:
         raise ParameterError(f"{context} needs {', '.join(missing)}")
 
 
-def _spec_from_args(args) -> EnsembleSpec:
+def _spec_from_args(args, n: int) -> EnsembleSpec:
     return EnsembleSpec(
         kind=Kind(args.ensemble),
-        n=args.n,
+        n=n,
         beta=args.beta,
         m=getattr(args, "m", None),
         tau=getattr(args, "tau", None),
@@ -110,7 +110,7 @@ def _spec_from_args(args) -> EnsembleSpec:
 
 
 def _cmd_sample(args) -> int:
-    spec = _spec_from_args(args)
+    spec = _spec_from_args(args, args.n)
     stream = RngStream(seed=_resolve_seed(args))
     out = {"spec": spec.to_json()}
     if spec.kind is Kind.HERMITE:
@@ -179,11 +179,11 @@ def _cmd_mc(args) -> int:
             exp = McExperiment.from_json(json.load(fh))
     else:
         _require(args, "mc without --experiment", "x")
-        spec = _spec_from_args(args)
+        n_list = tuple(int(v) for v in _float_list(args.n_list))
         exp = McExperiment(
-            spec=spec,
+            spec=_spec_from_args(args, max(n_list)),
             x=args.x,
-            n_list=tuple(int(v) for v in _float_list(args.n_list)),
+            n_list=n_list,
             samples=args.samples,
             seed=_resolve_seed(args),
             direction=args.direction,
@@ -226,7 +226,7 @@ def _cmd_probe(args) -> int:
 
 
 def _cmd_stats(args) -> int:
-    spec = _spec_from_args(args)
+    spec = _spec_from_args(args, args.n)
     report = stat_suite(
         spec,
         seed=_resolve_seed(args),
@@ -290,12 +290,13 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p, seed=False)
     p.set_defaults(func=_cmd_rate)
 
-    p = sub.add_parser("mc")
+    # no abbreviations: a removed --n must not be read as --n-list
+    p = sub.add_parser("mc", allow_abbrev=False)
     p.add_argument("--experiment", default=None, help="experiment JSON file")
     p.add_argument("--ensemble", choices=[k.value for k in Kind], default="hermite")
-    p.add_argument("--n", type=int, default=2)  # placeholder; sizes come from --n-list
     p.add_argument("--beta", type=float, default=2.0)
-    p.add_argument("--m", type=int, default=None)
+    p.add_argument("--m", type=int, default=None,
+                   help="Laguerre m at the largest --n-list size, so tau = m / N")
     p.add_argument("--tau", type=float, default=None)
     p.add_argument("--kappa1", type=float, default=None)
     p.add_argument("--kappa2", type=float, default=None)
@@ -360,3 +361,7 @@ def cli(argv=None) -> int:
 
 def main() -> None:
     raise SystemExit(cli())
+
+
+if __name__ == "__main__":
+    main()

@@ -20,6 +20,7 @@ from .jacobi import (
     JacobiCoeffs,
     VerblunskyCoeffs,
     _ds_assemble,
+    _eigenvalues,
     _geronimus,
     affine_s,
     ds_assemble,
@@ -209,14 +210,22 @@ def sample_primitive(dist: str, params, rng: RngStream | np.random.Generator, si
 # A Beta draw with a tiny parameter can round to 0 or 1, making 2x - 1 = -1
 # or 1 exactly; the Geronimus relations need |alpha| < 1 for a_k > 0.
 ALPHA_MAX = np.nextafter(1.0, 0.0)
+# Likewise a Gamma draw with a tiny shape can underflow to exactly 0, and
+# the tridiagonal models need chi draws > 0. Every positive double is at
+# least this, so flooring at it changes only the zeros.
+GAMMA_MIN = np.finfo(float).smallest_subnormal
+
+
+def _chi(shape, scale: float, gen: np.random.Generator, size) -> np.ndarray:
+    """Square roots of Gamma(shape, scale) draws, none of them 0."""
+    return np.sqrt(np.maximum(gen.gamma(shape, scale, size=size), GAMMA_MIN))
 
 
 def _hermite_draw(n: int, beta_prime: float, gen: np.random.Generator, batch: int):
     """b (batch, n) and a (batch, n - 1) of `batch` Hermite models."""
     scale = 1.0 / (beta_prime * n)
     b = gen.normal(0.0, np.sqrt(scale), size=(batch, n))
-    shapes = beta_prime * (n - 1.0 - np.arange(n - 1))
-    a = np.sqrt(gen.gamma(shapes, scale, size=(batch, n - 1)))
+    a = _chi(beta_prime * (n - 1.0 - np.arange(n - 1)), scale, gen, (batch, n - 1))
     return b, a
 
 
@@ -240,8 +249,8 @@ def _laguerre_draw(n: int, m: int, beta_prime: float, gen: np.random.Generator, 
     """Bidiagonal factors d (batch, m) and s (batch, m - 1) of `batch`
     Laguerre models."""
     scale = 1.0 / (beta_prime * n)
-    d = np.sqrt(gen.gamma(beta_prime * (n + 1.0 - np.arange(1, m + 1)), scale, size=(batch, m)))
-    s = np.sqrt(gen.gamma(beta_prime * (m - np.arange(1, m)), scale, size=(batch, m - 1)))
+    d = _chi(beta_prime * (n + 1.0 - np.arange(1, m + 1)), scale, gen, (batch, m))
+    s = _chi(beta_prime * (m - np.arange(1, m)), scale, gen, (batch, m - 1))
     return d, s
 
 
@@ -317,9 +326,8 @@ def spectral_measure(coeffs: JacobiCoeffs, interval: str = "[-2,2]") -> Discrete
 def esd(coeffs: JacobiCoeffs, interval: str = "[-2,2]") -> DiscreteMeasure:
     """Empirical spectral distribution: equal weights 1/N at the eigenvalues."""
     _check_interval(interval)
-    mu = spectral_decompose(coeffs)
-    n = mu.n_atoms
-    out = DiscreteMeasure(mu.locations, np.full(n, 1.0 / n))
+    sec = coeffs.section(coeffs.n)
+    out = DiscreteMeasure(_eigenvalues(sec.b, sec.a), np.full(sec.n, 1.0 / sec.n))
     if interval == "[0,1]":
         out = out.pushforward(affine_s)
     return out

@@ -2,7 +2,8 @@
 distributional sanity suites for the tridiagonal samplers.
 
 Both draw their models through ensembles.sample_batch: the tail rates a
-chunk of samples at a time, the suite one sample per generator. Hit
+chunk of samples at a time, the suite one sample per generator, with one
+batched spectral decomposition of all its samples. Hit
 detection uses the Sturm sign-count of the shifted tridiagonal recursion:
 lambda_max >= x iff fewer than N leading-minor pivots at x are negative.
 One vectorized pass per sample batch, no eigensolve.
@@ -16,10 +17,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .ensembles import EnsembleSpec, Kind, RngStream, sample_batch, spectral_measure
+from .ensembles import EnsembleSpec, Kind, RngStream, sample_batch
 from .equilibria import mp_edges, u_pm
 from .errors import ParameterError
-from .jacobi import JacobiCoeffs
+from .jacobi import _eigenvalues, _first_row_weights
 from .rates import rate_fg, rate_fj, rate_fl
 
 __all__ = [
@@ -270,15 +271,13 @@ def stat_suite(
 
     stream = RngStream(seed=seed, stream=1)
     bp = spec.beta_prime
-    pi1 = np.empty(reps)
-    lam_max = np.empty(reps)
-    m1 = np.empty(reps)
-    for i in range(reps):
-        b, a = sample_batch(spec, stream.generator(i), 1)
-        mu = spectral_measure(JacobiCoeffs(b[0], a[0]))
-        pi1[i] = mu.weights[0]
-        lam_max[i] = mu.locations[-1]
-        m1[i] = float(np.dot(mu.weights, mu.locations))
+    draws = [sample_batch(spec, stream.generator(i), 1) for i in range(reps)]
+    b, a = map(np.concatenate, zip(*draws))
+    lam = _eigenvalues(b, a)
+    pi = _first_row_weights(b, a, lam)
+    pi1 = pi[:, 0]
+    lam_max = lam[:, -1]
+    m1 = np.einsum("ij,ij->i", pi, lam)
     shape1 = 2.0 * bp if wrong_marginal else bp
     ks_stat, ks_p = stats.kstest(pi1, "beta", args=(shape1, (size - 1) * bp))
     corr, corr_p = stats.pearsonr(lam_max, pi1)

@@ -184,6 +184,7 @@ MISUSE = [
     ("moments", "--c", "0,1,0", "--format", "csv"),
     ("rate", "--family", "fg", "--x", "2.5", "--tol", "1e-3"),
     ("mc", "--x", "2.5", "--workers", "4"),
+    ("mc", "--x", "2.5", "--n", "5"),
     ("stats", "--ensemble", "hermite", "--n", "5", "--reps", "0"),
     ("stats", "--ensemble", "hermite", "--n", "5", "--reps", "1"),
     ("moments",),
@@ -202,6 +203,35 @@ def test_missing_option_is_one_error_line(capsys, argv):
     assert "Traceback" not in err
 
 
+def source_env():
+    src = os.path.dirname(os.path.dirname(betaspectra.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return env
+
+
+def test_module_entry_point_help():
+    proc = subprocess.run(
+        [sys.executable, "-m", "betaspectra.cli", "--help"],
+        env=source_env(), capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0
+    assert proc.stdout.startswith("usage: betaspectra")
+    assert "Traceback" not in proc.stderr
+
+
+def test_mc_sizes_come_from_n_list(capsys):
+    # a Laguerre m is read at the largest size: tau = 6 / 12
+    code, out, _ = run(capsys, "mc", "--ensemble", "laguerre", "--m", "6", "--x", "3.2",
+                       "--n-list", "8,12", "--samples", "500", "--seed", "3",
+                       "--format", "json")
+    assert code == 0
+    obj = json.loads(out)
+    assert [row["n"] for row in obj["rows"]] == [8, 12]
+    _, expect, _ = run(capsys, "rate", "--family", "fl", "--x", "3.2", "--tau", "0.5")
+    assert obj["theory"] == json.loads(expect)["value"]
+
+
 SCIPY_HEAVY = ("scipy.integrate", "scipy.stats", "scipy.linalg")
 
 IMPORT_PROBE = """
@@ -218,13 +248,10 @@ print(json.dumps([code, after_import, after_rate, code_sumrule, after_sumrule]))
 
 
 def test_import_and_rate_load_no_heavy_scipy(tmp_path):
-    src = os.path.dirname(os.path.dirname(betaspectra.__file__))
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     model = model_file(tmp_path, [1.25, -0.4, 0.3], [1.6, 0.7])
     proc = subprocess.run(
         [sys.executable, "-c", IMPORT_PROBE.format(heavy=SCIPY_HEAVY, model=model)],
-        env=env, capture_output=True, text=True, timeout=60, check=True,
+        env=source_env(), capture_output=True, text=True, timeout=60, check=True,
     )
     code, after_import, after_rate, code_sumrule, after_sumrule = json.loads(
         proc.stdout.strip().splitlines()[-1]

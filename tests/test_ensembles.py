@@ -229,6 +229,29 @@ def test_jacobi_kn_accepts_exponents_near_minus_one(params):
     mc_tail_rate(McExperiment(spec=spec, x=1.9, n_list=(5,), samples=2000, seed=0))
 
 
+SMALL_BETA_SPECS = (
+    EnsembleSpec(kind=Kind.HERMITE, n=5, beta=2e-3),
+    EnsembleSpec(kind=Kind.LAGUERRE, n=5, beta=2e-3, m=5),
+)
+
+
+@pytest.mark.parametrize("spec", SMALL_BETA_SPECS, ids=lambda spec: spec.kind.value)
+def test_small_beta_chi_draws_stay_positive(spec):
+    # chi draws with shape ~1e-3 underflowed to exactly 0 on 126 (Hermite)
+    # and 167 (Laguerre) of these 200 seeds, and a_k = 0 was rejected
+    for seed in range(200):
+        stream = RngStream(seed=seed)
+        if spec.kind is Kind.HERMITE:
+            coeffs = sample_hermite(spec, stream)
+        else:
+            draw = sample_laguerre(spec, stream)
+            assert np.min(draw.d) > 0.0 and np.min(draw.s) > 0.0
+            coeffs = draw.coeffs
+        assert np.min(coeffs.a) > 0.0
+        assert spectral_measure(coeffs).n_atoms == 5
+    stat_suite(spec, seed=0, reps=20)
+
+
 def test_jacobi_kn_even_alpha_mean_sign():
     # with slopes kappa1 > kappa2 = 0 the even-index coefficients have
     # positive mean under the pinned symmetric-beta orientation
