@@ -43,6 +43,8 @@ WEIGHT_FLOOR = np.finfo(float).tiny
 # square and the inverse square of PIVMIN are normal numbers, so a ratio
 # a_i / pivot can be squared without overflow.
 PIVMIN = 2.0**-500
+# 1 -+ (overlap of two unit vectors) below this is rounding
+SQRT_EPS = np.sqrt(np.finfo(float).eps)
 
 
 @dataclass(frozen=True)
@@ -161,18 +163,20 @@ def spectral_decompose(coeffs: JacobiCoeffs, n: int | None = None) -> DiscreteMe
     unit eigenvectors of the n x n section.
 
     Eigenvalues from LAPACK dsterf; weights from twisted factorisations of
-    J - lambda_k at all eigenvalues at once (_first_row_weights, after
-    Dhillon-Parlett 2004) in about 48 n^1.5 bytes: no eigenvector is formed.
-    Weights are within about n * eps (absolute) of 60-digit arithmetic on the
-    ensembles, the free matrix and graded matrices, and floored at the
-    smallest normal number. Each is computed at its own double eigenvalue, so
-    two eigenvalues a gap apart can exchange, and unlike an orthogonal
-    eigensolve also gain or lose, about eps * |J| / gap of weight; the
-    normalisation spreads that over all atoms (1.5e-3 on Wilkinson's W21+).
+    J - lambda_k at all eigenvalues at once, each neighbour pair then
+    orthogonalised and rotated to its Rayleigh-Ritz vectors
+    (_first_row_weights, after Dhillon-Parlett 2004), in about 32 n^1.5
+    bytes: no eigenvector is formed. Weights are within about n * eps
+    (absolute) of 60-digit arithmetic on the ensembles, the free matrix and
+    graded matrices, and floored at the smallest normal number. Close pairs
+    keep their summed weight to n * eps (Wilkinson's W21+, gap 7e-14);
+    pairs closer than about eps |J| whose vectors sit in different places
+    (W41+) may lose part of it.
     """
     sec = coeffs.section(coeffs.n if n is None else n)
     lam = _eigenvalues(sec.b, sec.a)
-    return DiscreteMeasure(lam, _first_row_weights(sec.b, sec.a, lam))
+    pi = _first_row_weights(sec.b, sec.a, lam)
+    return DiscreteMeasure(lam, pi / np.sum(pi))  # analytically sums to 1
 
 
 def _eigenvalues(b: np.ndarray, a: np.ndarray) -> np.ndarray:
@@ -187,20 +191,37 @@ def _eigenvalues(b: np.ndarray, a: np.ndarray) -> np.ndarray:
     return lam
 
 
+def _lowest_weights(b: np.ndarray, a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues, and the weight at the lowest one only, of the tridiagonal
+    matrices (b, a) over leading batch axes; the weight is orthogonalised
+    against the next eigenvalue's vector alone."""
+    lam = _eigenvalues(b, a)
+    return lam, _first_row_weights(b, a, lam[..., :2])[..., 0]
+
+
 @np.errstate(all="ignore")
 def _first_row_weights(b: np.ndarray, a: np.ndarray, lam: np.ndarray) -> np.ndarray:
     """Squared first components pi_k of the unit eigenvectors at the
-    eigenvalues lam (..., m) of the tridiagonal matrices (b, a); leading axes
-    are a batch. Each row of the result is floored and sums to 1.
+    ascending eigenvalues lam (..., m) of the tridiagonal matrices (b, a);
+    leading axes are a batch. Weights are floored, not normalised.
 
     For every eigenvalue at once, with z the eigenvector and z_0 = 1:
-    - forward (LDL^T of J - lambda): pivots d_i, r_i = z_i / z_0 and
-      P_i = sum_{j <= i} r_j^2, kept at checkpoints every ~sqrt(n) rows;
-    - backward (UDU^T): pivots u_i and T_i = sum_{j > i} (z_j / z_i)^2, with
-      the forward values recomputed one segment at a time from the checkpoints;
-    - twist: at r = argmin |gamma_r|, gamma_r = d_r - a_r^2 / u_{r+1}, the
-      eigenvector is forward up to r and backward after it, so
-      pi = 1 / (P_r + T_r r_r^2).
+    - forward (LDL^T of J - lambda): pivots d_i and r_i = z_i / z_0, kept at
+      checkpoints every ~sqrt(n) rows;
+    - backward (UDU^T): pivots u_i, rho_i = z_{i+1} / z_i = -a_i / u_{i+1}
+      and T_i = sum_{j > i} (z_j / z_i)^2, with the forward rows recomputed
+      one segment at a time from the checkpoints;
+    - twist: at r = argmin |gamma_r|, gamma_r = d_r - a_r^2 / u_{r+1}, z is
+      forward up to r and backward after it, and (J - lambda) z = gamma_r r_r e_r.
+    The backward pass also keeps, for each z at its best twist so far, |z|^2,
+    and for neighbouring eigenvalues k < l the overlap z^k . z^l and each
+    vector's value at the other's twist. An eigenvalue off by about eps |J|
+    gives a vector that takes in about eps |J| / gap of its neighbour's. So
+    each neighbour pair in turn is orthogonalised (G^(-1/2) of its 2 x 2
+    Gram matrix G), which restores the pair's summed weight, and rotated to
+    its Rayleigh-Ritz vectors, the projected matrix taken from the
+    residuals, which splits that weight. Pairs whose vectors cannot be told
+    apart in double precision share their weight.
     """
     lead, n, m = lam.shape[:-1], b.shape[-1], lam.shape[-1]
     rows = math.prod(lead)
@@ -218,15 +239,16 @@ def _first_row_weights(b: np.ndarray, a: np.ndarray, lam: np.ndarray) -> np.ndar
 
     seg_len = math.isqrt(n - 1) + 1
     n_seg = -(-n // seg_len)
-    checkpoint = np.empty((n_seg, 3, rows, m))  # d, r, P at each segment's first row
-    seg = np.empty((seg_len, 3, rows, m))
+    checkpoint = np.empty((n_seg, 2, rows, m))  # d, r at each segment's first row
+    seg = np.empty((seg_len, 2, rows, m))
     tmp = np.empty((rows, m))
-    tiny = np.empty((rows, m), dtype=bool)
+    # views made once: (d, r) of each row of seg and of each checkpoint
+    seg_rows, cp_rows = [tuple(x) for x in seg], [tuple(x) for x in checkpoint]
 
     def lift(x):
         # pivots below PIVMIN in magnitude, exact zeros among them, become -PIVMIN
-        np.less(np.abs(x, out=tmp), PIVMIN, out=tiny)
-        np.copyto(x, -PIVMIN, where=tiny)
+        if np.min(np.abs(x, out=tmp)) < PIVMIN:
+            np.copyto(x, -PIVMIN, where=tmp < PIVMIN)
 
     def forward(k):
         """Rows of segment k into seg, and the next segment's first row into
@@ -234,59 +256,122 @@ def _first_row_weights(b: np.ndarray, a: np.ndarray, lam: np.ndarray) -> np.ndar
         c = k * seg_len
         seg[0] = checkpoint[k]
         for i in range(c, min(c + seg_len, n - 1)):
-            d, r, p = seg[i - c]
-            d1, r1, p1 = seg[i + 1 - c] if i + 1 < c + seg_len else checkpoint[k + 1]
+            d, r = seg_rows[i - c]
+            d1, r1 = seg_rows[i + 1 - c] if i + 1 < c + seg_len else cp_rows[k + 1]
             np.multiply(d, r, out=r1)
             r1 *= ninv_col[i]
-            np.multiply(r1, r1, out=p1)
-            p1 += p
             np.divide(a2_col[i], d, out=d1)
             np.subtract(b_col[i + 1], d1, out=d1)
             d1 -= lam
             lift(d1)
 
-    d0, r0, p0 = checkpoint[0]
+    d0, r0 = cp_rows[0]
     np.subtract(b_col[0], lam, out=d0)
     lift(d0)
     r0.fill(1.0)
-    p0.fill(1.0)
     for k in range(n_seg):
         forward(k)
 
-    best = np.full((rows, m), np.inf)  # |gamma| at the twist so far
-    den = np.empty((rows, m))  # P_r + T_r r_r^2 at that twist
-    t = np.zeros((rows, m))
+    # per eigenvalue: |gamma|, gamma, r_r and |z|^2 at the best twist so far
+    # (twist), and the same at twist j (cand)
+    twist = np.zeros((4, rows, m))
+    twist[0] = np.inf
+    cand = np.empty((4, rows, m))
+    s = np.ones((rows, m))  # 1 + T_j
     u = np.empty((rows, m))
     g = np.zeros((rows, m))
-    gam = np.empty((rows, m))
+    rho = np.zeros((rows, m))
+    sq = np.empty((rows, m))
     better = np.empty((rows, m), dtype=bool)
+    # Per neighbour pair k, l = k + 1, sums over i >= j of products of: both
+    # vectors backward from j (z_i / z_j), k backward and l at its twist so
+    # far, the reverse, and both at their twists (z_0 = 1 units); z^k / z^k_j
+    # and z^k at l's twist, and the reverse. The order lets one strided
+    # slice take each twist move below.
+    pair = np.zeros((8, rows, m - 1))
+    cross, l_back, k_at, k_back, both, k_rel, l_at, l_rel = pair
+    prod = np.empty((3, rows, m - 1))
+    rho_k, rho_l, better_k, better_l = rho[:, :-1], rho[:, 1:], better[:, :-1], better[:, 1:]
+    by_k, by_l = pair[3:6], pair[1::3]  # (k_back, both, k_rel), (l_back, both, l_rel)
+    r_pairs = [(r[:, :-1], r[:, 1:]) for _, r in seg_rows]
     for k in range(n_seg - 1, -1, -1):
         c = k * seg_len
         if k < n_seg - 1:
             forward(k)
         for j in range(min(c + seg_len, n) - 1, c - 1, -1):
-            d, r, p = seg[j - c]
+            d, r = seg_rows[j - c]
+            r_k, r_l = r_pairs[j - c]
             if j < n - 1:
                 np.divide(a2_col[j], u, out=g)  # a_j^2 / u_{j+1}
-                t += 1.0
-                t *= g
-                t /= u  # times (z_{j+1} / z_j)^2 = a_j^2 / u_{j+1}^2
-            np.subtract(d, g, out=gam)
-            np.abs(gam, out=gam)
-            np.less(gam, best, out=better)
-            np.copyto(best, gam, where=better)
-            np.multiply(r, r, out=tmp)
-            tmp *= t
-            tmp += p
-            np.copyto(den, tmp, where=better)
+                np.multiply(g, ninv_col[j], out=rho)
+            s *= rho
+            s *= rho
+            s += 1.0
+            by_k *= rho_k
+            by_l *= rho_l
+            both += 1.0
+            k_back += r_l
+            l_back += r_k
+            np.multiply(r_k, r_l, out=prod[0])
+            cross += prod[0]
+            np.multiply(r, r, out=sq)
+            twist[3] += sq  # |z|^2 of each vector at its twist so far
+            np.subtract(d, g, out=cand[1])
+            np.abs(cand[1], out=cand[0])
+            np.less(cand[0], twist[0], out=better)
+            cand[2] = r
+            np.multiply(s, sq, out=cand[3])
+            np.copyto(twist, cand, where=better)
+            # a vector whose twist moves to j is backward from j on:
+            # cross, l_back, k_at = r_k (k_back, both, k_rel) ...
+            np.multiply(r_k, by_k, out=prod)
+            np.copyto(pair[0:3], prod, where=better_k)
+            np.copyto(l_at, r_l, where=better_k)
+            np.copyto(l_rel, 1.0, where=better_k)
+            # ... and cross, k_back, l_at = r_l (l_back, both, l_rel)
+            np.multiply(r_l, by_l, out=prod)
+            np.copyto(pair[0::3], prod, where=better_l)
+            np.copyto(k_at, r_k, where=better_l)
+            np.copyto(k_rel, 1.0, where=better_l)
             np.subtract(b_col[j], lam, out=u)
             u -= g
             lift(u)
-    pi = np.divide(1.0, den, out=den)
-    # den is NaN only where r_r overflowed and T_r = 0; P_r is then infinite
-    # as well and the weight below the floor
+    _, gam_t, r_t, norm2 = twist
+
+    # Normalised: first components f = |z|^-1 (z_0 = 1 > 0), Gram entries,
+    # each vector at its own twist (q_t) and at its neighbour's, residuals
+    # (J - lambda) q = nu e_t and Rayleigh quotients lambda + nu q_t
+    f = np.sqrt(np.fmax(np.divide(1.0, norm2, out=norm2), 0.0))
+    f_k, f_l = f[:, :-1], f[:, 1:]
+    gram = cross * f_k * f_l
+    gram[~np.isfinite(gram)] = 0.0
+    q_t = r_t * f
+    nu = gam_t * q_t
+    shift = nu * q_t
+    gap = lam[:, 1:] - lam[:, :-1]
+    # q_k^T (J - lambda_k) q_l = q_l^T (J - lambda_k) q_k, taken both ways
+    # and averaged, to first order in gram after the orthogonalisation
+    proj = 0.5 * (nu[:, 1:] * (k_at * f_k) + nu[:, :-1] * (l_at * f_l))
+    proj -= 0.5 * gram * (shift[:, :-1] + shift[:, 1:])
+    proj[~np.isfinite(proj)] = 0.0
+    # Each neighbour pair in turn, first (0, 1), (2, 3), .. then (1, 2),
+    # (3, 4), ..: G^(-1/2) of its Gram matrix [[1, gram], [gram, 1]], then
+    # the rotation by phi, tan 2 phi = 2 proj / (shift_k - gap - shift_l).
+    # 1 -+ gram is floored at sqrt(eps), below which it is rounding.
+    y = f.copy()
+    for start in (0, 1):
+        k, l = slice(start, m - 1, 2), slice(start + 1, m, 2)
+        c = gram[:, k]
+        same = (y[:, k] + y[:, l]) * np.fmax(1.0 + c, SQRT_EPS) ** -0.5
+        diff = (y[:, k] - y[:, l]) * np.fmax(1.0 - c, SQRT_EPS) ** -0.5
+        y_k, y_l = 0.5 * (same + diff), 0.5 * (same - diff)
+        phi = 0.5 * np.arctan(2.0 * proj[:, k] / (shift[:, k] - gap[:, k] - shift[:, l]))
+        phi[np.isnan(phi)] = 0.0
+        cs, sn = np.cos(phi), np.sin(phi)
+        y[:, k] = cs * y_k + sn * y_l
+        y[:, l] = cs * y_l - sn * y_k
+    pi = np.square(y, out=y)
     np.fmax(pi, WEIGHT_FLOOR, out=pi)
-    pi /= np.sum(pi, axis=1, keepdims=True)  # unit-norm guard; analytically sums to 1
     return pi.reshape(lead + (m,))
 
 

@@ -20,7 +20,7 @@ import numpy as np
 from .ensembles import EnsembleSpec, Kind, RngStream, sample_batch
 from .equilibria import mp_edges, u_pm
 from .errors import ParameterError
-from .jacobi import _eigenvalues, _first_row_weights
+from .jacobi import _lowest_weights
 from .rates import rate_fg, rate_fj, rate_fl
 
 __all__ = [
@@ -273,11 +273,9 @@ def stat_suite(
     bp = spec.beta_prime
     draws = [sample_batch(spec, stream.generator(i), 1) for i in range(reps)]
     b, a = map(np.concatenate, zip(*draws))
-    lam = _eigenvalues(b, a)
-    pi = _first_row_weights(b, a, lam)
-    pi1 = pi[:, 0]
+    lam, pi1 = _lowest_weights(b, a)
     lam_max = lam[:, -1]
-    m1 = np.einsum("ij,ij->i", pi, lam)
+    m1 = b[:, 0]  # sum_k pi_k lambda_k = <e_1, J e_1>
     shape1 = 2.0 * bp if wrong_marginal else bp
     ks_stat, ks_p = stats.kstest(pi1, "beta", args=(shape1, (size - 1) * bp))
     corr, corr_p = stats.pearsonr(lam_max, pi1)

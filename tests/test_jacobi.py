@@ -27,6 +27,7 @@ from betaspectra.jacobi import (
     _eigenvalues,
     _first_row_weights,
     _geronimus,
+    _lowest_weights,
     affine_r,
     affine_s,
     ds_assemble,
@@ -141,10 +142,10 @@ def test_spectral_decompose_deflated_weights():
 EPS = np.finfo(float).eps
 
 
-def ensemble_draw(kind, n, seed):
+def ensemble_draw(kind, n, seed, index=0):
     spec = EnsembleSpec(kind=Kind(kind), n=n, beta=2.0, m=n if kind == "laguerre" else None)
-    b, a = sample_batch(spec, np.random.default_rng(seed), 1)
-    return b[0], a[0]
+    b, a = sample_batch(spec, np.random.default_rng(seed), index + 1)
+    return b[index], a[index]
 
 
 def oracle_measure(b, a):
@@ -186,34 +187,52 @@ def test_weights_against_mpmath(case):
     assert np.max(np.abs(mu.weights - w)) <= n * EPS
 
 
-def test_wilkinson_pair_sums_against_mpmath():
-    # W21+ has ten eigenvalue pairs with gaps from 0.34 down to 7e-14. Each
-    # weight of a close pair is ill-conditioned; the pair's sum is not, and
-    # an orthogonal eigensolve (eigh) keeps it to 1e-15. A weight computed at
-    # its own double-precision eigenvalue mixes in its partner by about
-    # eps |J| / gap, which also moves the pair's sum (3.8e-3 on the top pair),
-    # and the normalisation then spreads that defect over every atom. So the
-    # sums hold to eps |J| / (smallest gap), not to n eps.
-    b = np.abs(10.0 - np.arange(21.0))
-    a = np.ones(20)
+def wilkinson_pair_sum_errors(half):
+    # W_{2 half + 1}^+ has eigenvalue pairs with gaps down to 7e-14 (half = 10)
+    # and below double resolution (half = 20). Each weight of a close pair is
+    # ill-conditioned; the pair's sum is not.
+    b = np.abs(half - np.arange(2.0 * half + 1.0))
+    a = np.ones(2 * half)
     mu = spectral_decompose(JacobiCoeffs(b, a))
     lam, w = oracle_measure(b, a)
     n, norm = len(b), np.max(np.abs(lam))
     assert np.max(np.abs(mu.locations - lam)) <= n * EPS * norm
-    pairs = np.arange(20, 1, -2)
-    gap = lam[pairs] - lam[pairs - 1]
-    err = np.abs(mu.weights[pairs] + mu.weights[pairs - 1] - w[pairs] - w[pairs - 1])
-    assert np.max(err) <= EPS * norm / np.min(gap)
+    pairs = np.arange(n - 1, 1, -2)
+    return n, np.abs(mu.weights[pairs] + mu.weights[pairs - 1] - w[pairs] - w[pairs - 1])
 
 
+def test_wilkinson_pair_sums_against_mpmath():
+    n, err = wilkinson_pair_sum_errors(10)
+    assert np.max(err) <= n * EPS
+
+
+@pytest.mark.xfail(strict=True, reason="pairs closer than eps |J| whose twisted vectors land "
+                   "at the same end of the matrix lose the other end's weight")
+def test_wilkinson_unresolved_pair_sums_against_mpmath():
+    n, err = wilkinson_pair_sum_errors(20)
+    assert np.max(err) <= n * EPS
+
+
+@pytest.mark.xfail(strict=True, reason="both eigenvalues at 1 (1e-24 apart) take their twist at "
+                   "the last row, so neither vector sees e_1 and normalising moves the mass to 0")
+def test_unresolved_cluster_keeps_its_weight():
+    # the vectors at 1 are e_1 +- e_5 to within 1e-6: all the weight sits at 1
+    mu = spectral_decompose(JacobiCoeffs([1.0, 0.0, 0.0, 0.0, 1.0], np.full(4, 1e-6)))
+    assert np.sum(mu.weights[np.abs(mu.locations - 1.0) < 1e-6]) == pytest.approx(1.0, abs=1e-9)
+
+
+# Seed 1, draw 2 of Jacobi-KN at n = 2000 has a top pair 6.5e-7 apart: a
+# weight taken at each dsterf eigenvalue alone is 1e-12 off there.
+@pytest.mark.parametrize("seed", [0, 1])
 @pytest.mark.parametrize("n", [1000, 2000])
 @pytest.mark.parametrize("kind", ["hermite", "laguerre", "jacobi_kn"])
-def test_weights_against_eigh(kind, n):
-    b, a = ensemble_draw(kind, n, 0)
-    mu = spectral_decompose(JacobiCoeffs(b, a))
-    lam, vecs = eigh_tridiagonal(b, a)
-    assert np.max(np.abs(mu.locations - lam)) <= 1e-12
-    assert np.max(np.abs(mu.weights - vecs[0] ** 2)) <= 1e-12
+def test_weights_against_eigh(kind, n, seed):
+    for index in range(3):
+        b, a = ensemble_draw(kind, n, seed, index)
+        mu = spectral_decompose(JacobiCoeffs(b, a))
+        lam, vecs = eigh_tridiagonal(b, a)
+        assert np.max(np.abs(mu.locations - lam)) <= 1e-12
+        assert np.max(np.abs(mu.weights - vecs[0] ** 2)) <= 1e-12
 
 
 def test_spectral_decompose_memory():
@@ -239,6 +258,17 @@ def test_first_row_weights_batch_equals_rows():
     for i in np.ndindex(2, 3):
         assert np.array_equal(lam[i], _eigenvalues(b[i], a[i]))
         assert np.array_equal(pi[i], _first_row_weights(b[i], a[i], lam[i]))
+
+
+def test_lowest_weights_match_spectral_decompose():
+    rng = np.random.default_rng(13)
+    b = rng.uniform(-1.0, 1.0, (5, 30))
+    a = rng.uniform(0.1, 1.5, (5, 29))
+    lam, pi0 = _lowest_weights(b, a)
+    for i in range(5):
+        mu = spectral_decompose(JacobiCoeffs(b[i], a[i]))
+        assert np.array_equal(lam[i], mu.locations)
+        assert pi0[i] == pytest.approx(mu.weights[0], rel=1e-13, abs=1e-15)
 
 
 def test_spectral_decompose_subnormal_offdiagonal():

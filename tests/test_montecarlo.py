@@ -1,6 +1,7 @@
 """Monte Carlo tail-rate estimator and sampler sanity suite."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -199,6 +200,20 @@ def test_stat_suite_laguerre():
     spec = EnsembleSpec(kind=Kind.LAGUERRE, n=40, beta=2.0, m=40)
     report = stat_suite(spec, seed=42)
     assert report.all_passed
+
+
+def test_stat_suite_memory():
+    # only the lowest weight of each rep is formed; all n weights of all
+    # reps at once peaked at 34 MB here, one eigenvector matrix is 8 MB
+    stat_suite(EnsembleSpec(kind=Kind.HERMITE, n=10, beta=2.0), seed=3, reps=5)  # imports
+    spec = EnsembleSpec(kind=Kind.HERMITE, n=1000, beta=2.0)
+    tracemalloc.start()
+    try:
+        stat_suite(spec, seed=3, reps=20)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 6e6
 
 
 def test_stat_suite_needs_two_reps():
