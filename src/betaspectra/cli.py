@@ -180,6 +180,8 @@ def _cmd_mc(args) -> int:
     else:
         _require(args, "mc without --experiment", "x")
         n_list = tuple(int(v) for v in _float_list(args.n_list))
+        if not n_list:
+            raise ParameterError("--n-list needs at least one matrix size")
         exp = McExperiment(
             spec=_spec_from_args(args, max(n_list)),
             x=args.x,
@@ -298,6 +300,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--m", type=int, default=None,
                    help="Laguerre m at the largest --n-list size, so tau = m / N")
     p.add_argument("--tau", type=float, default=None)
+    p.add_argument("--a", type=float, default=None, help="fixed Jacobi-KN exponent a")
+    p.add_argument("--b", type=float, default=None, help="fixed Jacobi-KN exponent b")
     p.add_argument("--kappa1", type=float, default=None)
     p.add_argument("--kappa2", type=float, default=None)
     p.add_argument("--interval", choices=["[-2,2]", "[0,1]"], default="[-2,2]")

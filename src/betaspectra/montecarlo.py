@@ -55,6 +55,8 @@ class McExperiment:
         if self.direction not in ("max_above", "min_below"):
             raise ParameterError(f"unknown direction {self.direction!r}")
         object.__setattr__(self, "n_list", tuple(int(n) for n in self.n_list))
+        if not self.n_list:
+            raise ParameterError("n_list needs at least one matrix size")
 
     def to_json(self) -> dict:
         return {
@@ -246,6 +248,71 @@ class StatReport:
         }
 
 
+def _split_exponent(mat: np.ndarray) -> tuple[np.ndarray, int]:
+    """mat = out * 2**e with the largest entry of out in [0.5, 1); exact."""
+    e = math.frexp(float(mat.max()))[1]
+    return np.ldexp(mat, -e), e
+
+
+def _ks_cdf(n: int, d: float) -> float:
+    """P(D_n < d) for the two-sided Kolmogorov-Smirnov statistic of n points.
+
+    Durbin's matrix as evaluated by Marsaglia, Tsang and Wang, "Evaluating
+    Kolmogorov's distribution", J. Stat. Softw. 8(18) (2003): with
+    n d = k - h, 0 <= h < 1, it is n!/n^n (H^n)_kk for the (2k-1) x (2k-1)
+    matrix H built below. H has no negative entry, so its powers lose no
+    digits to cancellation; their binary exponents are carried apart so
+    that nothing overflows or underflows.
+    """
+    if n * d <= 0.5:
+        return 0.0
+    k = math.ceil(n * d)
+    h = k - n * d
+    m = 2 * k - 1
+    inv_fact = np.concatenate(([1.0], np.cumprod(1.0 / np.arange(1.0, m + 1))))
+    lag = np.subtract.outer(np.arange(m), np.arange(m)) + 1
+    mat = np.where(lag >= 0, inv_fact[np.clip(lag, 0, m)], 0.0)
+    edge = (1.0 - h ** np.arange(1, m + 1)) * inv_fact[1:]
+    mat[:, 0] = edge
+    mat[-1, :] = edge[::-1]
+    mat[-1, 0] = (1.0 - 2.0 * h**m + max(0.0, 2.0 * h - 1.0) ** m) * inv_fact[m]
+    # binary powering: power * 2**power_exp = H^(bits of n read so far)
+    power, power_exp, sq_exp, left = None, 0, 0, n
+    while True:
+        if left & 1:
+            power, e = _split_exponent(mat if power is None else power @ mat)
+            power_exp += sq_exp + e
+        left >>= 1
+        if not left:
+            break
+        mat, e = _split_exponent(mat @ mat)
+        sq_exp = 2 * sq_exp + e
+    # times n!/n^n = prod(i/n): mantissas in chunks that cannot underflow
+    mant, expo = np.frexp(np.arange(1, n + 1) / n)
+    p, e = math.frexp(float(power[k - 1, k - 1]))
+    p_exp = e + power_exp + int(expo.sum())
+    for start in range(0, n, 512):
+        p, e = math.frexp(p * float(np.prod(mant[start:start + 512])))
+        p_exp += e
+    return math.ldexp(p, p_exp)
+
+
+def _ks_pvalue(n: int, d: float) -> float:
+    """Two-sided P(D_n >= d): 1 - _ks_cdf, except in the far tail, where
+    1 - cdf keeps only an absolute accuracy. There this takes Miller's
+    2 smirnov(n, d) exactly where scipy's kstwo does (d >= 0.5, n d^2 > 4
+    at n <= 140, n d^2 >= 2.2 above), so the Durbin matrix has
+    k <= 2 sqrt(n) + 1."""
+    from scipy.special import smirnov
+
+    nd2 = n * d * d
+    if d >= 0.5 or nd2 > 4.0 or (n > 140 and nd2 >= 2.2):
+        p = 2.0 * float(smirnov(n, d))
+    else:
+        p = 1.0 - _ks_cdf(n, d)
+    return min(max(p, 0.0), 1.0)
+
+
 def stat_suite(
     spec: EnsembleSpec,
     seed: int,
@@ -259,6 +326,19 @@ def stat_suite(
     independence (correlation) of lambda_max and that weight, and a z-test
     on the mean first moment. wrong_marginal swaps in Beta(2 beta', .) as a
     deliberate negative control.
+
+    The p-values need scipy.special only:
+    - KS: the Beta CDF is scipy.special.betainc, as in scipy's beta.cdf, so
+      the statistic d is that of scipy's kstest. The two-sided p-value is
+      exact from Durbin's matrix (_ks_cdf), or Miller's 2 smirnov where
+      scipy's kstwo takes it too (_ks_pvalue); it agrees with kstwo.sf to
+      1e-12, except where kstwo uses the Pelz-Good approximation (reps > 140,
+      reps d^2 < 2.2 and reps d^1.5 > 1.4), which is off by up to about 3e-6.
+    - Correlation: Pearson's r, and the p-value from its exact null law
+      under normality, 2 I_{(1-|r|)/2}(reps/2 - 1, reps/2 - 1) (1 at
+      reps = 2); both agree with scipy's pearsonr to 1e-12.
+    - Mean first moment: p = erfc(|z|/sqrt 2), scipy's 2 norm.sf(|z|) to
+      1e-12.
     """
     if reps < 2:
         raise ParameterError(f"reps must be >= 2 for the correlation test, got {reps}")
@@ -266,8 +346,8 @@ def stat_suite(
     if size < 2:
         raise ParameterError(f"the suite needs a matrix of size >= 2, got {size}: "
                              "one atom always has weight 1")
-    # scipy.stats costs most of a cold start; only this suite needs it
-    from scipy import stats
+    # scipy.special is imported here so that paths without the suite never load it
+    from scipy.special import betainc
 
     stream = RngStream(seed=seed, stream=1)
     bp = spec.beta_prime
@@ -277,19 +357,26 @@ def stat_suite(
     lam_max = lam[:, -1]
     m1 = b[:, 0]  # sum_k pi_k lambda_k = <e_1, J e_1>
     shape1 = 2.0 * bp if wrong_marginal else bp
-    ks_stat, ks_p = stats.kstest(pi1, "beta", args=(shape1, (size - 1) * bp))
-    corr, corr_p = stats.pearsonr(lam_max, pi1)
+    cdf = np.sort(betainc(shape1, (size - 1) * bp, pi1))
+    steps = np.arange(reps + 1.0) / reps
+    ks_stat = float(max(np.max(steps[1:] - cdf), np.max(cdf - steps[:-1])))
+    ks_p = _ks_pvalue(reps, ks_stat)
+    xm = lam_max - np.mean(lam_max)
+    ym = pi1 - np.mean(pi1)
+    corr = min(max(float(xm @ ym / math.sqrt((xm @ xm) * (ym @ ym))), -1.0), 1.0)
+    shape = reps / 2.0 - 1.0
+    corr_p = 1.0 if reps == 2 else 2.0 * float(betainc(shape, shape, (1.0 - abs(corr)) / 2.0))
     mean_expect = {
         Kind.HERMITE: 0.0,
         Kind.LAGUERRE: 1.0,
         Kind.JACOBI_KN: None,
     }[spec.kind]
     tests = [
-        ("ks_pi1_beta", float(ks_stat), float(ks_p), ks_p > alpha),
-        ("corr_lmax_pi1", float(corr), float(corr_p), corr_p > alpha),
+        ("ks_pi1_beta", ks_stat, ks_p, ks_p > alpha),
+        ("corr_lmax_pi1", corr, corr_p, corr_p > alpha),
     ]
     if mean_expect is not None:
-        z = (np.mean(m1) - mean_expect) / (np.std(m1, ddof=1) / math.sqrt(reps))
-        p = 2.0 * stats.norm.sf(abs(z))
-        tests.append(("mean_first_moment", float(z), float(p), p > alpha))
+        z = float((np.mean(m1) - mean_expect) / (np.std(m1, ddof=1) / math.sqrt(reps)))
+        p = math.erfc(abs(z) / math.sqrt(2.0))
+        tests.append(("mean_first_moment", z, p, p > alpha))
     return StatReport(tests=tests, alpha=alpha, all_passed=all(t[3] for t in tests))

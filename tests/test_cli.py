@@ -11,7 +11,9 @@ import pytest
 
 import betaspectra
 from betaspectra.cli import cli
+from betaspectra.ensembles import EnsembleSpec, Kind
 from betaspectra.jacobi import JacobiCoeffs
+from betaspectra.montecarlo import McExperiment
 from betaspectra.sumrule import TailJacobiModel
 
 
@@ -190,6 +192,7 @@ MISUSE = [
     ("moments",),
     ("stats", "--ensemble", "hermite", "--n", "1"),
     ("stats", "--ensemble", "laguerre", "--n", "5", "--m", "1"),
+    ("mc", "--x", "2.5", "--n-list", ""),
 ]
 
 
@@ -230,6 +233,26 @@ def test_mc_sizes_come_from_n_list(capsys):
     assert [row["n"] for row in obj["rows"]] == [8, 12]
     _, expect, _ = run(capsys, "rate", "--family", "fl", "--x", "3.2", "--tau", "0.5")
     assert obj["theory"] == json.loads(expect)["value"]
+    # an empty list is refused by name before any size is read from it
+    code, _, err = run(capsys, "mc", "--x", "2.5", "--n-list", "")
+    assert code == 1 and "--n-list" in err
+
+
+def test_mc_fixed_jacobi_exponents_match_experiment(capsys, tmp_path):
+    argv = ("--x", "1.9", "--n-list", "6,10", "--samples", "3000", "--seed", "4")
+    code, out, _ = run(capsys, "mc", "--ensemble", "jacobi_kn", "--a", "1", "--b", "2",
+                       *argv)
+    assert code == 0
+    exp = McExperiment(spec=EnsembleSpec(kind=Kind.JACOBI_KN, n=10, beta=2.0, a=1.0, b=2.0),
+                       x=1.9, n_list=(6, 10), samples=3000, seed=4)
+    path = tmp_path / "exp.json"
+    path.write_text(json.dumps(exp.to_json()))
+    code, expect, _ = run(capsys, "mc", "--experiment", str(path))
+    assert code == 0
+    assert out == expect
+    # the exponents reach the sampler: the default (a, b) = (0, 0) gives other hits
+    _, default, _ = run(capsys, "mc", "--ensemble", "jacobi_kn", *argv)
+    assert default != out
 
 
 SCIPY_HEAVY = ("scipy.integrate", "scipy.stats", "scipy.linalg")
@@ -260,3 +283,25 @@ def test_import_and_rate_load_no_heavy_scipy(tmp_path):
     assert after_import == []
     assert after_rate == []
     assert after_sumrule == []
+
+
+STATS_PROBE = """
+import json, sys
+from betaspectra import EnsembleSpec, Kind, stat_suite
+from betaspectra.cli import cli
+stat_suite(EnsembleSpec(kind=Kind.HERMITE, n=10, beta=2.0), seed=1, reps=50)
+after_suite = "scipy.stats" in sys.modules
+code = cli(["stats", "--ensemble", "hermite", "--n", "20", "--reps", "50"])
+print(json.dumps([code, after_suite, "scipy.stats" in sys.modules]))
+"""
+
+
+def test_stats_load_no_scipy_stats():
+    proc = subprocess.run(
+        [sys.executable, "-c", STATS_PROBE],
+        env=source_env(), capture_output=True, text=True, timeout=60, check=True,
+    )
+    code, after_suite, after_stats = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert code == 0
+    assert not after_suite
+    assert not after_stats

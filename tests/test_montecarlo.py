@@ -8,10 +8,11 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
+from scipy import stats
 
-from betaspectra.ensembles import EnsembleSpec, Kind, RngStream, sample_hermite
+from betaspectra.ensembles import EnsembleSpec, Kind, RngStream, sample_batch, sample_hermite
 from betaspectra.errors import ParameterError
-from betaspectra.jacobi import spectral_decompose
+from betaspectra.jacobi import _lowest_weights, spectral_decompose
 from betaspectra.montecarlo import (
     CSV_HEADER,
     McExperiment,
@@ -19,7 +20,7 @@ from betaspectra.montecarlo import (
     stat_suite,
     theory_rate,
 )
-from betaspectra.montecarlo import _sturm_negative_count
+from betaspectra.montecarlo import _ks_pvalue, _sturm_negative_count
 from betaspectra.rates import rate_fg, rate_fj, rate_fl
 
 HERMITE = EnsembleSpec(kind=Kind.HERMITE, n=2, beta=2.0)
@@ -31,6 +32,8 @@ def test_experiment_validation():
     with pytest.raises(ParameterError):
         McExperiment(spec=HERMITE, x=2.2, n_list=(10,), samples=10, seed=1,
                      direction="sideways")
+    with pytest.raises(ParameterError):
+        McExperiment(spec=HERMITE, x=2.2, n_list=(), samples=10, seed=1)
     exp = McExperiment(spec=HERMITE, x=2.2, n_list=[10, 20], samples=10, seed=1)
     assert exp.n_list == (10, 20)
     back = McExperiment.from_json(exp.to_json())
@@ -250,3 +253,81 @@ def test_stat_suite_json():
     obj = report.to_json()
     assert obj["alpha"] == 0.01
     assert len(obj["tests"]) == 3
+
+
+def pelz_good_band(n, d):
+    """Where scipy's kstwo.sf is the Pelz-Good approximation, not exact."""
+    return n > 140 and n * d > 1.0 and d < 0.5 and n * d * d < 2.2 and n * d**1.5 > 1.4
+
+
+def ks_grid(n):
+    """d in every regime of kstwo.sf at n: below 1/(2n), Ruben-Gambino,
+    the Durbin matrix, Pomeranz, Pelz-Good, Miller's 2 smirnov, d >= 0.5."""
+    t = np.array([0.3, 0.5, 0.75, 1.0])
+    nd2 = np.array([0.3, 0.754693, 0.76, 1.5, 2.19, 2.2, 3.0, 4.0, 4.01, 8.0, 20.0])
+    ds = np.concatenate([t / n, np.sqrt(nd2 / n), (1.4 / n) ** (2 / 3) * np.array([0.9, 1.1]),
+                         [0.3, 0.49, 0.5, 0.75, 0.99, 1.0]])
+    return ds[(ds > 0.0) & (ds <= 1.0)]
+
+
+@pytest.mark.parametrize("n", [2, 20, 140, 141, 300, 1000, 10**4])
+def test_ks_pvalue_against_scipy(n):
+    in_band = 0
+    for d in ks_grid(n):
+        band = pelz_good_band(n, d)
+        in_band += band
+        ours, ref = _ks_pvalue(n, float(d)), float(stats.kstwo.sf(d, n))
+        assert abs(ours - ref) <= (5e-6 if band else 1e-12), (n, d, ours, ref)
+    assert (in_band > 0) == (n > 140)
+
+
+def test_ks_pvalue_exact_in_pelz_good_band():
+    # scipy's own Durbin-matrix routine, exact, which kstwo skips in this band
+    durbin = getattr(pytest.importorskip("scipy.stats._ksstats"), "_kolmogn_DMTW", None)
+    if durbin is None:
+        pytest.skip("this scipy has no _kolmogn_DMTW")
+    for n in (141, 300, 1000, 10**4):
+        for d in ks_grid(n):
+            if pelz_good_band(n, d):
+                assert abs(_ks_pvalue(n, float(d)) - (1.0 - durbin(n, d))) < 1e-12
+
+
+def scipy_suite(spec, seed, reps, wrong_marginal):
+    """(statistic, p-value) of each stat_suite test, from scipy.stats on the
+    same draws: the suite as it was before it dropped scipy.stats."""
+    stream = RngStream(seed=seed, stream=1)
+    draws = [sample_batch(spec, stream.generator(i), 1) for i in range(reps)]
+    b, a = map(np.concatenate, zip(*draws))
+    lam, pi1 = _lowest_weights(b, a)
+    bp = spec.beta_prime
+    size = spec.laguerre_m if spec.kind is Kind.LAGUERRE else spec.n
+    shape1 = 2.0 * bp if wrong_marginal else bp
+    ks = stats.kstest(pi1, "beta", args=(shape1, (size - 1) * bp))
+    corr = stats.pearsonr(lam[:, -1], pi1)
+    out = [(ks.statistic, ks.pvalue), (corr.statistic, corr.pvalue)]
+    if spec.kind is not Kind.JACOBI_KN:
+        m1 = b[:, 0]
+        mean = 1.0 if spec.kind is Kind.LAGUERRE else 0.0
+        z = (np.mean(m1) - mean) / (np.std(m1, ddof=1) / math.sqrt(reps))
+        out.append((z, 2.0 * stats.norm.sf(abs(z))))
+    return out
+
+
+@pytest.mark.parametrize("spec,reps,wrong", [
+    (EnsembleSpec(kind=Kind.HERMITE, n=40, beta=2.0), 300, False),
+    (EnsembleSpec(kind=Kind.HERMITE, n=40, beta=2.0), 100, True),
+    (EnsembleSpec(kind=Kind.HERMITE, n=6, beta=1.0), 2, False),
+    (EnsembleSpec(kind=Kind.LAGUERRE, n=10, beta=2.0, m=6), 3, False),
+    (EnsembleSpec(kind=Kind.LAGUERRE, n=20, beta=1.0, tau=0.5), 140, False),
+    (EnsembleSpec(kind=Kind.JACOBI_KN, n=8, beta=2.0, kappa1=1.0, kappa2=0.5), 141, False),
+    (EnsembleSpec(kind=Kind.JACOBI_KN, n=8, beta=4.0, a=1.0, b=2.0), 1000, True),
+])
+def test_stat_suite_against_scipy_stats(spec, reps, wrong):
+    report = stat_suite(spec, seed=11, reps=reps, wrong_marginal=wrong)
+    expect = scipy_suite(spec, seed=11, reps=reps, wrong_marginal=wrong)
+    assert len(report.tests) == len(expect)
+    for (name, stat, p, passed), (ref_stat, ref_p) in zip(report.tests, expect):
+        assert abs(stat - ref_stat) <= 1e-15, name
+        band = name == "ks_pi1_beta" and pelz_good_band(reps, stat)
+        assert abs(p - ref_p) <= (5e-6 if band else 1e-12), name
+        assert passed == (p > report.alpha)
