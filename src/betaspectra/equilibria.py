@@ -1,27 +1,34 @@
-"""Classical equilibrium laws and the moment-space metric.
+"""Reference laws as constant-tail Jacobi models, and the moment-space metric.
 
-Covers the semicircle, Marchenko-Pastur, Kesten-McKay and arcsine families:
-densities, Cauchy-Stieltjes transforms (Herglotz branch), edge-aware
-quadrature built on a Gauss-Chebyshev rule, moments, and the metric
+A TailJacobiModel is a Jacobi operator with a finite head on a constant
+tail; its m-function is a finite continued fraction ended by the closed-form
+transform of the tail, whose boundary values give the a.c. density. Each of
+the semicircle, Marchenko-Pastur, Kesten-McKay and arcsine laws is such a
+model with a one-term head, so their densities, Cauchy-Stieltjes transforms
+(Herglotz branch), supports and moments are those of the model. Also here:
+a Gauss-Chebyshev rule for quadrature against other densities and the metric
 d(mu, nu) = sum_k 2^-k |m_k(mu) - m_k(nu)| / (1 + |...|).
 """
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
 
-from .errors import DomainError, ParameterError
+from .errors import DomainError, ParameterError, PoleError
+from .jacobi import JacobiCoeffs, jacobi_moments
 
 __all__ = [
     "Family",
     "EquilibriumLaw",
+    "TailJacobiModel",
     "MomentVector",
     "ChebGrid",
+    "m_function",
+    "ac_density",
     "density",
     "stieltjes",
     "moment",
@@ -30,7 +37,6 @@ __all__ = [
     "sigma_pm",
     "u_pm",
     "law_grid",
-    "integrate_against",
     "SC",
     "ARCSINE_SYM",
     "ARCSINE_01",
@@ -52,11 +58,124 @@ def mp_edges(tau: float) -> tuple[float, float]:
 
 
 @dataclass(frozen=True)
+class TailJacobiModel:
+    """Constant-coefficient Jacobi tail (a_inf, b_inf) with a finite head
+    overriding the leading entries.
+
+    head.b overrides b_0..; head.a overrides a_0..; the two override lists
+    may have different lengths. The essential spectrum (bulk) is
+    [b_inf - 2 a_inf, b_inf + 2 a_inf].
+    """
+
+    a_inf: float = 1.0
+    b_inf: float = 0.0
+    head: JacobiCoeffs = field(default_factory=lambda: JacobiCoeffs(np.empty(0), np.empty(0)))
+
+    def __post_init__(self) -> None:
+        if self.a_inf <= 0.0:
+            raise ParameterError("tail off-diagonal a_inf must be > 0")
+
+    @property
+    def bulk(self) -> tuple[float, float]:
+        return (self.b_inf - 2.0 * self.a_inf, self.b_inf + 2.0 * self.a_inf)
+
+    @property
+    def head_len(self) -> int:
+        return max(len(self.head.b), len(self.head.a))
+
+    def b_at(self, j: int) -> float:
+        return float(self.head.b[j]) if j < len(self.head.b) else self.b_inf
+
+    def a_at(self, j: int) -> float:
+        return float(self.head.a[j]) if j < len(self.head.a) else self.a_inf
+
+    def coefficients(self, n: int) -> JacobiCoeffs:
+        """The n x n truncation."""
+        b = np.array([self.b_at(j) for j in range(n)])
+        a = np.array([self.a_at(j) for j in range(n - 1)])
+        return JacobiCoeffs(b, a)
+
+    def to_json(self) -> dict:
+        return {
+            "tail": {"a": self.a_inf, "b": self.b_inf},
+            "head": self.head.to_json(),
+        }
+
+    @staticmethod
+    def from_json(obj: dict) -> "TailJacobiModel":
+        return TailJacobiModel(
+            a_inf=float(obj["tail"]["a"]),
+            b_inf=float(obj["tail"]["b"]),
+            head=JacobiCoeffs.from_json(obj.get("head", {"b": [], "a": []})),
+        )
+
+
+def _m_free(w):
+    """Transform of the free matrix, (-w + sqrt(w^2 - 4))/2, with the branch
+    analytic off [-2, 2] and m ~ -1/w at infinity (vectorized, complex).
+
+    Real w outside [-2, 2] give the real Herglotz value; real w inside
+    (-2, 2), passed as w + 0j, give the boundary value from above.
+    """
+    w = np.asarray(w, dtype=complex)
+    return 0.5 * (-w + np.sqrt(w - 2.0) * np.sqrt(w + 2.0))
+
+
+def m_function(model: TailJacobiModel, z, level: int = 0):
+    """m_level(z) = <e_1, (J_level - z)^{-1} e_1> of the model stripped
+    ``level`` times, by backward continued-fraction recursion from the tail.
+
+    Accepts complex z (vectorized) or real z strictly outside the bulk.
+    """
+    k = max(model.head_len, level)
+    zc = np.asarray(z)
+    if np.iscomplexobj(zc) and np.any(zc.imag != 0.0):
+        w = (np.asarray(z, dtype=complex) - model.b_inf) / model.a_inf
+        m = _m_free(w) / model.a_inf
+        for j in range(k - 1, level - 1, -1):
+            m = 1.0 / (model.b_at(j) - np.asarray(z, dtype=complex) - model.a_at(j) ** 2 * m)
+        return m if m.ndim else complex(m)
+    # real axis, outside the bulk
+    x = float(z.real if np.iscomplexobj(zc) else z)
+    lo, hi = model.bulk
+    if lo <= x <= hi:
+        raise DomainError(f"real z = {x} lies in the bulk [{lo}, {hi}]")
+    m = float(_m_free((x - model.b_inf) / model.a_inf).real) / model.a_inf
+    for j in range(k - 1, level - 1, -1):
+        den = model.b_at(j) - x - model.a_at(j) ** 2 * m
+        # a zero denominator is a pole of this stripping level; the limit of
+        # the next level is 0, which 1/inf reproduces
+        m = math.inf if den == 0.0 else 1.0 / den
+    if not math.isfinite(m):
+        raise PoleError(f"z = {x} is an eigenvalue of the operator")
+    return m
+
+
+def ac_density(model: TailJacobiModel, x):
+    """Lebesgue density of the a.c. part at x inside the open bulk: Im m(x + i0)/pi,
+    the tail's boundary value taken from the distances to the edges, which
+    keeps it accurate next to them (vectorized)."""
+    xs = np.asarray(x, dtype=float)
+    lo, hi = model.bulk
+    if np.any((xs <= lo) | (xs >= hi)):
+        raise DomainError("ac_density is defined strictly inside the bulk")
+    m = (model.b_inf - xs + 1j * np.sqrt((hi - xs) * (xs - lo))) / (2.0 * model.a_inf**2)
+    for j in range(model.head_len - 1, -1, -1):
+        m = 1.0 / (model.b_at(j) - xs - model.a_at(j) ** 2 * m)
+    out = np.imag(m) / math.pi
+    return float(out) if out.ndim == 0 else out
+
+
+@dataclass(frozen=True)
 class EquilibriumLaw:
     """One of the four reference laws, with family-specific parameters.
 
     MP takes tau in (0, 1]; KMK takes 0 <= u_minus < u_plus <= 1; the
-    arcsine family carries an interval flag ("[-2,2]" or "[0,1]").
+    arcsine family carries an interval flag ("[-2,2]" or "[0,1]"). The
+    arcsine law on [0, 1] is KMK(0, 1); on [-2, 2] it is its affine image.
+
+    Every law is the spectral measure of `model`: a one-term head (b_0, a_0)
+    on the constant tail (b, a) of its support.
     """
 
     family: Family
@@ -78,21 +197,51 @@ class EquilibriumLaw:
                 raise ParameterError(f"arcsine interval must be '[-2,2]' or '[0,1]', got {self.interval!r}")
 
     @property
-    def support(self) -> tuple[float, float]:
+    def jost_roots(self) -> tuple[float, float]:
+        """The two roots w of the Jost function of `model` reduced to the
+        free tail, (x - b_inf)/a_inf = w + 1/w, both in [-1, 1].
+
+        They are the images of the density's poles: x = 0 for MP and KMK,
+        x = 1 for KMK. A pole on an edge of the support (a hard edge: MP at
+        tau = 1, KMK with u_minus = 0 or u_plus = 1, both arcsine laws) gives
+        a root of exactly -1 or 1. The semicircle has none; its roots are 0.
+        """
         if self.family is Family.SEMICIRCLE:
-            return (-2.0, 2.0)
+            return 0.0, 0.0
         if self.family is Family.MARCHENKO_PASTUR:
-            return mp_edges(self.tau)
-        if self.family is Family.KESTEN_MCKAY:
-            return (self.u_minus, self.u_plus)
-        return (-2.0, 2.0) if self.interval == "[-2,2]" else (0.0, 1.0)
+            return -math.sqrt(self.tau), 0.0
+        um, up = (self.u_minus, self.u_plus) if self.family is Family.KESTEN_MCKAY else (0.0, 1.0)
+        # a pole at distances near < far from the two edges sits at
+        # |w| = (sqrt(far) - sqrt(near)) / (sqrt(far) + sqrt(near))
+        s0, s1 = math.sqrt(um), math.sqrt(up)
+        t0, t1 = math.sqrt(1.0 - up), math.sqrt(1.0 - um)
+        return (s0 - s1) / (s0 + s1), (t1 - t0) / (t1 + t0)
 
     @property
-    def kmk_constant(self) -> float:
-        """Normalizing constant C_{u-,u+} of the KMK density."""
-        um, up = self.u_minus, self.u_plus
-        inv = 0.5 * (1.0 - math.sqrt(um * up) - math.sqrt((1.0 - um) * (1.0 - up)))
-        return 1.0 / inv
+    def model(self) -> TailJacobiModel:
+        """The law's Jacobi operator: (b_0 - b_inf)/a_inf = w_0 + w_1 and
+        (a_0/a_inf)^2 = 1 - w_0 w_1 for the `jost_roots` w_0, w_1."""
+        a_inf, b_inf = self._tail()
+        w0, w1 = self.jost_roots
+        head = JacobiCoeffs(
+            np.array([b_inf + a_inf * (w0 + w1)]), np.array([a_inf * math.sqrt(1.0 - w0 * w1)])
+        )
+        return TailJacobiModel(a_inf=a_inf, b_inf=b_inf, head=head)
+
+    def _tail(self) -> tuple[float, float]:
+        if self.family is Family.MARCHENKO_PASTUR:
+            return math.sqrt(self.tau), 1.0 + self.tau
+        if self.family is Family.KESTEN_MCKAY:
+            return 0.25 * (self.u_plus - self.u_minus), 0.5 * (self.u_plus + self.u_minus)
+        if self.family is Family.ARCSINE and self.interval == "[0,1]":
+            return 0.25, 0.5
+        return 1.0, 0.0
+
+    @property
+    def support(self) -> tuple[float, float]:
+        """The bulk of `model`, b_inf -+ 2 a_inf, without building it."""
+        a_inf, b_inf = self._tail()
+        return b_inf - 2.0 * a_inf, b_inf + 2.0 * a_inf
 
     def to_json(self) -> dict:
         out = {"family": self.family.value}
@@ -124,66 +273,21 @@ ARCSINE_01 = EquilibriumLaw(Family.ARCSINE, interval="[0,1]")
 
 def density(law: EquilibriumLaw, x):
     """Lebesgue density of the law at x (vectorized); 0 outside the open support."""
+    model = law.model
+    lo, hi = model.bulk
     x = np.asarray(x, dtype=float)
-    lo, hi = law.support
     inside = (x > lo) & (x < hi)
-    out = np.zeros_like(x)
-    xs = np.where(inside, x, 0.5 * (lo + hi))
-    if law.family is Family.SEMICIRCLE:
-        val = np.sqrt(4.0 - xs * xs) / (2.0 * math.pi)
-    elif law.family is Family.MARCHENKO_PASTUR:
-        val = np.sqrt((xs - lo) * (hi - xs)) / (2.0 * math.pi * law.tau * xs)
-    elif law.family is Family.KESTEN_MCKAY:
-        val = law.kmk_constant * np.sqrt((xs - lo) * (hi - xs)) / (2.0 * math.pi * xs * (1.0 - xs))
-    else:  # arcsine
-        val = 1.0 / (math.pi * np.sqrt((xs - lo) * (hi - xs)))
+    val = ac_density(model, np.where(inside, x, 0.5 * (lo + hi)))
     out = np.where(inside, val, 0.0)
-    if out.ndim == 0:
-        return float(out)
-    return out
-
-
-def _sqrt_two_cuts(z: complex, e_lo: float, e_hi: float) -> complex:
-    """sqrt((z - e_lo)(z - e_hi)) analytic off [e_lo, e_hi], ~ z at infinity.
-
-    Principal-branch product; on the real axis left of the support it
-    evaluates to -sqrt((e_lo - z)(e_hi - z)), which is the Herglotz branch.
-    """
-    return cmath.sqrt(z - e_lo) * cmath.sqrt(z - e_hi)
+    return float(out) if out.ndim == 0 else out
 
 
 def stieltjes(law: EquilibriumLaw, z) -> complex:
-    """Cauchy-Stieltjes transform m(z) = int dmu(x) / (x - z).
-
-    Branch: m is Herglotz (Im m > 0 on the upper half plane) and
+    """Cauchy-Stieltjes transform m(z) = int dmu(x) / (x - z) of the law's
+    model. Branch: m is Herglotz (Im m > 0 on the upper half plane) and
     m(z) ~ -1/z at infinity. Real z must lie outside the support.
     """
-    z = complex(z)
-    lo, hi = law.support
-    if z.imag == 0.0 and lo <= z.real <= hi:
-        raise DomainError(f"z = {z.real} lies in the support [{lo}, {hi}]")
-    if law.family is Family.SEMICIRCLE:
-        return (-z + _sqrt_two_cuts(z, -2.0, 2.0)) / 2.0
-    if law.family is Family.MARCHENKO_PASTUR:
-        if z == 0:
-            raise DomainError("MP transform is evaluated away from z = 0")
-        tau = law.tau
-        return (-z + (1.0 - tau) + _sqrt_two_cuts(z, lo, hi)) / (2.0 * tau * z)
-    if law.family is Family.ARCSINE and law.interval == "[-2,2]":
-        return -1.0 / _sqrt_two_cuts(z, -2.0, 2.0)
-    # KMK (and arcsine on [0,1] = KMK(0,1)). The closed form below is the
-    # unique rational + algebraic combination with Im m = pi * density on
-    # the cut, no poles at 0 or 1, and m ~ -1/z at infinity.
-    um, up = lo, hi
-    if z == 0 or z == 1:
-        raise DomainError("KMK transform is evaluated away from z in {0, 1}")
-    c = law.kmk_constant if law.family is Family.KESTEN_MCKAY else 2.0
-    root = _sqrt_two_cuts(z, um, up)
-    return c * (
-        math.sqrt(um * up) / (2.0 * z)
-        - math.sqrt((1.0 - um) * (1.0 - up)) / (2.0 * (1.0 - z))
-        + root / (2.0 * z * (1.0 - z))
-    )
+    return complex(m_function(law.model, complex(z)))
 
 
 @dataclass(frozen=True)
@@ -216,10 +320,6 @@ class ChebGrid:
     def intrinsic_weight(self) -> float:
         return math.pi / self.n
 
-    def integrate(self, f) -> float:
-        """Lebesgue integral of f over the interval (f vectorized)."""
-        return float(np.dot(self.weights, f(self.nodes)))
-
     def integrate_chebyshev(self, g) -> float:
         """Integral of g against the rule's intrinsic Chebyshev-type weight
         1/sqrt(radius^2 - (x-center)^2); exact for polynomials of degree < 2n."""
@@ -231,23 +331,18 @@ def law_grid(law: EquilibriumLaw, n: int = 512) -> ChebGrid:
     return ChebGrid.for_interval(lo, hi, n)
 
 
-def integrate_against(law: EquilibriumLaw, f, n: int = 512) -> float:
-    """int f(x) dmu(x) for the law mu; edge singularities handled by the grid."""
-    grid = law_grid(law, n)
-    vals = np.asarray(f(grid.nodes), dtype=float) * density(law, grid.nodes)
-    return float(np.dot(grid.weights, vals))
+def _moments(law: EquilibriumLaw, order: int) -> np.ndarray:
+    """m_1..m_order, exact: the section of order//2 + 1 rows of the law's
+    model has the law's moments up to order 2 (order//2) + 1."""
+    j = order // 2 + 1
+    return jacobi_moments(law.model.coefficients(j), j, order)
 
 
-def moment(law: EquilibriumLaw, k: int, n: int = 1024) -> float:
-    """k-th moment of the law; SC odd moments short-circuit to exact 0."""
+def moment(law: EquilibriumLaw, k: int) -> float:
+    """k-th moment of the law; odd moments of the symmetric laws are exactly 0."""
     if k < 1:
         raise ParameterError("moment order must be >= 1")
-    symmetric = law.family is Family.SEMICIRCLE or (
-        law.family is Family.ARCSINE and law.interval == "[-2,2]"
-    )
-    if symmetric and k % 2 == 1:
-        return 0.0
-    return integrate_against(law, lambda x: x**k, n=n)
+    return float(_moments(law, k)[-1])
 
 
 @dataclass(frozen=True)
@@ -284,7 +379,7 @@ class MomentVector:
 
     @staticmethod
     def of_law(law: EquilibriumLaw, order: int) -> "MomentVector":
-        return MomentVector(np.array([moment(law, k) for k in range(1, order + 1)]))
+        return MomentVector(_moments(law, order))
 
     @staticmethod
     def of_atoms(locations, weights, order: int) -> "MomentVector":
@@ -318,9 +413,15 @@ def sigma_pm(b: float, c: float) -> tuple[float, float]:
 
 
 def u_pm(x: float, y: float) -> tuple[float, float]:
-    """u_-(x,y), u_+(x,y) = (sqrt((1-x)(1-y)) -+ sqrt(xy))^2."""
+    """u_-(x,y), u_+(x,y) = (sqrt((1-x)(1-y)) -+ sqrt(xy))^2.
+
+    u_+ is taken as 1 - (sqrt(x(1-y)) - sqrt((1-x)y))^2, the same number.
+    Both squares are >= 0, so u_- never falls below 0 and u_+ never rises
+    above 1, and the hard edges come out exact: u_- = 0 when
+    (1-x)(1-y) = xy and u_+ = 1 when x = y, as at u_pm(1/2, 1/2) = (0, 1).
+    """
     if not (0.0 < x < 1.0 and 0.0 < y < 1.0):
         raise ParameterError(f"u_pm needs arguments in (0,1), got ({x}, {y})")
-    base = 1.0 - x - y + 2.0 * x * y
-    cross = 2.0 * math.sqrt(x * (1.0 - x) * y * (1.0 - y))
-    return base - cross, base + cross
+    lower = math.sqrt((1.0 - x) * (1.0 - y)) - math.sqrt(x * y)
+    upper = math.sqrt(x * (1.0 - y)) - math.sqrt((1.0 - x) * y)
+    return lower * lower, 1.0 - upper * upper

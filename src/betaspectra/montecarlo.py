@@ -123,8 +123,6 @@ def _bulk_edges(spec: EnsembleSpec) -> tuple[float, float]:
         return mp_edges(spec.laguerre_tau)
     k1 = spec.kappa1 or 0.0
     k2 = spec.kappa2 or 0.0
-    if k1 == 0.0 and k2 == 0.0:
-        return (0.0, 1.0)
     d = 2.0 + k1 + k2
     return u_pm((1.0 + k1) / d, (1.0 + k1 + k2) / d)
 
@@ -197,7 +195,7 @@ def mc_tail_rate(exp: McExperiment) -> McResult:
     inside = lo < x_bulk < hi
     if inside:
         flags.append(
-            f"threshold {exp.x} lies inside the bulk ({lo:.6g}, {hi:.6g}): "
+            f"threshold {x_bulk:.12g} lies inside the bulk ({lo:.6g}, {hi:.6g}): "
             "probability tends to 1 and the rate is 0"
         )
     bp = spec.beta_prime
@@ -220,7 +218,7 @@ def mc_tail_rate(exp: McExperiment) -> McResult:
             stderr = math.inf
             flags.append(f"zero hits at N = {n}: rate_hat is a lower bound")
         else:
-            rate_hat = -math.log(p_hat) / (bp * n)
+            rate_hat = math.log(exp.samples / hits) / (bp * n)  # +0.0 when every sample hits
             stderr = math.sqrt((1.0 - p_hat) / (p_hat * exp.samples)) / (bp * n)
         rows.append(
             McRow(

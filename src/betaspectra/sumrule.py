@@ -1,34 +1,34 @@
 """Exact spectral data for finite-rank perturbations of constant-tail Jacobi
 operators, and the sum-rule machinery built on top of it.
 
-The m-function of a TailJacobiModel is a finite continued fraction
-terminated by the closed-form transform of the constant tail; its boundary
-values give the a.c. density. The zeros of the Jost function of the model
-reduced to the free tail give the outliers, their masses and the Kullback
-information against the semicircle as exact finite sums (Killip-Simon, Ann.
-Math. 158, 2003; Damanik-Simon, Invent. Math. 165, 2006). sumrule_verify
-checks the Killip-Simon identity; conjecture_probe evaluates the (unproven)
-Laguerre and Jacobi analogues and reports gaps.
+The zeros of the Jost function of a TailJacobiModel reduced to the free tail
+give the outliers, their masses and the Kullback information against any
+reference law (itself a one-term head on the same tail) as exact finite
+sums (Killip-Simon, Ann. Math. 158, 2003; Damanik-Simon, Invent. Math. 165,
+2006). sumrule_verify checks the Killip-Simon identity; the conjecture
+probes evaluate the (unproven) Laguerre and Jacobi analogues (Gamboa-Nagel-
+Rouault, J. Funct. Anal. 270, 2016) and report gaps.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .equilibria import (
-    ARCSINE_01,
     SC,
     ChebGrid,
     EquilibriumLaw,
     Family,
-    density,
+    TailJacobiModel,
+    ac_density,
+    m_function,
     u_pm,
 )
-from .errors import DomainError, ParameterError, PoleError
-from .jacobi import JacobiCoeffs, VerblunskyCoeffs, affine_s, ds_factorize, geronimus
+from .errors import ParameterError
+from .jacobi import JacobiCoeffs, VerblunskyCoeffs, ds_factorize, geronimus
 from .rates import (
     RateReport,
     big_g,
@@ -56,114 +56,6 @@ __all__ = [
     "jacobi_limit_alphas",
 ]
 
-@dataclass(frozen=True)
-class TailJacobiModel:
-    """Constant-coefficient Jacobi tail (a_inf, b_inf) with a finite head
-    overriding the leading entries.
-
-    head.b overrides b_0..; head.a overrides a_0..; the two override lists
-    may have different lengths. The essential spectrum (bulk) is
-    [b_inf - 2 a_inf, b_inf + 2 a_inf].
-    """
-
-    a_inf: float = 1.0
-    b_inf: float = 0.0
-    head: JacobiCoeffs = field(default_factory=lambda: JacobiCoeffs(np.empty(0), np.empty(0)))
-
-    def __post_init__(self) -> None:
-        if self.a_inf <= 0.0:
-            raise ParameterError("tail off-diagonal a_inf must be > 0")
-
-    @property
-    def bulk(self) -> tuple[float, float]:
-        return (self.b_inf - 2.0 * self.a_inf, self.b_inf + 2.0 * self.a_inf)
-
-    @property
-    def head_len(self) -> int:
-        return max(len(self.head.b), len(self.head.a))
-
-    def b_at(self, j: int) -> float:
-        return float(self.head.b[j]) if j < len(self.head.b) else self.b_inf
-
-    def a_at(self, j: int) -> float:
-        return float(self.head.a[j]) if j < len(self.head.a) else self.a_inf
-
-    def coefficients(self, n: int) -> JacobiCoeffs:
-        """The n x n truncation."""
-        b = np.array([self.b_at(j) for j in range(n)])
-        a = np.array([self.a_at(j) for j in range(n - 1)])
-        return JacobiCoeffs(b, a)
-
-    def to_json(self) -> dict:
-        return {
-            "tail": {"a": self.a_inf, "b": self.b_inf},
-            "head": self.head.to_json(),
-        }
-
-    @staticmethod
-    def from_json(obj: dict) -> "TailJacobiModel":
-        return TailJacobiModel(
-            a_inf=float(obj["tail"]["a"]),
-            b_inf=float(obj["tail"]["b"]),
-            head=JacobiCoeffs.from_json(obj.get("head", {"b": [], "a": []})),
-        )
-
-
-def _m_free(w):
-    """Transform of the free matrix, (-w + sqrt(w^2 - 4))/2, with the branch
-    analytic off [-2, 2] and m ~ -1/w at infinity (vectorized, complex).
-
-    Real w outside [-2, 2] give the real Herglotz value; real w inside
-    (-2, 2), passed as w + 0j, give the boundary value from above.
-    """
-    w = np.asarray(w, dtype=complex)
-    return 0.5 * (-w + np.sqrt(w - 2.0) * np.sqrt(w + 2.0))
-
-
-def m_function(model: TailJacobiModel, z, level: int = 0):
-    """m_level(z) = <e_1, (J_level - z)^{-1} e_1> of the model stripped
-    ``level`` times, by backward continued-fraction recursion from the tail.
-
-    Accepts complex z (vectorized) or real z strictly outside the bulk.
-    """
-    k = max(model.head_len, level)
-    zc = np.asarray(z)
-    if np.iscomplexobj(zc) and np.any(zc.imag != 0.0):
-        w = (np.asarray(z, dtype=complex) - model.b_inf) / model.a_inf
-        m = _m_free(w) / model.a_inf
-        for j in range(k - 1, level - 1, -1):
-            m = 1.0 / (model.b_at(j) - np.asarray(z, dtype=complex) - model.a_at(j) ** 2 * m)
-        return m if m.ndim else complex(m)
-    # real axis, outside the bulk
-    x = float(z.real if np.iscomplexobj(zc) else z)
-    lo, hi = model.bulk
-    if lo <= x <= hi:
-        raise DomainError(f"real z = {x} lies in the bulk [{lo}, {hi}]")
-    m = float(_m_free((x - model.b_inf) / model.a_inf).real) / model.a_inf
-    for j in range(k - 1, level - 1, -1):
-        den = model.b_at(j) - x - model.a_at(j) ** 2 * m
-        # a zero denominator is a pole of this stripping level; the limit of
-        # the next level is 0, which 1/inf reproduces
-        m = math.inf if den == 0.0 else 1.0 / den
-    if not math.isfinite(m):
-        raise PoleError(f"z = {x} is an eigenvalue of the operator")
-    return m
-
-
-def ac_density(model: TailJacobiModel, x):
-    """Lebesgue density of the a.c. part at x inside the open bulk:
-    Im m(x + i0)/pi with the exact tail boundary value (vectorized)."""
-    xs = np.asarray(x, dtype=float)
-    lo, hi = model.bulk
-    if np.any((xs <= lo) | (xs >= hi)):
-        raise DomainError("ac_density is defined strictly inside the bulk")
-    m = _m_free((xs - model.b_inf) / model.a_inf + 0j) / model.a_inf
-    for j in range(model.head_len - 1, -1, -1):
-        m = 1.0 / (model.b_at(j) - xs - model.a_at(j) ** 2 * m)
-    out = np.imag(m) / math.pi
-    return float(out) if out.ndim == 0 else out
-
-
 # A real Jost root this close to the unit circle (1 < |w| <= 1 + delta) would
 # be an eigenvalue within about delta^2 * a_inf = 1e-12 * a_inf of the band
 # edge. Rounding of a threshold resonance (|w| = 1) lands there as well, so
@@ -181,16 +73,64 @@ class _JostRoots:
     outlier_list: list  # (E, mass), sorted by E
     edge_resonances: list  # E of the real roots with 1 < |w| <= 1 + delta
 
-    def kullback_sc(self) -> float:
-        """K(SC | nu) exactly. rho_nu(2 cos t) = sin t / (pi |u(e^{it})|^2),
-        so K is the semicircle integral of log|u|^2, whose Fourier
-        coefficients give 2 [sum_{|w|>1} log|w| - sum log a_j]
-        + 1/2 [sum_{|w|<=1} Re w^2 + sum_{|w|>1} Re w^-2]."""
+    def kullback(self, reference: EquilibriumLaw) -> float:
+        """K(reference | nu) exactly, for nu with the reference's tail.
+
+        On the free tail E = 2 cos t, both densities are sin t/(pi |u|^2) on
+        the circle: u of nu here, u_ref(z) = (1 - w_0 z)(1 - w_1 z)/a_0 with
+        w_0, w_1 the reference's `jost_roots`, so K is the reference integral
+        of log|u|^2 - log|u_ref|^2. With zeta = w inside the circle and 1/w
+        outside, log|u|^2 = c_0 + sum log|1 - zeta z|^2, c_0 = 2 [sum_{|w|>1}
+        log|w| - sum log a_j], and each log integrates to -Re Phi(zeta)
+        (`_phi`): K = c_0 - c_0(ref) - sum Re Phi(zeta) + Phi(w_0) + Phi(w_1).
+        """
         w = self.w
         out = np.abs(w) > 1.0
-        val = 2.0 * (float(np.sum(np.log(np.abs(w[out])))) - self.log_a)
-        val += 0.5 * float(np.sum((w[~out] ** 2).real) + np.sum((w[out] ** -2.0).real))
-        return val
+        zeta = w.copy()
+        zeta[out] = 1.0 / w[out]
+        c0 = 2.0 * (float(np.sum(np.log(np.abs(w[out])))) - self.log_a)
+        w0, w1 = reference.jost_roots
+        phi = _phi(w0, w1, np.concatenate((zeta, (w0, w1))))  # nu's zeta, then the reference's
+        c0_ref = -math.log1p(-w0 * w1)
+        return c0 - c0_ref - float(np.sum(phi[:-2])) + float(phi[-2] + phi[-1])
+
+
+def _log1p_minus_id(t: np.ndarray) -> np.ndarray:
+    """Re[log(1 + t) - t] for complex t inside the unit circle (vectorized).
+
+    Up to |t| = 1/4 the two terms cancel to -t^2/2, so there it is the
+    Taylor series -t^2 sum_k (-t)^k/(k + 2) (ratio <= 1/4, 27 terms);
+    beyond, the logarithm itself.
+    """
+    acc = np.zeros_like(t)
+    for k in range(26, -1, -1):
+        acc = acc * -t + 1.0 / (k + 2)
+    series = (-t * t * acc).real
+    direct = np.log(np.abs(1.0 + t)) - t.real
+    return np.where(np.abs(t) <= 0.25, series, direct)
+
+
+def _phi(w0: float, w1: float, z: np.ndarray) -> np.ndarray:
+    """Re Phi(z) of the reference with reduced Jost roots w0, w1, for complex
+    z in the closed unit disc (vectorized).
+
+    Phi(z) = sum_n c_n z^n/n, c_n = 2 int cos(n t) d(reference) the n-th
+    Chebyshev moment, so Phi' = (b_0 - (2 - a_0^2) s)/(1 - b_0 s + (1 - a_0^2) s^2)
+    for the reduced head, b_0 = w0 + w1 and 1 - a_0^2 = w0 w1. By partial
+    fractions Phi(z) = b_0 z + (g(w0) - g(w1))/(w0 - w1) with
+    g(w) = (1 - w^2)/w [log(1 - w z) + w z], g(0) = 0. A hard-edge root
+    w = -+1 has g = 0 exactly: its factor 1 - w^2 is 0 where the logarithm
+    may be infinite. The semicircle's double root 0 gives Phi = -z^2/2.
+    """
+    if w0 == w1:
+        return -0.5 * (z * z).real
+
+    def g(w: float):
+        if w == 0.0 or w * w == 1.0:
+            return 0.0
+        return (1.0 - w * w) / w * _log1p_minus_id(-w * z)
+
+    return (w0 + w1) * z.real + (g(w0) - g(w1)) / (w0 - w1)
 
 
 def _jost(model: TailJacobiModel) -> _JostRoots:
@@ -280,34 +220,21 @@ def decompose(model: TailJacobiModel) -> MeasureDecomposition:
     )
 
 
-def _kullback_quadrature(reference: EquilibriumLaw, model_density, n: int) -> float:
-    """K(reference | nu) by n-node Chebyshev quadrature on the reference
-    support, with nu's a.c. density given there by model_density."""
+def _outlier_cost(reference: EquilibriumLaw):
+    """The extreme-eigenvalue cost of the reference's ensemble on its support."""
+    if reference.family is Family.SEMICIRCLE:
+        return rate_fg
+    if reference.family is Family.MARCHENKO_PASTUR:
+        return lambda e: rate_fl(e, reference.tau)
+    if reference.family is Family.KESTEN_MCKAY:
+        return lambda e: rate_fj(e, reference.u_minus, reference.u_plus)
+    # arcsine: KMK(0, 1), on [0, 1] or mapped to [-2, 2]
     lo, hi = reference.support
-    grid = ChebGrid.for_interval(lo, hi, n)
-    px = density(reference, grid.nodes)
-    qx = model_density(grid.nodes)
-    if np.any(qx <= 0.0):
-        return math.inf
-    return float(np.dot(grid.weights, px * (np.log(px) - np.log(qx))))
-
-
-def _outlier_terms(roots: _JostRoots, cost, label: str, to_x=lambda e: e):
-    """Outlier cost terms and the edge-resonance flags."""
-    terms = []
-    for e, _ in roots.outlier_list:
-        x = to_x(e)
-        terms.append((f"{label}({x:.12g})", cost(x)))
-    flags = [
-        f"edge resonance at {to_x(e):.12g}: Jost root within {JOST_EDGE_DELTA:g} "
-        "of the unit circle, not counted as an outlier"
-        for e in roots.edge_resonances
-    ]
-    return terms, flags
+    return lambda e: rate_fj((e - lo) / (hi - lo), 0.0, 1.0)
 
 
 def _measure_side(
-    model: TailJacobiModel, reference: EquilibriumLaw, n: int, roots: _JostRoots
+    model: TailJacobiModel, reference: EquilibriumLaw, roots: _JostRoots
 ) -> RateReport:
     lo, hi = model.bulk
     rlo, rhi = reference.support
@@ -315,35 +242,31 @@ def _measure_side(
         raise ParameterError(
             f"reference support [{rlo}, {rhi}] does not match model bulk [{lo}, {hi}]"
         )
-    if reference.family is Family.SEMICIRCLE:
-        cost = rate_fg
-        kterm = roots.kullback_sc()
-        n = 0
-    else:
-        if reference.family is Family.MARCHENKO_PASTUR:
-            cost = lambda e: rate_fl(e, reference.tau)
-        else:
-            cost = lambda e: rate_fj(e, rlo, rhi)
-        kterm = _kullback_quadrature(reference, lambda x: ac_density(model, x), n)
-    terms, flags = _outlier_terms(roots, cost, "F")
-    terms.insert(0, ("kullback", kterm))
+    cost = _outlier_cost(reference)
+    terms = [("kullback", roots.kullback(reference))]
+    terms += [(f"F({e:.12g})", cost(e)) for e, _ in roots.outlier_list]
+    flags = [
+        f"edge resonance at {e:.12g}: Jost root within {JOST_EDGE_DELTA:g} "
+        "of the unit circle, not counted as an outlier"
+        for e in roots.edge_resonances
+    ]
     total = sum(t for _, t in terms)
     if not math.isfinite(total):
         flags.append("infinite")
-    return RateReport(value=total, terms=terms, truncation=n, tail_bound=0.0, flags=flags)
+    return RateReport(value=total, terms=terms, truncation=0, tail_bound=0.0, flags=flags)
 
 
-def measure_side_rate(
-    model: TailJacobiModel, reference: EquilibriumLaw, n: int = 8192
-) -> RateReport:
-    """Measure-side rate K(reference | nu) + sum of outlier costs.
+def measure_side_rate(model: TailJacobiModel, reference: EquilibriumLaw) -> RateReport:
+    """Measure-side rate K(reference | nu) + sum of outlier costs, both exact
+    finite sums over the Jost roots of the model (truncation 0).
 
     reference must share its support with the model bulk: SC for the free
-    tail, MP(tau) for the Laguerre tail. Against SC the Kullback term is the
-    exact Jost-root sum (truncation 0); against other references it is an
-    n-node quadrature. Outliers are always the exact Jost roots.
+    tail, MP(tau) for the Laguerre tail, KMK(u_-, u_+) for the Jacobi tail on
+    [0, 1]. Its family picks the outlier cost: F_G (`rate_fg`) for SC, F_L
+    (`rate_fl`) for MP, and F_J (`rate_fj`) on the support for KMK and the
+    arcsine law.
     """
-    return _measure_side(model, reference, n, _jost(model))
+    return _measure_side(model, reference, _jost(model))
 
 
 @dataclass
@@ -370,7 +293,7 @@ def sumrule_verify(model: TailJacobiModel) -> SumRuleReport:
         raise ParameterError("sumrule_verify requires the free (SC) tail")
     jacobi_side = hermite_rate(model.head).value
     roots = _jost(model)
-    measure = _measure_side(model, SC, 0, roots)
+    measure = _measure_side(model, SC, roots)
     gap = jacobi_side - measure.value
     if math.isinf(jacobi_side) and math.isinf(measure.value):
         gap = 0.0
@@ -403,10 +326,13 @@ class ConjectureReport:
 
 
 def conjecture_probe_laguerre(
-    model: TailJacobiModel, tau: float, n_coeff: int = 2000, n_quad: int = 2048
+    model: TailJacobiModel, tau: float, n_coeff: int = 2000
 ) -> ConjectureReport:
-    """Laguerre conjecture: sum G(d_k) + tau sum G(s_k/sqrt(tau)) against
-    K(MP(tau) | nu) + sum F_L(E_j). Requires the MP(tau) tail."""
+    """Laguerre conjecture: sum G(d_k) + tau sum G(s_k/sqrt(tau)) over the
+    first n_coeff coefficients against K(MP(tau) | nu) + sum F_L(E_j).
+    Requires the MP(tau) tail. The measure side is `measure_side_rate`
+    against MP(tau), exact (truncation 0); the coefficient side is truncated
+    at n_coeff, with a heuristic tail_bound from its last terms."""
     rt = math.sqrt(tau)
     if abs(model.a_inf - rt) > 1e-12 or abs(model.b_inf - (1.0 + tau)) > 1e-12:
         raise ParameterError(f"model tail must be (sqrt(tau), 1+tau) for tau = {tau}")
@@ -416,8 +342,7 @@ def conjecture_probe_laguerre(
     # tail estimate from the last computed terms of the factorization
     tail_terms = [big_g(dk) for dk in d[-10:]] + [tau * big_g(sk / rt) for sk in s[-10:]]
     coeff_report.tail_bound = float(n_coeff * max(tail_terms)) if tail_terms else 0.0
-    mp = EquilibriumLaw(Family.MARCHENKO_PASTUR, tau=tau)
-    measure_report = measure_side_rate(model, mp, n=n_quad)
+    measure_report = measure_side_rate(model, EquilibriumLaw(Family.MARCHENKO_PASTUR, tau=tau))
     return ConjectureReport(
         family="laguerre",
         coefficient_side=coeff_report,
@@ -438,62 +363,36 @@ def jacobi_limit_alphas(kappa1: float, kappa2: float) -> tuple[float, float]:
     return (kappa1 - kappa2) / d, -(kappa1 + kappa2) / d
 
 
-def conjecture_probe_jacobi(
-    alpha_head,
-    kappa1: float,
-    kappa2: float,
-    n_pairs: int = 300,
-    n_quad: int = 2048,
-) -> ConjectureReport:
+def conjecture_probe_jacobi(alpha_head, kappa1: float, kappa2: float) -> ConjectureReport:
     """Jacobi-ensemble conjecture: Verblunsky-side rate against
-    K(KMK | nu) + sum F_J(E_j) after mapping the spectrum to [0, 1].
+    K(KMK | nu) + sum F_J(E_j) on [0, 1].
 
     alpha_head is a finite Verblunsky prefix (package convention); the
-    sequence is extended by the limiting values, producing a constant-tail
-    Jacobi model through the Geronimus relations.
+    sequence continues with the limiting values, whose rate terms are 0, so
+    the coefficient side sums the head alone. Through the Geronimus relations
+    the sequence is a constant-tail Jacobi model on [-2, 2], mapped to [0, 1]
+    (b -> (b + 2)/4, a -> a/4); the measure side is `measure_side_rate`
+    against KMK(u_-, u_+), exact (truncation 0), with the arcsine law
+    KMK(0, 1) at kappa = (0, 0).
     """
     head = np.asarray(
         alpha_head.alpha if isinstance(alpha_head, VerblunskyCoeffs) else alpha_head,
         dtype=float,
     )
+    coeff_report = jacobi_ensemble_rate(head, kappa1, kappa2)
+
+    # the Jacobi coefficients equal the tail from index len(head)//2 + 2 on
+    span = len(head) // 2 + 2
     al_even, al_odd = jacobi_limit_alphas(kappa1, kappa2)
-    total_len = 2 * n_pairs - 1
-    alpha = np.array(
-        [
-            head[k] if k < len(head) else (al_even if k % 2 == 0 else al_odd)
-            for k in range(total_len)
-        ]
-    )
-    coeff_report = jacobi_ensemble_rate(alpha, kappa1, kappa2)
-
-    # constant-tail model via Geronimus: coefficients settle once past the head
-    head_span = len(head) // 2 + 2
-    full = geronimus(VerblunskyCoeffs(alpha), head_span + 4)
-    a_star = math.sqrt((1.0 - al_odd**2) * (1.0 - al_even**2))
-    b_star = -2.0 * al_odd * al_even
-    model = TailJacobiModel(
-        a_inf=a_star,
-        b_inf=b_star,
-        head=JacobiCoeffs(full.b[:head_span], full.a[:head_span]),
-    )
+    alpha = np.where(np.arange(2 * span + 1) % 2 == 0, al_even, al_odd)
+    alpha[: len(head)] = head
+    full = geronimus(VerblunskyCoeffs(alpha), span + 1)
+    b, a = 0.25 * (full.b + 2.0), 0.25 * full.a  # b_span and a_{span-1} are the tail
+    model = TailJacobiModel(a_inf=a[-1], b_inf=b[-1], head=JacobiCoeffs(b[:-1], a[:-1]))
     d = 2.0 + kappa1 + kappa2
-    if kappa1 == 0.0 and kappa2 == 0.0:
-        reference = ARCSINE_01
-        u_minus, u_plus = 0.0, 1.0
-    else:
-        u_minus, u_plus = u_pm((1.0 + kappa1) / d, (1.0 + kappa1 + kappa2) / d)
-        reference = EquilibriumLaw(Family.KESTEN_MCKAY, u_minus=u_minus, u_plus=u_plus)
-
-    # Kullback term on [0, 1]: the model lives on [-2, 2], push through s
-    kterm = _kullback_quadrature(
-        reference, lambda x: 4.0 * ac_density(model, 4.0 * x - 2.0), n_quad
-    )
-    cost = lambda eu: rate_fj(eu, u_minus, u_plus) if 0.0 < eu < 1.0 else math.inf
-    terms, flags = _outlier_terms(_jost(model), cost, "F_J", lambda e: float(affine_s(e)))
-    terms.insert(0, ("kullback", kterm))
-    measure_report = RateReport(
-        value=sum(t for _, t in terms), terms=terms, truncation=n_quad, flags=flags
-    )
+    u_minus, u_plus = u_pm((1.0 + kappa1) / d, (1.0 + kappa1 + kappa2) / d)
+    reference = EquilibriumLaw(Family.KESTEN_MCKAY, u_minus=u_minus, u_plus=u_plus)
+    measure_report = measure_side_rate(model, reference)
     return ConjectureReport(
         family="jacobi_kn",
         coefficient_side=coeff_report,

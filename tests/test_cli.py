@@ -305,3 +305,22 @@ def test_stats_load_no_scipy_stats():
     assert code == 0
     assert not after_suite
     assert not after_stats
+
+
+JACOBI_INSIDE = ("mc", "--ensemble", "jacobi_kn", "--a", "1", "--b", "2", "--x", "1.5",
+                 "--n-list", "6,10")
+
+
+def test_mc_bulk_warning_in_edge_coordinates(capsys):
+    # the Jacobi-KN edges live on [0, 1], where the threshold 1.5 on [-2, 2] is 0.875
+    code, _, err = run(capsys, *JACOBI_INSIDE)
+    assert code == 0
+    assert "warning: threshold 0.875 lies inside the bulk (0, 1)" in err
+
+
+def test_mc_all_hit_row_prints_unsigned_zero(capsys):
+    code, out, _ = run(capsys, *JACOBI_INSIDE)
+    assert code == 0
+    rows = [line.split(",") for line in out.strip().split("\n")[1:]]
+    (full,) = [row for row in rows if row[3] == row[2]]  # every sample hit
+    assert full[5] == "0"

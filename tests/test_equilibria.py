@@ -178,3 +178,104 @@ def test_law_json_round_trip():
     for law in ALL_LAWS:
         back = EquilibriumLaw.from_json(law.to_json())
         assert back == law
+
+
+def closed_form_density(law, x, root, one_minus_x):
+    """The families' textbook densities, independent of the Jacobi models;
+    root = sqrt((x - lo)(hi - x)) and 1 - x are passed in so that a caller
+    can keep them exact near an edge."""
+    if law.family is Family.SEMICIRCLE:
+        return root / (2.0 * math.pi)
+    if law.family is Family.MARCHENKO_PASTUR:
+        return root / (2.0 * math.pi * law.tau * x)
+    if law.family is Family.ARCSINE:
+        return 1.0 / (math.pi * root)
+    um, up = law.u_minus, law.u_plus
+    c = 2.0 / (1.0 - math.sqrt(um * up) - math.sqrt((1.0 - um) * (1.0 - up)))
+    return c * root / (2.0 * math.pi * x * one_minus_x)
+
+
+KMK_HARD = [
+    EquilibriumLaw(Family.KESTEN_MCKAY, u_minus=0.0, u_plus=0.6),
+    EquilibriumLaw(Family.KESTEN_MCKAY, u_minus=0.3, u_plus=1.0),
+]
+
+
+@pytest.mark.parametrize("law", ALL_LAWS + KMK_HARD)
+def test_model_density_matches_closed_form(law):
+    lo, hi = law.support
+    xs = lo + (hi - lo) * np.concatenate(([1e-9, 1e-6], np.linspace(1e-3, 1.0 - 1e-3, 201),
+                                          [1.0 - 1e-6, 1.0 - 1e-9]))
+    expect = closed_form_density(law, xs, np.sqrt((xs - lo) * (hi - xs)), 1.0 - xs)
+    assert density(law, xs) == pytest.approx(expect, rel=1e-12)
+
+
+@pytest.mark.parametrize("law", ALL_LAWS + KMK_HARD)
+def test_model_head_is_first_two_moments(law):
+    # b_0 = m_1 and a_0^2 = m_2 - m_1^2, against Gauss-Chebyshev quadrature of
+    # the closed-form density in x = (lo + hi)/2 + r cos(theta), where it is smooth
+    lo, hi = law.support
+    r, n = 0.5 * (hi - lo), 4096
+    theta = (np.arange(n) + 0.5) * math.pi / n
+    x = lo + 2.0 * r * np.cos(theta / 2) ** 2
+    one_minus_x = (1.0 - hi) + 2.0 * r * np.sin(theta / 2) ** 2
+    root = r * np.sin(theta)
+    w = (math.pi / n) * root * closed_form_density(law, x, root, one_minus_x)
+    m1 = float(np.dot(w, x))
+    m2 = float(np.dot(w, x * x))
+    head = law.model.head
+    assert head.b[0] == pytest.approx(m1, abs=1e-13)
+    assert head.a[0] == pytest.approx(math.sqrt(m2 - m1 * m1), abs=1e-13)
+    assert [moment(law, 1), moment(law, 2)] == pytest.approx([m1, m2], abs=1e-13)
+
+
+def test_kmk_head_from_limit_alphas():
+    # the head in the Verblunsky parametrisation: with (x, y) = sigma_pm(u-, u+),
+    # d = 1/(1 - y), kappa1 = x d - 1, kappa2 = y d - 1 - kappa1 and the limit
+    # alphas of (kappa1, kappa2), b_0 = (1 + a_e)/2 and
+    # a_0 = sqrt(2 (1 - a_e^2)(1 + a_o))/4
+    law = EquilibriumLaw(Family.KESTEN_MCKAY, u_minus=0.1, u_plus=0.95)
+    x, y = sigma_pm(0.1, 0.95)
+    d = 1.0 / (1.0 - y)
+    k1 = x * d - 1.0
+    k2 = y * d - 1.0 - k1
+    ae, ao = (k1 - k2) / (2.0 + k1 + k2), -(k1 + k2) / (2.0 + k1 + k2)
+    head = law.model.head
+    assert head.b[0] == pytest.approx((1.0 + ae) / 2.0, abs=1e-15)
+    assert head.a[0] == pytest.approx(math.sqrt(2.0 * (1.0 - ae**2) * (1.0 + ao)) / 4.0, abs=1e-15)
+    assert (head.b[0], head.a[0]) == pytest.approx((0.548044332896242, 0.243725939092311), abs=1e-15)
+
+
+def test_hard_edges_have_unit_jost_roots():
+    assert ARCSINE_SYM.jost_roots == (-1.0, 1.0)
+    assert ARCSINE_01.jost_roots == (-1.0, 1.0)
+    assert EquilibriumLaw(Family.MARCHENKO_PASTUR, tau=1.0).jost_roots == (-1.0, 0.0)
+    assert KMK_HARD[0].jost_roots[0] == -1.0 and abs(KMK_HARD[0].jost_roots[1]) < 1.0
+    assert KMK_HARD[1].jost_roots[1] == 1.0 and abs(KMK_HARD[1].jost_roots[0]) < 1.0
+    assert SC.jost_roots == (0.0, 0.0)
+
+
+@pytest.mark.parametrize("tau", [0.2, 0.35, 0.7, 1.0])
+def test_mp_moments_are_narayana_sums(tau):
+    for k in range(1, 13):
+        narayana = sum(
+            math.comb(k, j) * math.comb(k, j - 1) // k * tau ** (j - 1) for j in range(1, k + 1)
+        )
+        law = EquilibriumLaw(Family.MARCHENKO_PASTUR, tau=tau)
+        assert moment(law, k) == pytest.approx(narayana, rel=1e-13)
+
+
+def test_moment_vector_of_law_is_exact():
+    law = EquilibriumLaw(Family.KESTEN_MCKAY, u_minus=0.25, u_plus=0.75)
+    mv = MomentVector.of_law(law, 9)
+    assert list(mv.values) == [moment(law, k) for k in range(1, 10)]
+    assert list(MomentVector.of_law(ARCSINE_SYM, 7).values[::2]) == [0.0] * 4
+
+
+def test_u_pm_hard_edges():
+    # x = y gives u_+ = 1 and x + y = 1 gives u_- = 0, up to the rounding of
+    # x and y themselves: never outside [0, 1]
+    for k in np.random.default_rng(1).uniform(0.0, 5.0, 200):
+        d = 2.0 + k
+        assert u_pm((1.0 + k) / d, (1.0 + k) / d)[1] == 1.0
+        assert 0.0 <= u_pm(1.0 / d, (1.0 + k) / d)[0] < 1e-30

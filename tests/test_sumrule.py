@@ -3,16 +3,17 @@ sum-rule identity and the conjectured analogues."""
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import eigh_tridiagonal, eigvalsh_tridiagonal
 
-from betaspectra.equilibria import SC
+from betaspectra.equilibria import ARCSINE_01, ARCSINE_SYM, SC, EquilibriumLaw, Family, u_pm
 from betaspectra.errors import DomainError, ParameterError
-from betaspectra.jacobi import JacobiCoeffs, spectral_decompose
-from betaspectra.rates import big_g, rate_fg
+from betaspectra.jacobi import JacobiCoeffs, VerblunskyCoeffs, geronimus, spectral_decompose
+from betaspectra.rates import big_g, jacobi_ensemble_rate, rate_fg
 from betaspectra.sumrule import (
     TailJacobiModel,
     ac_density,
@@ -309,3 +310,165 @@ def test_conjecture_probe_jacobi_perturbed_head():
     assert math.isfinite(report.measure_side.value)
     # sides agree to modest accuracy at a perturbed point as well
     assert abs(report.gap) < 1e-4 * (1.0 + report.coefficient_side.value)
+
+
+def kullback_oracle(law, model, pieces=8):
+    """K(law | nu) at 40 digits: tanh-sinh in theta, x = b + 2a cos(theta) on
+    the law's tail, the law's textbook density and nu's from its continued
+    fraction ended by the free tail's boundary value -exp(-i theta)/a."""
+    with mpmath.workdps(40):
+        f, mpf = law.family, mpmath.mpf
+        if f is Family.MARCHENKO_PASTUR:
+            a_inf, b_inf = mpmath.sqrt(mpf(law.tau)), 1 + mpf(law.tau)
+        elif f is Family.KESTEN_MCKAY:
+            um, up = mpf(law.u_minus), mpf(law.u_plus)
+            a_inf, b_inf = (up - um) / 4, (up + um) / 2
+        elif f is Family.ARCSINE and law.interval == "[0,1]":
+            um, up, a_inf, b_inf = mpf(0), mpf(1), mpf(1) / 4, mpf(1) / 2
+        else:
+            a_inf, b_inf = mpf(1), mpf(0)
+        lo, hi = b_inf - 2 * a_inf, b_inf + 2 * a_inf
+        head_b = [mpf(float(v)) for v in model.head.b]
+        head_a = [mpf(float(v)) for v in model.head.a]
+
+        def reference(t):
+            root = 2 * a_inf * mpmath.sin(t)  # sqrt((x - lo)(hi - x)), exact at the edges
+            x = lo + 4 * a_inf * mpmath.cos(t / 2) ** 2
+            if f is Family.SEMICIRCLE:
+                return root / (2 * mpmath.pi)
+            if f is Family.MARCHENKO_PASTUR:
+                return root / (2 * mpmath.pi * law.tau * x)
+            if f is Family.ARCSINE:
+                return 1 / (mpmath.pi * root)
+            c = 2 / (1 - mpmath.sqrt(um * up) - mpmath.sqrt((1 - um) * (1 - up)))
+            one_minus_x = (1 - hi) + 4 * a_inf * mpmath.sin(t / 2) ** 2
+            return c * root / (2 * mpmath.pi * x * one_minus_x)
+
+        def nu(t):
+            x = b_inf + 2 * a_inf * mpmath.cos(t)
+            m = -mpmath.exp(-1j * t) / a_inf
+            for j in range(model.head_len - 1, -1, -1):
+                bj = head_b[j] if j < len(head_b) else b_inf
+                aj = head_a[j] if j < len(head_a) else a_inf
+                m = 1 / (bj - x - aj**2 * m)
+            return mpmath.im(m) / mpmath.pi
+
+        def integrand(t):
+            p = reference(t)
+            return p * mpmath.log(p / nu(t)) * 2 * a_inf * mpmath.sin(t)
+
+        return float(mpmath.quad(integrand, mpmath.linspace(0, mpmath.pi, pieces + 1)))
+
+
+def law_head(law, seed, length):
+    """A random head of the given length on the law's tail."""
+    rng = np.random.default_rng(seed)
+    tail = law.model
+    b = tail.b_inf + tail.a_inf * rng.uniform(-0.6, 0.6, length)
+    a = tail.a_inf * rng.uniform(0.6, 1.4, length)
+    return TailJacobiModel(a_inf=tail.a_inf, b_inf=tail.b_inf, head=JacobiCoeffs(b, a))
+
+
+def kmk(u_minus, u_plus):
+    return EquilibriumLaw(Family.KESTEN_MCKAY, u_minus=u_minus, u_plus=u_plus)
+
+
+def mp_law(tau):
+    return EquilibriumLaw(Family.MARCHENKO_PASTUR, tau=tau)
+
+
+def jacobi_probe_case(alpha_head, kappa1, kappa2):
+    """The model and reference that conjecture_probe_jacobi compares: the
+    Geronimus model on [0, 1] and KMK(u_pm(...)). At kappa1 = 0 or kappa2 = 0
+    the model has a threshold resonance at a hard edge of the reference."""
+    report = conjecture_probe_jacobi(np.asarray(alpha_head, float), kappa1, kappa2)
+    d = 2.0 + kappa1 + kappa2
+    law = kmk(*u_pm((1.0 + kappa1) / d, (1.0 + kappa1 + kappa2) / d))
+    span = len(alpha_head) // 2 + 2
+    al_even, al_odd = jacobi_limit_alphas(kappa1, kappa2)
+    alpha = np.where(np.arange(2 * span + 1) % 2 == 0, al_even, al_odd)
+    alpha[: len(alpha_head)] = alpha_head
+    full = geronimus(VerblunskyCoeffs(alpha), span + 1)
+    b, a = 0.25 * (full.b + 2.0), 0.25 * full.a
+    model = TailJacobiModel(a_inf=a[-1], b_inf=b[-1], head=JacobiCoeffs(b[:-1], a[:-1]))
+    assert measure_side_rate(model, law).value == report.measure_side.value
+    return law, model
+
+
+def mp_resonance(tau):
+    # b_0 = b_inf - a_inf: the reduced head (-1, 1), a Jost root at -1, so
+    # nu's density blows up at the lower edge of MP(tau)
+    tail = mp_law(tau).model
+    head = JacobiCoeffs(np.array([tail.b_inf - tail.a_inf, 1.1 + tau]), np.array([tail.a_inf]))
+    return mp_law(tau), TailJacobiModel(a_inf=tail.a_inf, b_inf=tail.b_inf, head=head)
+
+
+ORACLE_CASES = {
+    "sc": lambda: (SC, law_head(SC, 1, 3)),
+    "mp0.3": lambda: (mp_law(0.3), law_head(mp_law(0.3), 2, 2)),
+    "mp0.5": lambda: (mp_law(0.5), law_head(mp_law(0.5), 3, 4)),
+    "mp1": lambda: (mp_law(1.0), law_head(mp_law(1.0), 4, 3)),
+    "mp1e-4": lambda: (mp_law(1e-4), law_head(mp_law(1e-4), 11, 3)),  # small Jost root
+    "mp1-own-law": lambda: (mp_law(1.0), mp_law(1.0).model),
+    "arcsine[-2,2]": lambda: (ARCSINE_SYM, law_head(ARCSINE_SYM, 5, 2)),
+    "arcsine[0,1]": lambda: (ARCSINE_01, law_head(ARCSINE_01, 6, 3)),
+    "kmk": lambda: (kmk(0.1, 0.95), law_head(kmk(0.1, 0.95), 7, 3)),
+    "kmk-hard-lower": lambda: (kmk(0.0, 0.6), law_head(kmk(0.0, 0.6), 8, 2)),
+    "kmk-hard-upper": lambda: (kmk(0.3, 1.0), law_head(kmk(0.3, 1.0), 9, 4)),
+    "probe-kappa00": lambda: jacobi_probe_case([0.3, -0.2, 0.1], 0.0, 0.0),
+    "probe-kappa00-minimizer": lambda: jacobi_probe_case([], 0.0, 0.0),
+    "probe-kappa1=0": lambda: jacobi_probe_case([0.2, 0.35], 0.0, 1.2),
+    "probe-kappa2=0": lambda: jacobi_probe_case([-0.1, 0.25, 0.3], 0.5, 0.0),
+    "probe-soft": lambda: jacobi_probe_case([0.4, -0.1], 0.5, 0.25),
+    "mp0.5-resonance": lambda: mp_resonance(0.5),
+    "sc-resonance": lambda: (SC, head([0.2], [math.sqrt(2.0), 0.9])),
+}
+
+
+@pytest.mark.parametrize("case", ORACLE_CASES)
+def test_kullback_exact_against_mpmath(case):
+    law, model = ORACLE_CASES[case]()
+    report = measure_side_rate(model, law)
+    (label, got), *_ = report.terms
+    assert label == "kullback" and report.truncation == 0
+    assert math.isfinite(got)
+    assert got == pytest.approx(kullback_oracle(law, model), abs=1e-13)
+
+
+def test_conjecture_probe_laguerre_exact_at_tau_one():
+    # the MP(1) hard edge: a generic head, and the semicircle on [0, 4], for
+    # which K(MP(1) | SC) = 1; 2048-node quadrature missed both by ~2e-4
+    tau = 1.0
+    generic = TailJacobiModel(a_inf=1.0, b_inf=2.0,
+                              head=JacobiCoeffs(np.array([1.3]), np.array([0.8])))
+    report = conjecture_probe_laguerre(generic, tau)
+    assert report.label == "CONJECTURE" and not hasattr(report, "passed")
+    assert report.measure_side.truncation == 0
+    assert report.measure_side.value == pytest.approx(
+        kullback_oracle(mp_law(tau), generic), abs=1e-13
+    )
+    free = TailJacobiModel(a_inf=1.0, b_inf=2.0)
+    assert conjecture_probe_laguerre(free, tau).measure_side.value == pytest.approx(1.0, abs=1e-14)
+
+
+def test_conjecture_probe_jacobi_long_head():
+    # 620 coefficients near the limits: the coefficient side sums all of
+    # them, and without outliers the two sides agree
+    rng = np.random.default_rng(5)
+    al_even, al_odd = jacobi_limit_alphas(0.5, 0.25)
+    alpha = np.where(np.arange(620) % 2 == 0, al_even, al_odd) + rng.uniform(-0.005, 0.005, 620)
+    report = conjecture_probe_jacobi(alpha, 0.5, 0.25)
+    assert report.coefficient_side.value == jacobi_ensemble_rate(alpha, 0.5, 0.25).value
+    assert report.coefficient_side.truncation == 620
+    assert report.measure_side.truncation == 0
+    assert len(report.measure_side.terms) == 1  # the Kullback term, no outlier
+    assert abs(report.gap) < 1e-10
+
+
+def test_conjecture_probe_jacobi_hard_edges():
+    # kappa1 = 0 puts the lower KMK edge at 0 and kappa2 = 0 the upper at 1;
+    # rounding in u_pm once pushed u_- below 0 (ParameterError) or moved the
+    # edge off the model's threshold resonance
+    for k in np.random.default_rng(0).uniform(0.0, 5.0, 50):
+        for k1, k2 in ((0.0, k), (k, 0.0)):
+            assert abs(conjecture_probe_jacobi(np.empty(0), k1, k2).gap) < 1e-13
