@@ -121,18 +121,16 @@ def _m_free(w):
     return 0.5 * (-w + np.sqrt(w - 2.0) * np.sqrt(w + 2.0))
 
 
-def m_function(model: TailJacobiModel, z, level: int = 0):
-    """m_level(z) = <e_1, (J_level - z)^{-1} e_1> of the model stripped
-    ``level`` times, by backward continued-fraction recursion from the tail.
+def m_function(model: TailJacobiModel, z):
+    """m(z) = <e_1, (J - z)^{-1} e_1>, by backward continued-fraction recursion from the tail.
 
     Accepts complex z (vectorized) or real z strictly outside the bulk.
     """
-    k = max(model.head_len, level)
     zc = np.asarray(z)
     if np.iscomplexobj(zc) and np.any(zc.imag != 0.0):
         w = (np.asarray(z, dtype=complex) - model.b_inf) / model.a_inf
         m = _m_free(w) / model.a_inf
-        for j in range(k - 1, level - 1, -1):
+        for j in range(model.head_len - 1, -1, -1):
             m = 1.0 / (model.b_at(j) - np.asarray(z, dtype=complex) - model.a_at(j) ** 2 * m)
         return m if m.ndim else complex(m)
     # real axis, outside the bulk
@@ -141,7 +139,7 @@ def m_function(model: TailJacobiModel, z, level: int = 0):
     if lo <= x <= hi:
         raise DomainError(f"real z = {x} lies in the bulk [{lo}, {hi}]")
     m = float(_m_free((x - model.b_inf) / model.a_inf).real) / model.a_inf
-    for j in range(k - 1, level - 1, -1):
+    for j in range(model.head_len - 1, -1, -1):
         den = model.b_at(j) - x - model.a_at(j) ** 2 * m
         # a zero denominator is a pole of this stripping level; the limit of
         # the next level is 0, which 1/inf reproduces

@@ -158,9 +158,9 @@ class DiscreteMeasure:
         return DiscreteMeasure(atoms[:, 0], atoms[:, 1])
 
 
-def spectral_decompose(coeffs: JacobiCoeffs, n: int | None = None) -> DiscreteMeasure:
+def spectral_decompose(coeffs: JacobiCoeffs) -> DiscreteMeasure:
     """Atoms (lambda_k, pi_k): eigenvalues and squared first components of
-    unit eigenvectors of the n x n section.
+    unit eigenvectors of the full n x n matrix, n = coeffs.n.
 
     Eigenvalues from LAPACK dsterf; weights from twisted factorisations of
     J - lambda_k at all eigenvalues at once, each neighbour pair then
@@ -173,7 +173,7 @@ def spectral_decompose(coeffs: JacobiCoeffs, n: int | None = None) -> DiscreteMe
     pairs closer than about eps |J| whose vectors sit in different places
     (W41+) may lose part of it.
     """
-    sec = coeffs.section(coeffs.n if n is None else n)
+    sec = coeffs.section(coeffs.n)
     lam = _eigenvalues(sec.b, sec.a)
     pi = _first_row_weights(sec.b, sec.a, lam)
     return DiscreteMeasure(lam, pi / np.sum(pi))  # analytically sums to 1

@@ -127,8 +127,8 @@ def _bulk_edges(spec: EnsembleSpec) -> tuple[float, float]:
     return u_pm((1.0 + k1) / d, (1.0 + k1 + k2) / d)
 
 
-def theory_rate(spec: EnsembleSpec, x: float, direction: str = "max_above") -> float:
-    """The large-deviation rate at threshold x (speed beta' N)."""
+def theory_rate(spec: EnsembleSpec, x: float) -> float:
+    """The large-deviation rate at threshold x (speed beta' N), either direction."""
     if spec.kind is Kind.HERMITE:
         return rate_fg(x)
     if spec.kind is Kind.LAGUERRE:
@@ -186,7 +186,7 @@ def mc_tail_rate(exp: McExperiment) -> McResult:
     Deterministic for a fixed seed.
     """
     spec = exp.spec
-    theory = theory_rate(spec, exp.x, exp.direction)
+    theory = theory_rate(spec, exp.x)
     flags = []
     lo, hi = _bulk_edges(spec)
     x_bulk = exp.x

@@ -210,13 +210,10 @@ def beta_h(u: float, v: float, q: float, variant: BetaHVariant = BetaHVariant.CO
     return u * (x - lx) + v * (y - ly)
 
 
-def hermite_rate(coeffs, order: int | None = None) -> RateReport:
-    """Coefficient-side Hermite rate: sum b_j^2/2 + sum G(a_j) over the
-    available (or requested) coefficient range."""
+def hermite_rate(coeffs) -> RateReport:
+    """Coefficient-side Hermite rate: sum b_j^2/2 + sum G(a_j) over the given coefficients."""
     b = np.asarray(coeffs.b, dtype=float)
     a = np.asarray(coeffs.a, dtype=float)
-    if order is not None:
-        b, a = b[:order], a[:order]
     terms = []
     total = 0.0
     for j, bj in enumerate(b):
@@ -231,12 +228,12 @@ def hermite_rate(coeffs, order: int | None = None) -> RateReport:
     return RateReport(value=total, terms=terms, truncation=len(b), tail_bound=0.0, flags=flags)
 
 
-def laguerre_rate(d, s, tau: float, check_tau1_identity: bool = True) -> RateReport:
+def laguerre_rate(d, s, tau: float) -> RateReport:
     """Laguerre coefficient-side rate: sum G(d_k) + tau * sum G(s_k/sqrt(tau)).
 
-    At tau = 1 the same value is recomputed from the assembled Jacobi
-    coefficients (b_0 - 1 + sum(b_k - 2) - 2 sum log a_k plus the finite
-    truncation boundary term s_L^2 - 1) and asserted equal to 1e-10.
+    At tau = 1 with len(s) == len(d) > 0 the same value is recomputed from
+    the assembled Jacobi coefficients (b_0 - 1 + sum(b_k - 2) - 2 sum log a_k
+    plus the boundary term s_L^2 - 1) and asserted equal to 1e-10.
     """
     if not (0.0 < tau <= 1.0):
         raise ParameterError(f"tau must be in (0, 1], got {tau}")
@@ -254,7 +251,7 @@ def laguerre_rate(d, s, tau: float, check_tau1_identity: bool = True) -> RateRep
         terms.append((f"tau*G(s_{k}/sqrt(tau))", t))
         total += t
     flags = ["infinite"] if not math.isfinite(total) else []
-    if tau == 1.0 and check_tau1_identity and len(s) == len(d) and math.isfinite(total):
+    if tau == 1.0 and len(s) == len(d) > 0 and math.isfinite(total):
         from .jacobi import ds_assemble
 
         coeffs = ds_assemble(d, s)
@@ -285,6 +282,8 @@ def jacobi_ensemble_rate(
     and matches the sampler's even-index mean (kappa1 - kappa2)/(2 + kappa1
     + kappa2). At kappa = 0 both reduce to -sum log(1 - alpha_k^2).
     """
+    if not (kappa1 >= 0.0 and kappa2 >= 0.0):
+        raise ParameterError(f"slopes kappa must be >= 0, got ({kappa1}, {kappa2})")
     vec = np.asarray(alpha.alpha if hasattr(alpha, "alpha") else alpha, dtype=float)
     k1, k2 = kappa1, kappa2
     terms = []

@@ -27,11 +27,10 @@ from .equilibria import (
     m_function,
     u_pm,
 )
-from .errors import ParameterError
+from .errors import NotPositiveDefiniteError, ParameterError
 from .jacobi import JacobiCoeffs, VerblunskyCoeffs, ds_factorize, geronimus
 from .rates import (
     RateReport,
-    big_g,
     hermite_rate,
     jacobi_ensemble_rate,
     laguerre_rate,
@@ -199,9 +198,9 @@ class MeasureDecomposition:
     def outliers_below(self):
         return sorted((e, m) for e, m in self.outlier_list if e < self.bulk[0])
 
-    def total_mass(self, n: int = 8192) -> float:
+    def total_mass(self) -> float:
         lo, hi = self.bulk
-        grid = ChebGrid.for_interval(lo, hi, n)
+        grid = ChebGrid.for_interval(lo, hi, 8192)
         ac_mass = float(np.dot(grid.weights, self.ac(grid.nodes)))
         return ac_mass + sum(m for _, m in self.outlier_list)
 
@@ -325,23 +324,33 @@ class ConjectureReport:
         }
 
 
-def conjecture_probe_laguerre(
-    model: TailJacobiModel, tau: float, n_coeff: int = 2000
-) -> ConjectureReport:
-    """Laguerre conjecture: sum G(d_k) + tau sum G(s_k/sqrt(tau)) over the
-    first n_coeff coefficients against K(MP(tau) | nu) + sum F_L(E_j).
-    Requires the MP(tau) tail. The measure side is `measure_side_rate`
-    against MP(tau), exact (truncation 0); the coefficient side is truncated
-    at n_coeff, with a heuristic tail_bound from its last terms."""
-    rt = math.sqrt(tau)
-    if abs(model.a_inf - rt) > 1e-12 or abs(model.b_inf - (1.0 + tau)) > 1e-12:
+def conjecture_probe_laguerre(model: TailJacobiModel, tau: float) -> ConjectureReport:
+    """Laguerre conjecture: sum G(d_k) + tau sum G(s_k/sqrt(tau)), k >= 1, against
+    K(MP(tau) | nu) + sum F_L(E_j) (`measure_side_rate`); both sides exact.
+
+    Past row K = max(len(head.a), len(head.b) - 1) of the MP(tau) tail,
+    x_k = d_k^2 follows x_{k+1} = 1 + tau - tau/x_k, the k-th pair of terms is
+    x_k - x_{k+1} - (1 - tau) log x_k and x_{K+1}...x_k = 1 + u - u tau^(k-K),
+    so the pairs past K sum to (1 - tau)(u - log1p u), u = (x_{K+1} - 1)/(1 - tau),
+    or x_{K+1} - 1 at tau = 1: +inf at x_{K+1} = tau, not positive definite below.
+    """
+    if not (0.0 < tau <= 1.0):
+        raise ParameterError(f"tau must be in (0, 1], got {tau}")
+    if abs(model.a_inf - math.sqrt(tau)) > 1e-12 or abs(model.b_inf - (1.0 + tau)) > 1e-12:
         raise ParameterError(f"model tail must be (sqrt(tau), 1+tau) for tau = {tau}")
-    coeffs = model.coefficients(n_coeff)
-    d, s = ds_factorize(coeffs)
-    coeff_report = laguerre_rate(d, s, tau, check_tau1_identity=False)
-    # tail estimate from the last computed terms of the factorization
-    tail_terms = [big_g(dk) for dk in d[-10:]] + [tau * big_g(sk / rt) for sk in s[-10:]]
-    coeff_report.tail_bound = float(n_coeff * max(tail_terms)) if tail_terms else 0.0
+    k = max(len(model.head.a), len(model.head.b) - 1)
+    d, s = ds_factorize(model.coefficients(k + 1))
+    x = model.b_at(k) - (s[k - 1] ** 2 if k else 0.0)  # d_{K+1}^2, the pivot itself
+    if x < tau:
+        raise NotPositiveDefiniteError(f"tail pivots turn negative: d_{k + 1}^2 = {x} < tau")
+    tail = x - 1.0  # (1 - tau) u, the whole tail at tau = 1
+    if tau < 1.0:  # minus (1 - tau) log(1 + u), with 1 + u = (x - tau)/(1 - tau) exact near tau
+        tail = tail - (1.0 - tau) * math.log((x - tau) / (1.0 - tau)) if x > tau else math.inf
+    coeff_report = laguerre_rate(d[:k], s, tau)
+    coeff_report.terms.append((f"tail: G(d_k) + tau*G(s_k/sqrt(tau)), k > {k}", tail))
+    coeff_report.value += tail
+    if math.isinf(tail):
+        coeff_report.flags.append("infinite")
     measure_report = measure_side_rate(model, EquilibriumLaw(Family.MARCHENKO_PASTUR, tau=tau))
     return ConjectureReport(
         family="laguerre",

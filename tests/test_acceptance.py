@@ -192,7 +192,7 @@ def test_criterion_7_laguerre_tau1_identity(capsys):
         n = int(rng.integers(2, 10))
         d = rng.uniform(0.3, 2.0, n)
         s = rng.uniform(0.3, 2.0, n)
-        direct = laguerre_rate(d, s, 1.0, check_tau1_identity=False).value
+        direct = laguerre_rate(d, s, 1.0).value
         coeffs = ds_assemble(d, s)
         alt = (
             coeffs.b[0] - 1.0

@@ -193,6 +193,9 @@ MISUSE = [
     ("stats", "--ensemble", "hermite", "--n", "1"),
     ("stats", "--ensemble", "laguerre", "--n", "5", "--m", "1"),
     ("mc", "--x", "2.5", "--n-list", ""),
+    ("probe", "--family", "jacobi", "--kappa1", "-0.5", "--kappa2", "0.2"),
+    ("rate", "--family", "jacobi", "--alpha", "0.1", "--kappa1", "-0.5"),
+    ("probe", "--family", "jacobi", "--kappa1", "-3"),
 ]
 
 
@@ -204,6 +207,27 @@ def test_missing_option_is_one_error_line(capsys, argv):
     lines = err.strip().splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: ")
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("tau", ["-1", "0", "1.5"])
+def test_probe_laguerre_checks_tau_first(capsys, tmp_path, tau):
+    # a valid model file: tau is refused by name before sqrt(tau) is taken
+    model = TailJacobiModel(a_inf=1.0, b_inf=2.0,
+                            head=JacobiCoeffs(np.array([1.3]), np.array([0.8])))
+    path = tmp_path / "mp.json"
+    path.write_text(json.dumps(model.to_json()))
+    code, out, err = run(capsys, "probe", "--family", "laguerre", "--model", str(path),
+                         "--tau", tau)
+    assert code == 1 and out == ""
+    lines = err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: tau ")
+
+
+def test_negative_slope_is_named(capsys):
+    # kappa1 = -3 once reached the Geronimus map and blamed the Verblunsky
+    # coefficients; the slopes are checked first
+    code, _, err = run(capsys, "probe", "--family", "jacobi", "--kappa1", "-3")
+    assert code == 1 and "kappa" in err
 
 
 def source_env():

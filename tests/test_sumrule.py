@@ -11,9 +11,15 @@ from hypothesis import strategies as st
 from scipy.linalg import eigh_tridiagonal, eigvalsh_tridiagonal
 
 from betaspectra.equilibria import ARCSINE_01, ARCSINE_SYM, SC, EquilibriumLaw, Family, u_pm
-from betaspectra.errors import DomainError, ParameterError
-from betaspectra.jacobi import JacobiCoeffs, VerblunskyCoeffs, geronimus, spectral_decompose
-from betaspectra.rates import big_g, jacobi_ensemble_rate, rate_fg
+from betaspectra.errors import DomainError, NotPositiveDefiniteError, ParameterError
+from betaspectra.jacobi import (
+    JacobiCoeffs,
+    VerblunskyCoeffs,
+    ds_factorize,
+    geronimus,
+    spectral_decompose,
+)
+from betaspectra.rates import big_g, jacobi_ensemble_rate, laguerre_rate, rate_fg
 from betaspectra.sumrule import (
     TailJacobiModel,
     ac_density,
@@ -449,6 +455,107 @@ def test_conjecture_probe_laguerre_exact_at_tau_one():
     )
     free = TailJacobiModel(a_inf=1.0, b_inf=2.0)
     assert conjecture_probe_laguerre(free, tau).measure_side.value == pytest.approx(1.0, abs=1e-14)
+
+
+# sqrt(tau) and 1 + tau are exact in binary, so the float tail is MP(tau)
+# itself; with fl(1 + tau) != 1 + tau a float truncation settles on a
+# shifted fixed point and drifts from the MP tail by about 2e-15 absolute
+DYADIC_TAUS = (0.25, 0.5625, 0.765625, 0.87890625)
+
+
+def laguerre_model(tau, b, a):
+    return TailJacobiModel(a_inf=math.sqrt(tau), b_inf=1.0 + tau,
+                           head=JacobiCoeffs(np.asarray(b, float), np.asarray(a, float)))
+
+
+def truncated_laguerre_sum(model, tau, rows=20000):
+    """sum G(d_k) + tau sum G(s_k/sqrt(tau)) over the rows x rows truncation."""
+    d, s = ds_factorize(model.coefficients(rows))
+    x, y = d * d, s * s / tau
+    return math.fsum(x - 1.0 - np.log(x)) + tau * math.fsum(y - 1.0 - np.log(y))
+
+
+def mp_tail_sum(x, tau, rows=1500):
+    """The same sum from d_1^2 = x on the exact MP(tau) tail, in 50 digits."""
+    with mpmath.workdps(50):
+        x, tau = mpmath.mpf(x), mpmath.mpf(tau)
+        total = mpmath.mpf(0)
+        for _ in range(rows):
+            total += x - 1 - mpmath.log(x) + tau * (1 / x - 1 + mpmath.log(x))
+            x = 1 + tau - tau / x
+        return float(total)
+
+
+def test_conjecture_probe_laguerre_tail_matches_truncation():
+    # the closed-form tail against 20000 factorised rows, and the head terms
+    # as laguerre_rate reports them; a head the probe refuses as not
+    # positive definite fails the long factorisation too
+    rng = np.random.default_rng(11)
+    compared = refused = 0
+    for tau in DYADIC_TAUS:
+        for _ in range(40):
+            nb, na = (int(v) for v in rng.integers(0, 5, 2))
+            model = laguerre_model(tau, rng.uniform(0.4, 3.0, nb),
+                                   math.sqrt(tau) * rng.uniform(0.2, 1.5, na))
+            try:
+                coeff = conjecture_probe_laguerre(model, tau).coefficient_side
+            except NotPositiveDefiniteError:
+                refused += 1
+                with pytest.raises(NotPositiveDefiniteError):
+                    ds_factorize(model.coefficients(20000))
+                continue
+            expect = truncated_laguerre_sum(model, tau)
+            assert abs(coeff.value - expect) <= 1e-13 * abs(expect)
+            k = max(na, nb - 1)
+            d, s = ds_factorize(model.coefficients(k + 1))
+            assert coeff.terms[:-1] == laguerre_rate(d[:k], s, tau).terms
+            assert coeff.terms[-1][0].startswith("tail")
+            assert coeff.truncation == k and coeff.tail_bound == 0.0 and not coeff.flags
+            compared += 1
+    assert compared >= 100 and refused >= 10
+
+
+def test_conjecture_probe_laguerre_closes_tau_one_gap():
+    # a truncation misses 1/rows of the tau = 1 tail: -5.0e-4 on this head
+    # at 2000 rows; the closed form d_{K+1}^2 - 1 leaves rounding only
+    rng = np.random.default_rng(13)
+    models = [laguerre_model(1.0, [1.3], [0.8])]
+    models += [laguerre_model(1.0, rng.uniform(1.0, 4.0, nb), rng.uniform(0.2, 1.5, na))
+               for nb, na in rng.integers(0, 5, (100, 2))]
+    closed = 0
+    for model in models:
+        try:
+            report = conjecture_probe_laguerre(model, 1.0)
+        except NotPositiveDefiniteError:
+            continue
+        assert abs(report.gap) <= 1e-13 * (1.0 + abs(report.coefficient_side.value))
+        closed += 1
+    assert closed >= 50
+    # at tau = 1 the pivots stay positive exactly when d_{K+1}^2 >= 1
+    with pytest.raises(NotPositiveDefiniteError):
+        conjecture_probe_laguerre(laguerre_model(1.0, [1.0 - 1e-12], []), 1.0)
+
+
+@pytest.mark.parametrize("tau", DYADIC_TAUS)
+def test_conjecture_probe_laguerre_positivity_boundary(tau):
+    # from d_1^2 = b_0 the tail pivots stay positive exactly when b_0 >= tau;
+    # at b_0 = tau every pivot stays at tau and each pair costs
+    # -(1 - tau) log tau > 0, so the sum is infinite
+    with pytest.raises(NotPositiveDefiniteError):
+        conjecture_probe_laguerre(laguerre_model(tau, [tau * (1.0 - 1e-9)], []), tau)
+    edge = conjecture_probe_laguerre(laguerre_model(tau, [tau], []), tau).coefficient_side
+    assert edge.value == math.inf and edge.flags == ["infinite"]
+    for b0 in (tau * (1.0 + 1e-12), tau * (1.0 + 1e-9), tau * 1.5):
+        coeff = conjecture_probe_laguerre(laguerre_model(tau, [b0], []), tau).coefficient_side
+        expect = mp_tail_sum(b0, tau)
+        assert abs(coeff.value - expect) <= 1e-13 * expect
+
+
+@pytest.mark.parametrize("tau", (0.3, 0.7, *DYADIC_TAUS, 1.0))
+def test_conjecture_probe_laguerre_zero_at_mp(tau):
+    report = conjecture_probe_laguerre(laguerre_model(tau, [1.0], []), tau)
+    assert report.coefficient_side.value == 0.0
+    assert [value for _, value in report.coefficient_side.terms] == [0.0]
 
 
 def test_conjecture_probe_jacobi_long_head():
