@@ -40,6 +40,8 @@ class MomentConstraint:
         c = np.atleast_1d(np.asarray(self.c, dtype=float))
         if c.size % 2 == 0 or c.size < 1:
             raise ParameterError("need an odd number of moments c_1..c_{2l-1}")
+        if not np.all(np.isfinite(c)):
+            raise ParameterError(f"moments must be finite, got {c.tolist()}")
         object.__setattr__(self, "c", c)
 
     @property
@@ -66,6 +68,13 @@ class MomentConstraint:
         l = self.level
         return np.array([[ext[i + j + 1] for j in range(l)] for i in range(l)])
 
+    def fits_interval(self) -> bool:
+        """Whether a measure on [-2, 2] with an a.c. part has these moments:
+        both localizing Hankel matrices [2 m_{i+j} -+ m_{i+j+1}] (of 2 - x
+        and 2 + x) are positive definite, at `HANKEL_MIN_EIG_REL`."""
+        h, h1 = self.hankel(), self.shifted_hankel()
+        return _is_interior(2.0 * h - h1) and _is_interior(2.0 * h + h1)
+
     def to_json(self) -> dict:
         return {"c": self.c.tolist()}
 
@@ -74,9 +83,12 @@ class MomentConstraint:
         return MomentConstraint(np.asarray(obj["c"], dtype=float))
 
 
+def _is_interior(h: np.ndarray) -> bool:
+    return bool(np.linalg.eigvalsh(h).min() > HANKEL_MIN_EIG_REL * np.trace(h))
+
+
 def _check_interior(h: np.ndarray) -> None:
-    eigs = np.linalg.eigvalsh(h)
-    if eigs.min() <= HANKEL_MIN_EIG_REL * np.trace(h):
+    if not _is_interior(h):
         raise NotPositiveDefiniteError(
             "Hankel matrix is singular or indefinite: moments on or outside the boundary"
         )
@@ -129,9 +141,17 @@ def constrained_rate_dual(c: MomentConstraint) -> DualResult:
     Concave; at most 200 damped Newton steps from v = 0 with feasibility
     backtracking (the integrand requires 1 - sum v_j x^j > 0 on [-2, 2]), on
     512 Gauss-Chebyshev nodes. Equality with the primal is claimed only for
-    moments of measures supported in [-2, 2].
+    moments of measures supported in [-2, 2]. Moments that no measure on
+    [-2, 2] with an a.c. part has (`MomentConstraint.fits_interval`) make
+    the dual unbounded: +inf with the `infeasible` flag, and no Newton step.
     """
     _check_interior(c.hankel())
+    if not c.fits_interval():
+        flag = "infeasible: no measure on [-2, 2] with an a.c. part has these moments"
+        return DualResult(
+            value=math.inf, v=np.zeros(c.order + 1), grad_norm=math.inf, certified=False,
+            flags=[flag],
+        )
     grid = ChebGrid.for_interval(-2.0, 2.0, 512)
     order = c.order
     ext = c.extended

@@ -21,7 +21,7 @@ from .ensembles import EnsembleSpec, Kind, RngStream, sample_batch
 from .equilibria import mp_edges, u_pm
 from .errors import ParameterError
 from .jacobi import _lowest_weights
-from .rates import rate_fg, rate_fj, rate_fl
+from .rates import _refuse_nan, rate_fg, rate_fj, rate_fl
 
 __all__ = [
     "McExperiment",
@@ -52,6 +52,7 @@ class McExperiment:
     def __post_init__(self) -> None:
         if self.samples < 1:
             raise ParameterError("samples must be >= 1")
+        _refuse_nan(self.x)
         if self.direction not in ("max_above", "min_below"):
             raise ParameterError(f"unknown direction {self.direction!r}")
         object.__setattr__(self, "n_list", tuple(int(n) for n in self.n_list))

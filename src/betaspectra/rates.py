@@ -55,12 +55,21 @@ class RateReport:
         }
 
 
+def _refuse_nan(x: float) -> None:
+    if math.isnan(x):
+        raise ParameterError("threshold x is NaN")
+
+
 def rate_fg(x: float) -> float:
     """Extreme-eigenvalue cost for the Hermite bulk [-2, 2]:
-    integral of sqrt(t^2 - 4) from 2 to |x|; 0 inside the bulk."""
+    integral of sqrt(t^2 - 4) from 2 to |x|; 0 inside the bulk, +inf at
+    x = +-inf."""
+    _refuse_nan(x)
     ax = abs(x)
     if ax <= 2.0:
         return 0.0
+    if ax == INF:
+        return INF
     root = math.sqrt(ax * ax - 4.0)
     return 0.5 * ax * root - 2.0 * math.log(0.5 * (ax + root))
 
@@ -121,13 +130,14 @@ def rate_fl(x: float, tau: float) -> float:
     """Extreme-eigenvalue cost for the Laguerre bulk [a(tau), b(tau)].
 
     Upper leg x >= b(tau); lower leg 0 < x <= a(tau); 0 inside the bulk;
-    +inf at and below 0 (the integrand ~ c/t diverges). Closed form, see
-    `_edge_cost`.
+    +inf at and below 0 (the integrand ~ c/t diverges) and at x = +inf.
+    Closed form, see `_edge_cost`.
     """
     if not (0.0 < tau <= 1.0):
         raise ParameterError(f"tau must be in (0, 1], got {tau}")
+    _refuse_nan(x)
     a, b = mp_edges(tau)
-    if x <= 0.0:
+    if x <= 0.0 or x == INF:
         return INF
     if a <= x <= b:
         return 0.0
@@ -146,6 +156,7 @@ def rate_fj(x: float, u_minus: float, u_plus: float) -> float:
     """
     if not (0.0 <= u_minus < u_plus <= 1.0):
         raise ParameterError(f"need 0 <= u_minus < u_plus <= 1, got ({u_minus}, {u_plus})")
+    _refuse_nan(x)
     if x <= 0.0 or x >= 1.0:
         return INF
     if u_minus <= x <= u_plus:
@@ -212,8 +223,8 @@ def beta_h(u: float, v: float, q: float, variant: BetaHVariant = BetaHVariant.CO
 
 def hermite_rate(coeffs) -> RateReport:
     """Coefficient-side Hermite rate: sum b_j^2/2 + sum G(a_j) over the given coefficients."""
-    b = np.asarray(coeffs.b, dtype=float)
-    a = np.asarray(coeffs.a, dtype=float)
+    b = np.asarray(coeffs.b, dtype=float).tolist()  # float arithmetic, not numpy scalars
+    a = np.asarray(coeffs.a, dtype=float).tolist()
     terms = []
     total = 0.0
     for j, bj in enumerate(b):

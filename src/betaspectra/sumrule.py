@@ -28,7 +28,7 @@ from .equilibria import (
     u_pm,
 )
 from .errors import NotPositiveDefiniteError, ParameterError
-from .jacobi import JacobiCoeffs, VerblunskyCoeffs, ds_factorize, geronimus
+from .jacobi import PIVMIN, JacobiCoeffs, VerblunskyCoeffs, ds_factorize, geronimus
 from .rates import (
     RateReport,
     hermite_rate,
@@ -67,8 +67,8 @@ class _JostRoots:
     """Roots w = 1/z of the Jost function of the model reduced to the free
     tail, u(z) = prod(1 - z w) / prod(a_j), and what follows from them."""
 
-    w: np.ndarray  # all 2K roots, complex
-    log_a: float  # sum of log a_j over the reduced head
+    zeta: list  # each of the 2K roots w, or 1/w outside the unit circle
+    c0: float  # log|u|^2 averaged over the circle: 2 [sum_{|w|>1} log|w| - sum log a_j]
     outlier_list: list  # (E, mass), sorted by E
     edge_resonances: list  # E of the real roots with 1 < |w| <= 1 + delta
 
@@ -79,39 +79,42 @@ class _JostRoots:
         the circle: u of nu here, u_ref(z) = (1 - w_0 z)(1 - w_1 z)/a_0 with
         w_0, w_1 the reference's `jost_roots`, so K is the reference integral
         of log|u|^2 - log|u_ref|^2. With zeta = w inside the circle and 1/w
-        outside, log|u|^2 = c_0 + sum log|1 - zeta z|^2, c_0 = 2 [sum_{|w|>1}
-        log|w| - sum log a_j], and each log integrates to -Re Phi(zeta)
-        (`_phi`): K = c_0 - c_0(ref) - sum Re Phi(zeta) + Phi(w_0) + Phi(w_1).
+        outside, log|u|^2 = c_0 + sum log|1 - zeta z|^2, and each log
+        integrates to -Re Phi(zeta) (`_phi`):
+        K = c_0 - c_0(ref) - sum Re Phi(zeta) + Phi(w_0) + Phi(w_1).
         """
-        w = self.w
-        out = np.abs(w) > 1.0
-        zeta = w.copy()
-        zeta[out] = 1.0 / w[out]
-        c0 = 2.0 * (float(np.sum(np.log(np.abs(w[out])))) - self.log_a)
         w0, w1 = reference.jost_roots
-        phi = _phi(w0, w1, np.concatenate((zeta, (w0, w1))))  # nu's zeta, then the reference's
+        phi = sum(_phi(w0, w1, z) for z in self.zeta)
         c0_ref = -math.log1p(-w0 * w1)
-        return c0 - c0_ref - float(np.sum(phi[:-2])) + float(phi[-2] + phi[-1])
+        return self.c0 - c0_ref - phi + (_phi(w0, w1, w0) + _phi(w0, w1, w1))
 
 
-def _log1p_minus_id(t: np.ndarray) -> np.ndarray:
-    """Re[log(1 + t) - t] for complex t inside the unit circle (vectorized).
+# 1/(k + 2), k = 0..26: the coefficients of the series in _log1p_minus_id
+_SERIES = tuple(1.0 / (k + 2) for k in range(27))
+_LN_EPS = 53.0 * math.log(2.0)
+
+
+def _log1p_minus_id(t: complex) -> float:
+    """Re[log(1 + t) - t] for complex t inside the unit circle.
 
     Up to |t| = 1/4 the two terms cancel to -t^2/2, so there it is the
-    Taylor series -t^2 sum_k (-t)^k/(k + 2) (ratio <= 1/4, 27 terms);
-    beyond, the logarithm itself.
+    Taylor series -t^2 sum_k (-t)^k/(k + 2), cut where |t|^k falls below
+    2^-53 (27 terms at |t| = 1/4); beyond, the logarithm itself.
     """
-    acc = np.zeros_like(t)
-    for k in range(26, -1, -1):
-        acc = acc * -t + 1.0 / (k + 2)
-    series = (-t * t * acc).real
-    direct = np.log(np.abs(1.0 + t)) - t.real
-    return np.where(np.abs(t) <= 0.25, series, direct)
+    m = abs(t)
+    if m > 0.25:
+        return math.log(abs(1.0 + t)) - t.real
+    if m == 0.0:
+        return 0.0
+    acc = 0.0
+    for c in reversed(_SERIES[: math.ceil(_LN_EPS / -math.log(m))]):
+        acc = acc * -t + c
+    return (-t * t * acc).real
 
 
-def _phi(w0: float, w1: float, z: np.ndarray) -> np.ndarray:
-    """Re Phi(z) of the reference with reduced Jost roots w0, w1, for complex
-    z in the closed unit disc (vectorized).
+def _phi(w0: float, w1: float, z: complex) -> float:
+    """Re Phi(z) of the reference with reduced Jost roots w0, w1, for z in
+    the closed unit disc.
 
     Phi(z) = sum_n c_n z^n/n, c_n = 2 int cos(n t) d(reference) the n-th
     Chebyshev moment, so Phi' = (b_0 - (2 - a_0^2) s)/(1 - b_0 s + (1 - a_0^2) s^2)
@@ -124,7 +127,7 @@ def _phi(w0: float, w1: float, z: np.ndarray) -> np.ndarray:
     if w0 == w1:
         return -0.5 * (z * z).real
 
-    def g(w: float):
+    def g(w: float) -> float:
         if w == 0.0 or w * w == 1.0:
             return 0.0
         return (1.0 - w * w) / w * _log1p_minus_id(-w * z)
@@ -132,13 +135,62 @@ def _phi(w0: float, w1: float, z: np.ndarray) -> np.ndarray:
     return (w0 + w1) * z.real + (g(w0) - g(w1)) / (w0 - w1)
 
 
+def _lift(pivot: float) -> float:
+    """Pivots below PIVMIN in magnitude, exact zeros among them, become -PIVMIN."""
+    return pivot if abs(pivot) >= PIVMIN else -PIVMIN
+
+
+def _outlier_mass(b: list, a: list, w: float) -> float:
+    """Mass of the outlier at the real reduced Jost root w, |w| > 1, of the
+    reduced head b_0..b_{K-1}, a_0..a_{K-1}: the squared first component of
+    its unit eigenvector u.
+
+    On the tail u_{K+j} = u_K w^-j with u_K = a_{K-1} u_{K-1}/w, so the
+    head of u is a null vector of the K x K section minus E = w + 1/w with
+    the tail's Schur complement a_{K-1}^2/w added to its last diagonal
+    entry. One twisted factorisation gives it in O(K) (Dhillon-Parlett,
+    LAA 387, 2004): forward pivots d_i, backward pivots p_i, the twist at
+    r = argmin |gamma_r|, gamma_r = d_r - a_r^2/p_{r+1}, the rule of
+    `jacobi._first_row_weights`, and u_r = 1 there. The geometric tail
+    u_K^2/(1 - w^-2) is added to |u|^2 after.
+    """
+    k = len(b)
+    e = w + 1.0 / w
+    diag = [bj - e for bj in b]
+    diag[-1] += a[-1] * a[-1] / w
+    a2 = [x * x for x in a]
+    d = diag[:]
+    for i in range(k):
+        if i:
+            d[i] -= a2[i - 1] / d[i - 1]
+        d[i] = _lift(d[i])
+    p = diag[:]
+    best, r, g = math.inf, k - 1, 0.0  # g = a_i^2 / p_{i+1}, 0 on the last row
+    for i in range(k - 1, -1, -1):
+        if abs(d[i] - g) < best:
+            best, r = abs(d[i] - g), i
+        p[i] = _lift(diag[i] - g)
+        g = a2[i - 1] / p[i] if i else 0.0
+    u = [0.0] * k
+    u[r] = 1.0
+    for i in range(r - 1, -1, -1):
+        u[i] = -a[i] * u[i + 1] / d[i]
+    for i in range(r + 1, k):
+        u[i] = -a[i - 1] * u[i - 1] / p[i]
+    tail = (a[-1] * u[-1] / w) ** 2 / (1.0 - w**-2.0)
+    return u[0] * u[0] / (sum(x * x for x in u) + tail)
+
+
 def _jost(model: TailJacobiModel) -> _JostRoots:
-    """Reduce the model to the free tail, (J - b_inf)/a_inf, with K = head
-    length. A solution equal to w^{-n} on the tail solves J u = (w + 1/w) u
-    iff its head v = (u_0..u_{K-1}) solves the quadratic eigenproblem
-    (w^2 I - w J_K - M) v = 0, M = a_{K-1}^2 e_K e_K^T - I. Its 2K roots come
-    from the companion matrix; the real ones with |w| > 1 are the outliers
-    E = b_inf + a_inf (w + 1/w), the ell^2 eigenvectors.
+    """Jost roots of the model reduced to the free tail, (J - b_inf)/a_inf,
+    with K = head length: eigenvalues only; masses by twisted factorisation.
+
+    A solution equal to w^{-n} on the tail solves J u = (w + 1/w) u iff its
+    head v = (u_0..u_{K-1}) solves the quadratic eigenproblem
+    (w^2 I - w J_K - M) v = 0, M = a_{K-1}^2 e_K e_K^T - I. Its 2K roots are
+    the eigenvalues of the companion matrix; the real ones with |w| > 1 are
+    the outliers E = b_inf + a_inf (w + 1/w), the ell^2 eigenvectors, whose
+    masses come from `_outlier_mass`.
 
     Complex roots are never outliers: the operator is self-adjoint, and a
     complex root just outside the circle is a resonance pushed there by
@@ -146,37 +198,48 @@ def _jost(model: TailJacobiModel) -> _JostRoots:
     """
     k = model.head_len
     if k == 0:
-        return _JostRoots(np.empty(0, dtype=complex), 0.0, [], [])
-    b = (np.array([model.b_at(j) for j in range(k)]) - model.b_inf) / model.a_inf
-    a = np.array([model.a_at(j) for j in range(k)]) / model.a_inf
-    comp = np.zeros((2 * k, 2 * k))
-    comp[:k, k:] = np.eye(k)
-    comp[k:, :k] = -np.eye(k)
+        return _JostRoots([], 0.0, [], [])
+    b_inf, a_inf = model.b_inf, model.a_inf
+    b = [(model.b_at(j) - b_inf) / a_inf for j in range(k)]
+    a = [model.a_at(j) / a_inf for j in range(k)]
+    n = 2 * k
+    comp = np.zeros((n, n))
+    flat = comp.reshape(-1)  # strided slices of it are (off-)diagonals of blocks
+    flat[k : n * k : n + 1] = 1.0  # upper right block: I
+    flat[n * k :: n + 1] = -1.0  # lower left block: -I
+    low = n * k + k  # lower right block: J_K
+    flat[low :: n + 1] = b
+    flat[low + 1 :: n + 1] = flat[low + n :: n + 1] = a[:-1]
     comp[-1, k - 1] += a[-1] ** 2
-    comp[k:, k:] = np.diag(b) + np.diag(a[:-1], 1) + np.diag(a[:-1], -1)
-    w, vecs = np.linalg.eig(comp)
-    real = w.imag == 0.0
-    mag = np.abs(w)
-    bound = real & (mag > 1.0 + JOST_EDGE_DELTA)
-    wr = w[bound].real
-    v = vecs[:k, bound].real
-    # ||u||^2 of the eigenvector: the head plus the geometric tail
-    # u_{K+j} = u_K w^{-j}, u_K = a_{K-1} v_{K-1} / w
-    tail = (a[-1] * v[-1] / wr) ** 2 / (1.0 - wr**-2.0)
-    mass = v[0] ** 2 / (np.sum(v * v, axis=0) + tail)
-    energy = model.b_inf + model.a_inf * (wr + 1.0 / wr)
-    edge = w[real & (mag > 1.0) & ~bound].real
+    zeta, outs, edge = [], [], []
+    log_out = 0.0  # sum of log|w| over the roots outside the circle
+    for w in np.linalg.eigvals(comp).tolist():
+        mag = abs(w)
+        if mag <= 1.0:
+            zeta.append(w)
+            continue
+        zeta.append(1.0 / w)
+        log_out += math.log(mag)
+        if w.imag != 0.0:
+            continue
+        x = w.real
+        energy = b_inf + a_inf * (x + 1.0 / x)
+        if mag > 1.0 + JOST_EDGE_DELTA:
+            outs.append((energy, _outlier_mass(b, a, x)))
+        else:
+            edge.append(energy)
     return _JostRoots(
-        w=w,
-        log_a=float(np.sum(np.log(a))),
-        outlier_list=sorted(zip(energy.tolist(), mass.tolist())),
-        edge_resonances=sorted((model.b_inf + model.a_inf * (edge + 1.0 / edge)).tolist()),
+        zeta=zeta,
+        c0=2.0 * (log_out - sum(math.log(x) for x in a)),
+        outlier_list=sorted(outs),
+        edge_resonances=sorted(edge),
     )
 
 
 def outliers(model: TailJacobiModel):
     """All isolated eigenvalues outside the bulk, with their masses, sorted:
-    the real Jost roots outside the unit circle, from one eigensolve."""
+    the real Jost roots outside the unit circle, from the eigenvalues of one
+    companion matrix and a twisted factorisation per outlier."""
     return _jost(model).outlier_list
 
 

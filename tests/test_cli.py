@@ -196,6 +196,11 @@ MISUSE = [
     ("probe", "--family", "jacobi", "--kappa1", "-0.5", "--kappa2", "0.2"),
     ("rate", "--family", "jacobi", "--alpha", "0.1", "--kappa1", "-0.5"),
     ("probe", "--family", "jacobi", "--kappa1", "-3"),
+    ("rate", "--family", "fg", "--x", "nan"),
+    ("rate", "--family", "fl", "--tau", "0.5", "--x", "nan"),
+    ("rate", "--family", "fj", "--u-minus", "0.2", "--u-plus", "0.6", "--x", "nan"),
+    ("mc", "--x", "nan", "--n-list", "5", "--samples", "10"),
+    ("moments", "--c", "inf"),
 ]
 
 
@@ -221,6 +226,13 @@ def test_probe_laguerre_checks_tau_first(capsys, tmp_path, tau):
     assert code == 1 and out == ""
     lines = err.strip().splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: tau ")
+
+
+def test_rate_at_infinite_threshold(capsys):
+    for argv in (("fg",), ("fl", "--tau", "0.5")):
+        code, out, err = run(capsys, "rate", "--family", *argv, "--x", "inf")
+        assert code == 0 and err == ""
+        assert json.loads(out)["value"] == math.inf
 
 
 def test_negative_slope_is_named(capsys):

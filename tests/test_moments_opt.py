@@ -26,6 +26,9 @@ def test_constraint_validation():
     assert np.array_equal(c.shifted_hankel(), [[0.0, 1.0], [1.0, 0.0]])
     back = MomentConstraint.from_json(c.to_json())
     assert np.array_equal(back.c, c.c)
+    for bad in ([np.inf], [0.0, np.nan, 0.0], [0.0, 1.0, -np.inf]):
+        with pytest.raises(ParameterError, match="finite"):
+            MomentConstraint(np.array(bad))
 
 
 def test_moments_to_jacobi_free_moments():
@@ -90,6 +93,25 @@ def test_primal_dual_agreement_interior():
         assert dual.value <= primal + 1e-8
         assert dual.value == pytest.approx(primal, abs=1e-4)
         count += 1
+
+
+@pytest.mark.parametrize("c", [[3.0], [2.0], [-2.0], [0.0, 4.0, 0.0], [1.0, 2.0, 4.0]])
+def test_dual_infeasible_moments(c):
+    # no measure on [-2, 2] with an a.c. part has these moments: m_1 not inside
+    # (-2, 2), or m_2 = 4 (the atoms at -+2 only), or a localizing Hankel
+    # matrix that is not positive definite. The dual is unbounded, and no
+    # Newton step is taken
+    constraint = MomentConstraint(np.array(c))
+    assert not constraint.fits_interval()
+    dual = constrained_rate_dual(constraint)
+    assert dual.value == np.inf and not dual.certified
+    assert dual.flags and dual.flags[0].startswith("infeasible")
+    assert not np.any(dual.v)
+
+
+@pytest.mark.parametrize("c", [[0.1], [1.999], [0.0, 1.0, 0.0], [0.0, 3.9, 0.0]])
+def test_fits_interval_interior(c):
+    assert MomentConstraint(np.array(c)).fits_interval()
 
 
 def test_report_flags_outliers():

@@ -34,6 +34,8 @@ def test_experiment_validation():
                      direction="sideways")
     with pytest.raises(ParameterError):
         McExperiment(spec=HERMITE, x=2.2, n_list=(), samples=10, seed=1)
+    with pytest.raises(ParameterError, match="NaN"):
+        McExperiment(spec=HERMITE, x=float("nan"), n_list=(10,), samples=10, seed=1)
     exp = McExperiment(spec=HERMITE, x=2.2, n_list=[10, 20], samples=10, seed=1)
     assert exp.n_list == (10, 20)
     back = McExperiment.from_json(exp.to_json())

@@ -63,6 +63,17 @@ def test_rate_fj_values():
         rate_fj(0.5, 0.75, 0.25)
 
 
+def test_outlier_costs_at_non_finite_thresholds():
+    # the costs grow without bound; NaN is refused by name, not returned
+    assert rate_fg(INF) == INF and rate_fg(-INF) == INF
+    assert rate_fl(INF, 0.5) == INF and rate_fl(-INF, 0.5) == INF
+    assert rate_fj(INF, 0.25, 0.75) == INF and rate_fj(-INF, 0.25, 0.75) == INF
+    for call in (lambda: rate_fg(math.nan), lambda: rate_fl(math.nan, 0.5),
+                 lambda: rate_fj(math.nan, 0.25, 0.75)):
+        with pytest.raises(ParameterError, match="NaN"):
+            call()
+
+
 def _oracle(x, lo, hi, weight):
     """50-digit tanh-sinh quadrature of sqrt(|(t - lo)(t - hi)|) * weight(t)
     from the nearer edge of [lo, hi] to x."""

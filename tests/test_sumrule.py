@@ -1,6 +1,7 @@
 """Constant-tail Jacobi models: transform, spectral decomposition,
 sum-rule identity and the conjectured analogues."""
 
+import ast
 import math
 
 import mpmath
@@ -20,8 +21,11 @@ from betaspectra.jacobi import (
     spectral_decompose,
 )
 from betaspectra.rates import big_g, jacobi_ensemble_rate, laguerre_rate, rate_fg
+from betaspectra import sumrule as sumrule_module
 from betaspectra.sumrule import (
+    JOST_EDGE_DELTA,
     TailJacobiModel,
+    _jost,
     ac_density,
     conjecture_probe_jacobi,
     conjecture_probe_laguerre,
@@ -188,6 +192,71 @@ def test_sumrule_exact_on_random_heads(nb, na, data):
     report = sumrule_verify(model)
     assert abs(report.gap) <= 1e-10 * (1.0 + abs(report.jacobi_side))
     assert outlier_mismatches(model, report.outlier_list) == []
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(
+    nb=st.integers(1, 100),
+    na=st.integers(0, 100),
+    data=st.data(),
+)
+def test_outlier_masses_match_truncation(nb, na, data):
+    # the first-row weights of the (head + 600) truncation's eigenvectors; an
+    # outlier 1e-3 past the edge has |w| > 1.03, so its tail past 600 rows
+    # is below 1e-16
+    coord = lambda lo, hi: st.floats(lo, hi, allow_nan=False, allow_infinity=False)
+    b = data.draw(st.lists(coord(-1.5, 1.5), min_size=nb, max_size=nb))
+    a = data.draw(st.lists(coord(0.5, 1.8), min_size=na, max_size=na))
+    model = head(b, a)
+    coeffs = model.coefficients(model.head_len + 600)
+    ev, vec = eigh_tridiagonal(coeffs.b, coeffs.a)
+    for e, mass in outliers(model):
+        if abs(e) > 2.0 + 1e-3:
+            assert mass == pytest.approx(vec[0, np.argmin(np.abs(ev - e))] ** 2, abs=1e-11)
+
+
+def eigenvector_outliers(model):
+    """Outliers and masses from the eigenvectors of the 2K x 2K companion
+    matrix of `sumrule._jost`: the head of each outlier's eigenvector is
+    the top half of the companion eigenvector, plus the geometric tail."""
+    k = model.head_len
+    b = (np.array([model.b_at(j) for j in range(k)]) - model.b_inf) / model.a_inf
+    a = np.array([model.a_at(j) for j in range(k)]) / model.a_inf
+    comp = np.zeros((2 * k, 2 * k))
+    comp[:k, k:] = np.eye(k)
+    comp[k:, :k] = -np.eye(k)
+    comp[-1, k - 1] += a[-1] ** 2
+    comp[k:, k:] = np.diag(b) + np.diag(a[:-1], 1) + np.diag(a[:-1], -1)
+    w, vecs = np.linalg.eig(comp)
+    bound = (w.imag == 0.0) & (np.abs(w) > 1.0 + JOST_EDGE_DELTA)
+    wr = w[bound].real
+    v = vecs[:k, bound].real
+    tail = (a[-1] * v[-1] / wr) ** 2 / (1.0 - wr**-2.0)
+    mass = v[0] ** 2 / (np.sum(v * v, axis=0) + tail)
+    energy = model.b_inf + model.a_inf * (wr + 1.0 / wr)
+    return sorted(zip(energy.tolist(), mass.tolist()))
+
+
+def test_twisted_masses_match_eigenvectors():
+    rng = np.random.default_rng(11)
+    count = 0
+    for _ in range(60):
+        n = int(rng.integers(1, 120))
+        model = head(rng.uniform(-1.5, 1.5, n), rng.uniform(0.5, 1.8, int(rng.integers(0, n + 1))))
+        got, expect = outliers(model), eigenvector_outliers(model)
+        assert len(got) == len(expect)
+        for (e, mass), (e_ref, mass_ref) in zip(got, expect):
+            assert e == pytest.approx(e_ref, rel=1e-13)
+            assert mass == pytest.approx(mass_ref, abs=1e-11)
+        count += len(got)
+    assert count > 500
+
+
+def test_sumrule_forms_no_eigenvector():
+    with open(sumrule_module.__file__) as fh:
+        tree = ast.parse(fh.read())
+    attrs = {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+    assert "eig" not in attrs and "eigh" not in attrs
 
 
 def test_edge_resonance_is_flagged_not_counted():
@@ -439,6 +508,44 @@ def test_kullback_exact_against_mpmath(case):
     assert label == "kullback" and report.truncation == 0
     assert math.isfinite(got)
     assert got == pytest.approx(kullback_oracle(law, model), abs=1e-13)
+
+
+def vectorised_phi(w0, w1, z):
+    """Re Phi(z) over an array z, with the 27-term array Horner series
+    (`sumrule._phi` in scalar form)."""
+    def log1p_minus_id(t):
+        acc = np.zeros_like(t)
+        for k in range(26, -1, -1):
+            acc = acc * -t + 1.0 / (k + 2)
+        return np.where(np.abs(t) <= 0.25, (-t * t * acc).real, np.log(np.abs(1.0 + t)) - t.real)
+
+    if w0 == w1:
+        return -0.5 * (z * z).real
+
+    def g(w):
+        return 0.0 if w == 0.0 or w * w == 1.0 else (1.0 - w * w) / w * log1p_minus_id(-w * z)
+
+    return (w0 + w1) * z.real + (g(w0) - g(w1)) / (w0 - w1)
+
+
+@pytest.mark.parametrize("law", [mp_law(0.3), mp_law(1.0), mp_law(1e-4),
+                                 kmk(0.1, 0.95), kmk(0.0, 0.6), kmk(0.3, 1.0),
+                                 ARCSINE_01], ids=str)
+def test_kullback_scalar_phi_matches_vectorised(law):
+    rng = np.random.default_rng(12)
+    tail = law.model
+    for _ in range(20):
+        n = int(rng.integers(1, 12))
+        model = TailJacobiModel(
+            a_inf=tail.a_inf, b_inf=tail.b_inf,
+            head=JacobiCoeffs(tail.b_inf + tail.a_inf * rng.uniform(-1.5, 1.5, n),
+                              tail.a_inf * rng.uniform(0.5, 1.8, n)),
+        )
+        roots = _jost(model)
+        w0, w1 = law.jost_roots
+        phi = vectorised_phi(w0, w1, np.array([*roots.zeta, w0, w1], dtype=complex))
+        expect = roots.c0 + math.log1p(-w0 * w1) - float(np.sum(phi[:-2])) + float(phi[-2] + phi[-1])
+        assert roots.kullback(law) == pytest.approx(expect, rel=1e-14)
 
 
 def test_conjecture_probe_laguerre_exact_at_tau_one():
