@@ -15,11 +15,8 @@ from .equilibria import (
     ChebGrid,
     EquilibriumLaw,
     Family,
-    MomentVector,
     density,
-    law_grid,
     moment,
-    moment_distance,
     mp_edges,
     sigma_pm,
     stieltjes,
@@ -36,11 +33,9 @@ from .errors import (
     RangeError,
 )
 from .jacobi import (
-    FREE_TAIL,
     DiscreteMeasure,
     JacobiCoeffs,
     VerblunskyCoeffs,
-    affine_r,
     affine_s,
     ds_assemble,
     ds_factorize,
@@ -58,7 +53,6 @@ from .ensembles import (
     sample_hermite,
     sample_jacobi_kn,
     sample_laguerre,
-    sample_primitive,
     spectral_measure,
 )
 from .rates import (
@@ -68,7 +62,6 @@ from .rates import (
     big_g,
     hermite_rate,
     jacobi_ensemble_rate,
-    kullback,
     laguerre_rate,
     rate_fg,
     rate_fj,
@@ -77,13 +70,11 @@ from .rates import (
 )
 from .sumrule import (
     ConjectureReport,
-    MeasureDecomposition,
     SumRuleReport,
     TailJacobiModel,
     ac_density,
     conjecture_probe_jacobi,
     conjecture_probe_laguerre,
-    decompose,
     m_function,
     measure_side_rate,
     outliers,

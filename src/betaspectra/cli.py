@@ -63,6 +63,16 @@ class _Parser(argparse.ArgumentParser):
         print(f"error: {message}", file=sys.stderr)
         raise SystemExit(1)
 
+    def _parse_optional(self, arg_string):
+        # argparse reads "-inf" or "-1e-3" as an unknown option, since only
+        # "-2" and "-0.5" look like negative numbers to it; no option here
+        # is a number, so whatever float() takes is a value
+        try:
+            float(arg_string)
+        except ValueError:
+            return super()._parse_optional(arg_string)
+        return None
+
 
 def _float_list(text: str) -> list[float]:
     return [float(t) for t in text.replace(",", " ").split()]

@@ -1,5 +1,5 @@
 """Tridiagonal samplers for the beta-Hermite, beta-Laguerre and
-Killip-Nenciu beta-Jacobi ensembles, plus the primitive distributions.
+Killip-Nenciu beta-Jacobi ensembles.
 
 Each ensemble has one draw function with a batch axis; a single draw is a
 batch of one, and sample_batch dispatches on the kind. All samplers are
@@ -33,7 +33,6 @@ __all__ = [
     "EnsembleSpec",
     "RngStream",
     "LaguerreDraw",
-    "sample_primitive",
     "sample_hermite",
     "sample_laguerre",
     "sample_jacobi_kn",
@@ -164,18 +163,6 @@ class EnsembleSpec:
         )
 
 
-def sample_gauss(sigma2: float, rng: np.random.Generator, size=None):
-    if sigma2 <= 0.0:
-        raise ParameterError("variance must be > 0")
-    return rng.normal(0.0, np.sqrt(sigma2), size=size)
-
-
-def sample_gamma(shape: float, scale: float, rng: np.random.Generator, size=None):
-    if shape <= 0.0 or scale <= 0.0:
-        raise ParameterError("gamma shape and scale must be > 0")
-    return rng.gamma(shape, scale, size=size)
-
-
 def sample_beta_s(a: float, b: float, rng: np.random.Generator, size=None):
     """Symmetric-beta draw on (-1, 1] with density prop. to (1-x)^(a-1)(1+x)^(b-1).
 
@@ -184,27 +171,6 @@ def sample_beta_s(a: float, b: float, rng: np.random.Generator, size=None):
     if np.min(a) <= 0.0 or np.min(b) <= 0.0:
         raise ParameterError("beta_s parameters must be > 0")
     return 2.0 * rng.beta(b, a, size=size) - 1.0
-
-
-def sample_dirichlet(params, rng: np.random.Generator):
-    params = np.asarray(params, dtype=float)
-    if params.size == 0 or np.min(params) <= 0.0:
-        raise ParameterError("Dirichlet parameters must be > 0")
-    return rng.dirichlet(params)
-
-
-def sample_primitive(dist: str, params, rng: RngStream | np.random.Generator, size=None):
-    """Dispatch on {gauss, gamma, beta_s, dirichlet} with positional params."""
-    gen = rng.generator() if isinstance(rng, RngStream) else rng
-    if dist == "gauss":
-        return sample_gauss(params[0], gen, size)
-    if dist == "gamma":
-        return sample_gamma(params[0], params[1], gen, size)
-    if dist == "beta_s":
-        return sample_beta_s(params[0], params[1], gen, size)
-    if dist == "dirichlet":
-        return sample_dirichlet(params, gen)
-    raise ParameterError(f"unknown primitive distribution {dist!r}")
 
 
 # A Beta draw with a tiny parameter can round to 0 or 1, making 2x - 1 = -1

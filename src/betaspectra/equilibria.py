@@ -1,13 +1,13 @@
-"""Reference laws as constant-tail Jacobi models, and the moment-space metric.
+"""Reference laws as constant-tail Jacobi models.
 
 A TailJacobiModel is a Jacobi operator with a finite head on a constant
 tail; its m-function is a finite continued fraction ended by the closed-form
 transform of the tail, whose boundary values give the a.c. density. Each of
 the semicircle, Marchenko-Pastur, Kesten-McKay and arcsine laws is such a
 model with a one-term head, so their densities, Cauchy-Stieltjes transforms
-(Herglotz branch), supports and moments are those of the model. Also here:
-a Gauss-Chebyshev rule for quadrature against other densities and the metric
-d(mu, nu) = sum_k 2^-k |m_k(mu) - m_k(nu)| / (1 + |...|).
+(Herglotz branch), supports and exact moments are those of the model. Also
+here: the Gauss-Chebyshev rule on which the moment-constrained dual
+integrates against the semicircle.
 """
 
 from __future__ import annotations
@@ -25,18 +25,14 @@ __all__ = [
     "Family",
     "EquilibriumLaw",
     "TailJacobiModel",
-    "MomentVector",
     "ChebGrid",
     "m_function",
     "ac_density",
     "density",
     "stieltjes",
     "moment",
-    "moment_distance",
-    "MomentDistance",
     "sigma_pm",
     "u_pm",
-    "law_grid",
     "SC",
     "ARCSINE_SYM",
     "ARCSINE_01",
@@ -290,19 +286,17 @@ def stieltjes(law: EquilibriumLaw, z) -> complex:
 
 @dataclass(frozen=True)
 class ChebGrid:
-    """Gauss-Chebyshev rule mapped to [center - radius, center + radius].
+    """Gauss-Chebyshev rule mapped to [lo, hi], with Lebesgue weights.
 
-    Nodes x_k = center + radius * cos(theta_k), theta_k = (2k-1)pi/(2n).
-    ``weights`` are Lebesgue weights (intrinsic weight pi/n times the
-    Jacobian radius*sin(theta_k)); the substitution absorbs inverse
-    square-root edge singularities.
+    Nodes x_k = c + r cos(theta_k), theta_k = (2k-1)pi/(2n), c and r the
+    interval's center and radius. ``weights`` are the rule's pi/n times the
+    Jacobian r sin(theta_k), so the substitution absorbs inverse square-root
+    edge singularities; against a density with square-root edges (SC) the
+    rule is exact for polynomials of degree < 2n - 2.
     """
 
-    n: int
-    center: float
-    radius: float
-    nodes: np.ndarray = field(repr=False)
-    weights: np.ndarray = field(repr=False)
+    nodes: np.ndarray
+    weights: np.ndarray
 
     @staticmethod
     def for_interval(lo: float, hi: float, n: int = 512) -> "ChebGrid":
@@ -312,21 +306,7 @@ class ChebGrid:
         theta = (2.0 * np.arange(1, n + 1) - 1.0) * math.pi / (2.0 * n)
         nodes = c + r * np.cos(theta)
         weights = (math.pi / n) * r * np.sin(theta)
-        return ChebGrid(n=n, center=c, radius=r, nodes=nodes, weights=weights)
-
-    @property
-    def intrinsic_weight(self) -> float:
-        return math.pi / self.n
-
-    def integrate_chebyshev(self, g) -> float:
-        """Integral of g against the rule's intrinsic Chebyshev-type weight
-        1/sqrt(radius^2 - (x-center)^2); exact for polynomials of degree < 2n."""
-        return self.intrinsic_weight * float(np.sum(g(self.nodes)))
-
-
-def law_grid(law: EquilibriumLaw, n: int = 512) -> ChebGrid:
-    lo, hi = law.support
-    return ChebGrid.for_interval(lo, hi, n)
+        return ChebGrid(nodes=nodes, weights=weights)
 
 
 def _moments(law: EquilibriumLaw, order: int) -> np.ndarray:
@@ -341,64 +321,6 @@ def moment(law: EquilibriumLaw, k: int) -> float:
     if k < 1:
         raise ParameterError("moment order must be >= 1")
     return float(_moments(law, k)[-1])
-
-
-@dataclass(frozen=True)
-class MomentVector:
-    """Finite prefix (m_1, ..., m_order) of a moment sequence; m_0 = 1 implied."""
-
-    values: np.ndarray
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "values", np.asarray(self.values, dtype=float))
-
-    @property
-    def order(self) -> int:
-        return len(self.values)
-
-    def with_zeroth(self) -> np.ndarray:
-        return np.concatenate(([1.0], self.values))
-
-    def hankel(self, k: int) -> np.ndarray:
-        """(k+1) x (k+1) Hankel matrix [m_{i+j}], needs order >= 2k."""
-        m = self.with_zeroth()
-        if 2 * k >= len(m):
-            raise DomainError(f"Hankel of size {k + 1} needs {2 * k} stored moments")
-        return np.array([[m[i + j] for j in range(k + 1)] for i in range(k + 1)])
-
-    def is_nonnegative_definite(self, tol: float = 1e-10) -> bool:
-        """Necessary moment-sequence condition: every stored Hankel is PSD."""
-        kmax = (self.order) // 2
-        for k in range(kmax + 1):
-            w = np.linalg.eigvalsh(self.hankel(k))
-            if w[0] < -tol * max(1.0, abs(w[-1])):
-                return False
-        return True
-
-    @staticmethod
-    def of_law(law: EquilibriumLaw, order: int) -> "MomentVector":
-        return MomentVector(_moments(law, order))
-
-    @staticmethod
-    def of_atoms(locations, weights, order: int) -> "MomentVector":
-        loc = np.asarray(locations, dtype=float)
-        w = np.asarray(weights, dtype=float)
-        return MomentVector(np.array([float(np.dot(w, loc**k)) for k in range(1, order + 1)]))
-
-
-@dataclass(frozen=True)
-class MomentDistance:
-    value: float
-    remainder_bound: float
-    truncation: int
-
-
-def moment_distance(mu: MomentVector, nu: MomentVector, truncation: int = 64) -> MomentDistance:
-    """Moment-convergence metric, truncated at order K with remainder in [0, 2^-K]."""
-    k = min(truncation, mu.order, nu.order)
-    delta = np.abs(mu.values[:k] - nu.values[:k])
-    terms = np.power(0.5, np.arange(1, k + 1)) * delta / (1.0 + delta)
-    return MomentDistance(value=float(np.sum(terms)), remainder_bound=2.0**-k, truncation=k)
 
 
 def sigma_pm(b: float, c: float) -> tuple[float, float]:

@@ -2,7 +2,7 @@
 
 Spectral decomposition, Householder reduction in the other direction, the
 section moment identity, the Geronimus relations from Verblunsky data, the
-affine [0,1] <-> [-2,2] maps and the bidiagonal d/s factorization.
+affine map [-2,2] -> [0,1] and the bidiagonal d/s factorization.
 """
 
 from __future__ import annotations
@@ -27,11 +27,9 @@ __all__ = [
     "measure_to_jacobi",
     "jacobi_moments",
     "geronimus",
-    "affine_r",
     "affine_s",
     "ds_factorize",
     "ds_assemble",
-    "FREE_TAIL",
 ]
 
 ATOM_SEPARATION_RTOL = 1e-13
@@ -89,9 +87,6 @@ class JacobiCoeffs:
     @staticmethod
     def from_json(obj: dict) -> "JacobiCoeffs":
         return JacobiCoeffs(np.asarray(obj["b"], dtype=float), np.asarray(obj["a"], dtype=float))
-
-
-FREE_TAIL = (1.0, 0.0)  # (a_inf, b_inf) of the free Jacobi matrix
 
 
 @dataclass(frozen=True)
@@ -458,11 +453,6 @@ def geronimus(alpha: VerblunskyCoeffs, n: int) -> JacobiCoeffs:
     if len(alpha) < 2 * n - 1:
         raise RangeError(f"need alpha_0..alpha_{2 * n - 2}, got {len(alpha)} coefficients")
     return JacobiCoeffs(*_geronimus(alpha.alpha, n))
-
-
-def affine_r(x):
-    """[0,1] -> [-2,2]: r(x) = 4x - 2."""
-    return 4.0 * np.asarray(x, dtype=float) - 2.0
 
 
 def affine_s(y):

@@ -1,8 +1,10 @@
 """Large-deviation rate functions.
 
 Outlier costs F_G / F_L / F_J, the coordinate rates x^2/2, g, G and the
-symmetric-beta rate h (paper-literal and corrected variants), ensemble-level
-coefficient functionals, and reversed Kullback information K(P|Q).
+symmetric-beta rate h (paper-literal and corrected variants), and
+ensemble-level coefficient functionals. The reversed Kullback information
+K(reference | nu) of the measure side is an exact Jost-root sum in
+`sumrule` (`measure_side_rate`).
 """
 
 from __future__ import annotations
@@ -13,13 +15,12 @@ from enum import Enum
 
 import numpy as np
 
-from .equilibria import EquilibriumLaw, density, mp_edges
+from .equilibria import mp_edges
 from .errors import ParameterError
 
 __all__ = [
     "RateReport",
     "BetaHVariant",
-    "GridDensity",
     "rate_fg",
     "rate_fl",
     "rate_fj",
@@ -29,7 +30,6 @@ __all__ = [
     "hermite_rate",
     "laguerre_rate",
     "jacobi_ensemble_rate",
-    "kullback",
 ]
 
 INF = float("inf")
@@ -321,64 +321,3 @@ def jacobi_ensemble_rate(
         terms.append((f"alpha_{k}", t))
         total += t
     return RateReport(value=total, terms=terms, truncation=len(vec), tail_bound=0.0)
-
-
-@dataclass(frozen=True)
-class GridDensity:
-    """A density tabulated on a grid, integrated by the trapezoid rule."""
-
-    x: np.ndarray
-    p: np.ndarray
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "x", np.asarray(self.x, dtype=float))
-        object.__setattr__(self, "p", np.asarray(self.p, dtype=float))
-
-    def normalized(self) -> "GridDensity":
-        z = np.trapezoid(self.p, self.x)
-        return GridDensity(self.x, self.p / z)
-
-
-_DIVERGENCE_THRESHOLD = 1e13
-
-
-def kullback(p, q, n: int = 1024) -> float:
-    """Reversed Kullback information K(P|Q) = int log(dP/dQ) dP.
-
-    P is an EquilibriumLaw or GridDensity; Q is an EquilibriumLaw, a
-    GridDensity, or a plain callable Lebesgue density. Returns +inf when
-    Q's density vanishes where P has mass (detected by integrand blowup).
-    """
-    q_density = _as_density(q)
-    if isinstance(p, EquilibriumLaw):
-        lo, hi = p.support
-        from .equilibria import ChebGrid
-
-        grid = ChebGrid.for_interval(lo, hi, n)
-        px = density(p, grid.nodes)
-        qx = np.asarray(q_density(grid.nodes), dtype=float)
-        if np.any(qx <= 0.0):
-            return INF
-        logratio = np.log(px) - np.log(qx)
-        if np.max(logratio) > math.log(_DIVERGENCE_THRESHOLD):
-            return INF
-        return float(np.dot(grid.weights, px * logratio))
-    if isinstance(p, GridDensity):
-        qx = np.asarray(q_density(p.x), dtype=float)
-        mask = p.p > 0.0
-        if np.any(mask & (qx <= 0.0)):
-            return INF
-        vals = np.zeros_like(p.p)
-        vals[mask] = p.p[mask] * (np.log(p.p[mask]) - np.log(qx[mask]))
-        return float(np.trapezoid(vals, p.x))
-    raise ParameterError(f"unsupported reference object {type(p).__name__}")
-
-
-def _as_density(q):
-    if isinstance(q, EquilibriumLaw):
-        return lambda x: density(q, x)
-    if isinstance(q, GridDensity):
-        return lambda x: np.interp(x, q.x, q.p, left=0.0, right=0.0)
-    if callable(q):
-        return q
-    raise ParameterError(f"unsupported density object {type(q).__name__}")

@@ -19,7 +19,6 @@ import numpy as np
 
 from .equilibria import (
     SC,
-    ChebGrid,
     EquilibriumLaw,
     Family,
     TailJacobiModel,
@@ -41,11 +40,9 @@ from .rates import (
 
 __all__ = [
     "TailJacobiModel",
-    "MeasureDecomposition",
     "m_function",
     "ac_density",
     "outliers",
-    "decompose",
     "measure_side_rate",
     "sumrule_verify",
     "SumRuleReport",
@@ -241,45 +238,6 @@ def outliers(model: TailJacobiModel):
     the real Jost roots outside the unit circle, from the eigenvalues of one
     companion matrix and a twisted factorisation per outlier."""
     return _jost(model).outlier_list
-
-
-@dataclass
-class MeasureDecomposition:
-    """A.c. density on the bulk plus ordered outliers with masses."""
-
-    bulk: tuple[float, float]
-    ac: object  # callable density relative to Lebesgue on the open bulk
-    outlier_list: list
-    n_plus: int
-    n_minus: int
-
-    @property
-    def outliers_above(self):
-        return sorted((e, m) for e, m in self.outlier_list if e > self.bulk[1])
-
-    @property
-    def outliers_below(self):
-        return sorted((e, m) for e, m in self.outlier_list if e < self.bulk[0])
-
-    def total_mass(self) -> float:
-        lo, hi = self.bulk
-        grid = ChebGrid.for_interval(lo, hi, 8192)
-        ac_mass = float(np.dot(grid.weights, self.ac(grid.nodes)))
-        return ac_mass + sum(m for _, m in self.outlier_list)
-
-
-def decompose(model: TailJacobiModel) -> MeasureDecomposition:
-    outs = outliers(model)
-    lo, hi = model.bulk
-    above = [e for e, _ in outs if e > hi]
-    below = [e for e, _ in outs if e < lo]
-    return MeasureDecomposition(
-        bulk=model.bulk,
-        ac=lambda x: ac_density(model, x),
-        outlier_list=outs,
-        n_plus=len(above),
-        n_minus=len(below),
-    )
 
 
 def _outlier_cost(reference: EquilibriumLaw):

@@ -235,6 +235,20 @@ def test_rate_at_infinite_threshold(capsys):
         assert json.loads(out)["value"] == math.inf
 
 
+@pytest.mark.parametrize("value", ["-inf", "-1e-3", "-2.5"])
+@pytest.mark.parametrize("command", [
+    ("rate", "--family", "fg"),
+    ("mc", "--direction", "min_below", "--n-list", "6", "--samples", "20"),
+])
+def test_negative_value_after_space_is_a_value(capsys, command, value):
+    # argparse took "-inf" and "-1e-3" for unknown options ("expected one argument")
+    spaced = run(capsys, *command, "--x", value)
+    joined = run(capsys, *command, f"--x={value}")
+    assert spaced == joined and spaced[0] == 0
+    if command[0] == "rate" and value == "-inf":
+        assert json.loads(spaced[1])["value"] == math.inf
+
+
 def test_negative_slope_is_named(capsys):
     # kappa1 = -3 once reached the Geronimus map and blamed the Verblunsky
     # coefficients; the slopes are checked first

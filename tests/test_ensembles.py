@@ -17,10 +17,9 @@ from betaspectra.ensembles import (
     sample_jacobi_kn,
     sample_laguerre,
     sample_beta_s,
-    sample_primitive,
     spectral_measure,
 )
-from betaspectra.equilibria import ARCSINE_01, density, law_grid
+from betaspectra.equilibria import ARCSINE_01, ChebGrid, density
 from betaspectra.errors import ParameterError
 from betaspectra.jacobi import VerblunskyCoeffs
 from betaspectra.montecarlo import McExperiment, mc_tail_rate, stat_suite
@@ -72,24 +71,10 @@ def test_determinism_and_stream_independence():
     assert sub_a != RngStream(seed=9).substream(4)
 
 
-def test_primitive_moments():
-    rng = RngStream(seed=1).generator()
-    x = sample_primitive("gauss", [2.0], rng, size=200000)
-    assert np.mean(x) == pytest.approx(0.0, abs=0.02)
-    assert np.var(x) == pytest.approx(2.0, rel=0.02)
-    g = sample_primitive("gamma", [3.0, 0.5], rng, size=200000)
-    assert np.mean(g) == pytest.approx(1.5, rel=0.01)
-    assert np.var(g) == pytest.approx(0.75, rel=0.02)
-    w = sample_primitive("dirichlet", [1.0, 2.0, 5.0], rng)
-    assert np.sum(w) == pytest.approx(1.0, abs=1e-12)
-    with pytest.raises(ParameterError):
-        sample_primitive("cauchy", [1.0], rng)
-
-
 def test_beta_s_orientation():
     # mean of the symmetric-beta draw is (b - a)/(b + a)
     rng = RngStream(seed=2).generator()
-    x = sample_primitive("beta_s", [2.0, 6.0], rng, size=400000)
+    x = sample_beta_s(2.0, 6.0, rng, size=400000)
     mean = (6.0 - 2.0) / (6.0 + 2.0)
     sd = np.std(x) / np.sqrt(len(x))
     assert abs(np.mean(x) - mean) < 5.0 * sd
@@ -287,7 +272,7 @@ def test_esd_arcsine_chi2_improves_with_n():
             _, coeffs = sample_jacobi_kn(spec, RngStream(seed=11).substream(i))
             mu = esd(coeffs, interval="[0,1]")
             counts += np.histogram(mu.locations, bins=8, range=(0.0, 1.0))[0]
-        grid = law_grid(ARCSINE_01, 1024)
+        grid = ChebGrid.for_interval(*ARCSINE_01.support, 1024)
         edges = np.linspace(0.0, 1.0, 9)
         probs = np.array([
             float(np.dot(grid.weights[(grid.nodes >= lo) & (grid.nodes < hi)],

@@ -1,4 +1,4 @@
-"""Reference laws: densities, transforms, quadrature, moment metric."""
+"""Reference laws: densities, transforms, moments, the Chebyshev rule."""
 
 import math
 
@@ -13,17 +13,15 @@ from betaspectra.equilibria import (
     ChebGrid,
     EquilibriumLaw,
     Family,
-    MomentVector,
     density,
-    law_grid,
     moment,
-    moment_distance,
     mp_edges,
     sigma_pm,
     stieltjes,
     u_pm,
 )
 from betaspectra.errors import DomainError, ParameterError
+from betaspectra.jacobi import jacobi_moments
 
 ALL_LAWS = [
     SC,
@@ -58,7 +56,7 @@ def test_invalid_parameters():
 
 @pytest.mark.parametrize("law", ALL_LAWS)
 def test_density_integrates_to_one(law):
-    grid = law_grid(law, 2048)
+    grid = ChebGrid.for_interval(*law.support, 2048)
     total = float(np.dot(grid.weights, density(law, grid.nodes)))
     assert total == pytest.approx(1.0, abs=1e-10)
 
@@ -138,40 +136,21 @@ def test_moments_catalan():
 
 
 def test_chebgrid_polynomial_exactness():
-    grid = ChebGrid.for_interval(-2.0, 2.0, 16)
-    # exact for polynomial degree < 2n against the intrinsic Chebyshev weight
-    for deg in (0, 5, 12, 21, 31):
-        # odd powers vanish; even 2k give pi * C(2k, k) after x = 2 cos(theta)
-        exact = math.pi * math.comb(deg, deg // 2) if deg % 2 == 0 else 0.0
-        got = grid.integrate_chebyshev(lambda x: x**deg)
-        scale = grid.intrinsic_weight * float(np.sum(np.abs(grid.nodes) ** deg))
-        assert got == pytest.approx(exact, abs=1e-12 * max(1.0, scale))
+    # what constrained_rate_dual relies on: the Lebesgue weights times the
+    # semicircle density integrate x^j exactly for j < 2n - 2, giving the
+    # Catalan numbers at even j and 0 at odd j
+    for n in (16, 512):
+        grid = ChebGrid.for_interval(-2.0, 2.0, n)
+        w_sc = grid.weights * density(SC, grid.nodes)
+        for j in range(min(2 * n - 2, 40)):
+            exact = math.comb(j, j // 2) // (j // 2 + 1) if j % 2 == 0 else 0.0
+            got = float(np.dot(w_sc, grid.nodes**j))
+            scale = float(np.dot(w_sc, np.abs(grid.nodes) ** j))
+            assert got == pytest.approx(exact, abs=1e-14 * scale)
     # the Lebesgue weights integrate the arcsine density to exactly 1
+    grid = ChebGrid.for_interval(-2.0, 2.0, 16)
     dens = 1.0 / (math.pi * np.sqrt(4.0 - grid.nodes**2))
     assert float(np.dot(grid.weights, dens)) == pytest.approx(1.0, abs=1e-14)
-
-
-def test_moment_distance_metric():
-    mu = MomentVector.of_law(SC, 32)
-    assert moment_distance(mu, mu).value == 0.0
-    # delta_0 vs delta_1: every |Delta_k| = 1
-    d0 = MomentVector.of_atoms([0.0], [1.0], 32)
-    d1 = MomentVector.of_atoms([1.0], [1.0], 32)
-    md = moment_distance(d0, d1)
-    assert md.value == pytest.approx(0.5, abs=1e-9)
-    assert md.remainder_bound <= 2.0**-32
-    rng = np.random.default_rng(4)
-    vecs = [MomentVector(rng.uniform(-1, 1, 16)) for _ in range(3)]
-    a, b, c = vecs
-    dab = moment_distance(a, b).value
-    dba = moment_distance(b, a).value
-    assert dab == pytest.approx(dba, abs=1e-15)
-    assert dab <= moment_distance(a, c).value + moment_distance(c, b).value + 1e-15
-
-
-def test_moment_vector_hankel_psd():
-    mv = MomentVector.of_law(SC, 12)
-    assert mv.is_nonnegative_definite()
 
 
 def test_law_json_round_trip():
@@ -266,10 +245,12 @@ def test_mp_moments_are_narayana_sums(tau):
 
 
 def test_moment_vector_of_law_is_exact():
+    # each moment from the shortest section that has it equals the one from
+    # a longer section bit for bit, and the arcsine's odd moments are 0
     law = EquilibriumLaw(Family.KESTEN_MCKAY, u_minus=0.25, u_plus=0.75)
-    mv = MomentVector.of_law(law, 9)
-    assert list(mv.values) == [moment(law, k) for k in range(1, 10)]
-    assert list(MomentVector.of_law(ARCSINE_SYM, 7).values[::2]) == [0.0] * 4
+    long_section = jacobi_moments(law.model.coefficients(5), 5, 9)
+    assert [moment(law, k) for k in range(1, 10)] == list(long_section)
+    assert [moment(ARCSINE_SYM, k) for k in (1, 3, 5, 7)] == [0.0] * 4
 
 
 def test_u_pm_hard_edges():

@@ -7,23 +7,22 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from betaspectra.equilibria import SC, EquilibriumLaw, Family, mp_edges
+from betaspectra.equilibria import ARCSINE_01, ARCSINE_SYM, SC, EquilibriumLaw, Family, mp_edges
 from betaspectra.errors import ParameterError
 from betaspectra.jacobi import JacobiCoeffs, VerblunskyCoeffs
 from betaspectra.rates import (
     BetaHVariant,
-    GridDensity,
     beta_h,
     big_g,
     hermite_rate,
     jacobi_ensemble_rate,
-    kullback,
     laguerre_rate,
     rate_fg,
     rate_fj,
     rate_fl,
     small_g,
 )
+from betaspectra.sumrule import TailJacobiModel, _jost, measure_side_rate
 
 INF = float("inf")
 
@@ -276,27 +275,52 @@ def test_beta_h_matches_single_log_form():
         assert beta_h(u, v, q) == pytest.approx(old, abs=1e-12 * (1.0 + abs(old)))
 
 
+def kullback_term(model, law):
+    (label, value), *_ = measure_side_rate(model, law).terms
+    assert label == "kullback"
+    return value
+
+
 def test_kullback():
-    assert kullback(SC, SC) == pytest.approx(0.0, abs=1e-12)
+    assert kullback_term(SC.model, SC) == pytest.approx(0.0, abs=1e-12)
     # K(SC | arcsine on [-2,2]) = int sc log(sc/arcsine) = 1 - log 2
     arc = EquilibriumLaw(Family.ARCSINE, interval="[-2,2]")
-    val = kullback(SC, arc, n=4096)
-    assert val == pytest.approx(1.0 - math.log(2.0), abs=1e-6)
-    # vanishing reference density gives +inf
+    assert kullback_term(arc.model, SC) == pytest.approx(1.0 - math.log(2.0), abs=1e-6)
+    # a reference on another support is refused, not integrated
     mp = EquilibriumLaw(Family.MARCHENKO_PASTUR, tau=0.5)
-    assert kullback(SC, mp) == INF
-    # GridDensity form agrees with the law form
-    xs = np.linspace(-2.0, 2.0, 20001)
-    sc_grid = GridDensity(xs, np.sqrt(np.clip(4.0 - xs * xs, 0.0, None)) / (2.0 * math.pi))
-    val2 = kullback(sc_grid, arc)
-    assert val2 == pytest.approx(1.0 - math.log(2.0), abs=1e-4)
+    with pytest.raises(ParameterError):
+        measure_side_rate(SC.model, mp)
+
+
+NONNEGATIVE_LAWS = [
+    SC,
+    ARCSINE_SYM,
+    ARCSINE_01,
+    EquilibriumLaw(Family.MARCHENKO_PASTUR, tau=0.3),
+    EquilibriumLaw(Family.MARCHENKO_PASTUR, tau=1.0),
+    EquilibriumLaw(Family.KESTEN_MCKAY, u_minus=0.1, u_plus=0.95),
+    EquilibriumLaw(Family.KESTEN_MCKAY, u_minus=0.25, u_plus=0.75),
+]
 
 
 def test_kullback_nonnegative():
+    # the exact Jost-root sum K(law | nu) on each law's own tail: zero at
+    # nu = law and never below rounding, also for heads within 1e-8..1e-2
+    # of the law's own head, where K is of the order of the squared distance
     rng = np.random.default_rng(13)
-    xs = np.linspace(-2.0, 2.0, 4001)
-    for _ in range(5):
-        bumps = 1.0 + 0.5 * np.sin(rng.uniform(1, 3) * xs + rng.uniform(0, 6))
-        p = GridDensity(xs, bumps * np.sqrt(np.clip(4.0 - xs * xs, 0.0, None))).normalized()
-        q = GridDensity(xs, np.sqrt(np.clip(4.0 - xs * xs, 0.0, None))).normalized()
-        assert kullback(p, q) >= -1e-10
+    for law in NONNEGATIVE_LAWS:
+        own = law.model
+        assert _jost(own).kullback(law) == pytest.approx(0.0, abs=1e-15)
+        for _ in range(100):
+            n = int(rng.integers(1, 7))
+            b = own.b_inf + own.a_inf * rng.uniform(-1.5, 1.5, n)
+            a = own.a_inf * rng.uniform(0.5, 1.8, n)
+            model = TailJacobiModel(a_inf=own.a_inf, b_inf=own.b_inf, head=JacobiCoeffs(b, a))
+            assert _jost(model).kullback(law) >= -1e-14
+            n = int(rng.integers(1, 4))
+            near = own.coefficients(n + 1)
+            eps = own.a_inf * 10.0 ** rng.uniform(-8.0, -2.0)
+            head = JacobiCoeffs(near.b[:n] + eps * rng.uniform(-1.0, 1.0, n),
+                                near.a[:n] + eps * rng.uniform(-1.0, 1.0, n))
+            model = TailJacobiModel(a_inf=own.a_inf, b_inf=own.b_inf, head=head)
+            assert _jost(model).kullback(law) >= -1e-14

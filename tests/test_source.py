@@ -1,6 +1,7 @@
 """Static checks on the package source that no linter here performs."""
 
 import ast
+import importlib
 import os
 
 import pytest
@@ -50,3 +51,35 @@ def test_no_unused_module_imports(module):
         if name not in used
     )
     assert not unused, f"{module} imports names it never uses: {', '.join(unused)}"
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_all_names_resolve(module):
+    mod = importlib.import_module(f"betaspectra.{module[:-3]}")
+    missing = [name for name in getattr(mod, "__all__", []) if not hasattr(mod, name)]
+    assert not missing, f"{module} lists names it does not define: {', '.join(missing)}"
+
+
+def _span_targets() -> list:
+    """TARGETS of the benchmark's span recorder, read from its source."""
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "benchmark", "spans.py")
+    with open(path) as fh:
+        tree = ast.parse(fh.read())
+    (value,) = [
+        node.value for node in tree.body
+        if isinstance(node, ast.Assign)
+        and any(isinstance(t, ast.Name) and t.id == "TARGETS" for t in node.targets)
+    ]
+    return ast.literal_eval(value)
+
+
+@pytest.mark.parametrize("module, path", _span_targets())
+def test_benchmark_span_targets_resolve(module, path):
+    # the recorder looks a class attribute up in the class __dict__, so a
+    # staticmethod must stay defined on the class itself
+    owner = importlib.import_module(f"betaspectra.{module}")
+    *classes, attr = path.split(".")
+    for name in classes:
+        owner = getattr(owner, name)
+    assert attr in vars(owner), f"{module}.{path}"
+    assert callable(getattr(owner, attr))

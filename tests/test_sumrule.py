@@ -29,7 +29,6 @@ from betaspectra.sumrule import (
     ac_density,
     conjecture_probe_jacobi,
     conjecture_probe_laguerre,
-    decompose,
     jacobi_limit_alphas,
     m_function,
     measure_side_rate,
@@ -275,13 +274,18 @@ def test_edge_resonance_is_flagged_not_counted():
 
 
 def test_decompose_total_mass():
+    # a.c. mass on an 8192-node Gauss-Chebyshev rule (Lebesgue weights
+    # (pi/n) * 2 sin(theta) on [-2, 2]) plus the outlier masses is 1
+    n = 8192
+    theta = (2.0 * np.arange(1, n + 1) - 1.0) * math.pi / (2.0 * n)
+    nodes, weights = 2.0 * np.cos(theta), (math.pi / n) * 2.0 * np.sin(theta)
     rng = np.random.default_rng(16)
     for _ in range(5):
         model = head(rng.uniform(-1.0, 1.0, 3), rng.uniform(0.5, 1.6, 3))
-        dec = decompose(model)
-        assert dec.total_mass() == pytest.approx(1.0, abs=1e-8)
-        assert dec.n_plus == len(dec.outliers_above)
-        assert dec.n_minus == len(dec.outliers_below)
+        outs = outliers(model)
+        ac_mass = float(np.dot(weights, ac_density(model, nodes)))
+        assert ac_mass + sum(m for _, m in outs) == pytest.approx(1.0, abs=1e-8)
+        assert all(abs(e) > 2.0 for e, _ in outs)
 
 
 def test_sumrule_examples():
