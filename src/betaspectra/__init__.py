@@ -16,6 +16,7 @@ from .equilibria import (
     EquilibriumLaw,
     Family,
     density,
+    kmk_of_slopes,
     moment,
     mp_edges,
     sigma_pm,
@@ -56,13 +57,13 @@ from .ensembles import (
     spectral_measure,
 )
 from .rates import (
-    BetaHVariant,
     RateReport,
     beta_h,
     big_g,
     hermite_rate,
     jacobi_ensemble_rate,
     laguerre_rate,
+    outlier_cost,
     rate_fg,
     rate_fj,
     rate_fl,

@@ -15,6 +15,7 @@ import sys
 import numpy as np
 
 from .ensembles import (
+    SPEC_PARAMS,
     EnsembleSpec,
     Kind,
     RngStream,
@@ -37,7 +38,6 @@ from .jacobi import JacobiCoeffs, VerblunskyCoeffs
 from .moments_opt import MomentConstraint, moment_opt_report
 from .montecarlo import McExperiment, mc_tail_rate, stat_suite
 from .rates import (
-    BetaHVariant,
     hermite_rate,
     jacobi_ensemble_rate,
     laguerre_rate,
@@ -105,18 +105,8 @@ def _require(args, context: str, *names: str) -> None:
 
 
 def _spec_from_args(args, n: int) -> EnsembleSpec:
-    return EnsembleSpec(
-        kind=Kind(args.ensemble),
-        n=n,
-        beta=args.beta,
-        m=getattr(args, "m", None),
-        tau=getattr(args, "tau", None),
-        a=getattr(args, "a", None),
-        b=getattr(args, "b", None),
-        kappa1=getattr(args, "kappa1", None),
-        kappa2=getattr(args, "kappa2", None),
-        interval=getattr(args, "interval", "[-2,2]"),
-    )
+    params = {key: getattr(args, key) for key in SPEC_PARAMS}
+    return EnsembleSpec(Kind(args.ensemble), n, args.beta, interval=args.interval, **params)
 
 
 def _cmd_sample(args) -> int:
@@ -144,7 +134,8 @@ def _cmd_sumrule(args) -> int:
         model = TailJacobiModel.from_json(json.load(fh))
     report = sumrule_verify(model)
     _emit_json(args, report.to_json())
-    return 2 if abs(report.gap) > args.tol * (1.0 + abs(report.jacobi_side)) else 0
+    # a NaN gap compares false either way: only <= lets it fail
+    return 0 if abs(report.gap) <= args.tol * (1.0 + abs(report.jacobi_side)) else 2
 
 
 def _cmd_rate(args) -> int:
@@ -161,7 +152,6 @@ def _cmd_rate(args) -> int:
     if fam == "fj":
         _emit_json(args, {"value": rate_fj(args.x, args.u_minus, args.u_plus)})
         return 0
-    variant = BetaHVariant(args.variant)
     if fam == "hermite":
         coeffs = JacobiCoeffs(np.asarray(_float_list(args.b or "")),
                               np.asarray(_float_list(args.a or "")))
@@ -175,7 +165,7 @@ def _cmd_rate(args) -> int:
         _require(args, context, "alpha")
         report = jacobi_ensemble_rate(
             VerblunskyCoeffs(np.asarray(_float_list(args.alpha))),
-            args.kappa1 or 0.0, args.kappa2 or 0.0, variant,
+            args.kappa1 or 0.0, args.kappa2 or 0.0,
         )
     else:
         raise ParameterError(f"unknown rate family {fam!r}")
@@ -298,7 +288,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--alpha", default=None)
     p.add_argument("--kappa1", type=float, default=None)
     p.add_argument("--kappa2", type=float, default=None)
-    p.add_argument("--variant", choices=["corrected", "paper_literal"], default="corrected")
     _add_common(p, seed=False)
     p.set_defaults(func=_cmd_rate)
 

@@ -14,6 +14,7 @@ from enum import Enum
 
 import numpy as np
 
+from .equilibria import SC, EquilibriumLaw, Family, kmk_of_slopes
 from .errors import ParameterError
 from .jacobi import (
     DiscreteMeasure,
@@ -74,13 +75,19 @@ class RngStream:
         return RngStream(seed=self.seed, stream=int(ss.generate_state(1, np.uint64)[0] >> 1))
 
 
+# the parameters of each ensemble beyond (n, beta), and all of them
+_PARAMS = {Kind.HERMITE: (), Kind.LAGUERRE: ("m", "tau"), Kind.JACOBI_KN: ("a", "b", "kappa1", "kappa2")}
+SPEC_PARAMS = sum(_PARAMS.values(), ())
+
+
 @dataclass(frozen=True)
 class EnsembleSpec:
     """Which ensemble to sample and with what parameters.
 
     Laguerre takes either m (column count) or tau = m/N; Jacobi-KN takes
     fixed exponents (a, b) or slopes (kappa1, kappa2) with the scaling
-    b(N) = beta' * kappa1 * N, a(N) = beta' * kappa2 * N.
+    b(N) = beta' * kappa1 * N, a(N) = beta' * kappa2 * N. Hermite takes
+    neither; a parameter of another ensemble, or both of a pair, is refused.
     """
 
     kind: Kind
@@ -100,14 +107,20 @@ class EnsembleSpec:
         if self.n < 1:
             raise ParameterError(f"N must be >= 1, got {self.n}")
         _check_interval(self.interval)
+        foreign = [k for k in SPEC_PARAMS
+                   if k not in _PARAMS[self.kind] and getattr(self, k) is not None]
+        if foreign:
+            raise ParameterError(f"{self.kind.value} takes no {', '.join(foreign)}")
         if self.kind is Kind.LAGUERRE:
-            if self.m is None and self.tau is None:
-                raise ParameterError("Laguerre needs m or tau")
+            if (self.m is None) == (self.tau is None):
+                raise ParameterError("Laguerre needs exactly one of m and tau")
             if self.m is not None and not (1 <= self.m <= self.n):
                 raise ParameterError(f"Laguerre needs 1 <= m <= N, got m = {self.m}")
             if self.tau is not None and not (0.0 < self.tau <= 1.0):
                 raise ParameterError(f"Laguerre needs tau in (0, 1], got {self.tau}")
         if self.kind is Kind.JACOBI_KN:
+            if (self.a, self.b) != (None, None) and (self.kappa1, self.kappa2) != (None, None):
+                raise ParameterError("Jacobi-KN takes exponents (a, b) or slopes, not both")
             ea, eb = self.exponents
             if ea <= -1.0 or eb <= -1.0:
                 raise ParameterError(f"Jacobi exponents must be > -1, got a = {ea}, b = {eb}")
@@ -127,19 +140,28 @@ class EnsembleSpec:
         return self.tau if self.tau is not None else self.m / self.n
 
     @property
+    def law(self) -> EquilibriumLaw:
+        """Limit law of the spectral measure: SC, MP(laguerre_tau), or the KMK
+        law of the slopes on [0, 1] (fixed Jacobi-KN exponents count as 0)."""
+        if self.kind is Kind.HERMITE:
+            return SC
+        if self.kind is Kind.LAGUERRE:
+            return EquilibriumLaw(Family.MARCHENKO_PASTUR, tau=self.laguerre_tau)
+        return kmk_of_slopes(self.kappa1 or 0.0, self.kappa2 or 0.0)
+
+    @property
     def exponents(self) -> tuple[float, float]:
         """Jacobi exponents (a, b), resolving slope scaling when given."""
-        if self.kappa1 is not None or self.kappa2 is not None:
-            k1 = self.kappa1 or 0.0
-            k2 = self.kappa2 or 0.0
-            if k1 < 0.0 or k2 < 0.0:
-                raise ParameterError("slopes kappa must be >= 0")
-            return self.beta_prime * k2 * self.n, self.beta_prime * k1 * self.n
-        return (self.a if self.a is not None else 0.0, self.b if self.b is not None else 0.0)
+        if self.kappa1 is None and self.kappa2 is None:
+            return self.a or 0.0, self.b or 0.0
+        k1, k2 = self.kappa1 or 0.0, self.kappa2 or 0.0
+        if k1 < 0.0 or k2 < 0.0:
+            raise ParameterError("slopes kappa must be >= 0")
+        return self.beta_prime * k2 * self.n, self.beta_prime * k1 * self.n
 
     def to_json(self) -> dict:
         out = {"kind": self.kind.value, "n": self.n, "beta": self.beta}
-        for key in ("m", "tau", "a", "b", "kappa1", "kappa2"):
+        for key in _PARAMS[self.kind]:
             val = getattr(self, key)
             if val is not None:
                 out[key] = val
@@ -153,12 +175,7 @@ class EnsembleSpec:
             kind=Kind(obj["kind"]),
             n=int(obj["n"]),
             beta=float(obj["beta"]),
-            m=obj.get("m"),
-            tau=obj.get("tau"),
-            a=obj.get("a"),
-            b=obj.get("b"),
-            kappa1=obj.get("kappa1"),
-            kappa2=obj.get("kappa2"),
+            **{key: obj.get(key) for key in SPEC_PARAMS},
             interval=obj.get("interval", "[-2,2]"),
         )
 

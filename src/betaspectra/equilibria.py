@@ -6,8 +6,9 @@ transform of the tail, whose boundary values give the a.c. density. Each of
 the semicircle, Marchenko-Pastur, Kesten-McKay and arcsine laws is such a
 model with a one-term head, so their densities, Cauchy-Stieltjes transforms
 (Herglotz branch), supports and exact moments are those of the model. Also
-here: the Gauss-Chebyshev rule on which the moment-constrained dual
-integrates against the semicircle.
+here: the KMK law of the Jacobi ensemble's slopes (`kmk_of_slopes`), and the
+Gauss-Chebyshev rule on which the moment-constrained dual integrates against
+the semicircle.
 """
 
 from __future__ import annotations
@@ -33,6 +34,7 @@ __all__ = [
     "moment",
     "sigma_pm",
     "u_pm",
+    "kmk_of_slopes",
     "SC",
     "ARCSINE_SYM",
     "ARCSINE_01",
@@ -237,6 +239,16 @@ class EquilibriumLaw:
         a_inf, b_inf = self._tail()
         return b_inf - 2.0 * a_inf, b_inf + 2.0 * a_inf
 
+    @property
+    def edges(self) -> tuple[float, float]:
+        """The support's endpoints in closed form, (1 -+ sqrt(tau))^2 for MP and
+        (u_minus, u_plus) for KMK; `support` gives the same up to rounding."""
+        if self.family is Family.MARCHENKO_PASTUR:
+            return mp_edges(self.tau)
+        if self.family is Family.KESTEN_MCKAY:
+            return self.u_minus, self.u_plus
+        return self.support
+
     def to_json(self) -> dict:
         out = {"family": self.family.value}
         if self.family is Family.MARCHENKO_PASTUR:
@@ -345,3 +357,12 @@ def u_pm(x: float, y: float) -> tuple[float, float]:
     lower = math.sqrt((1.0 - x) * (1.0 - y)) - math.sqrt(x * y)
     upper = math.sqrt(x * (1.0 - y)) - math.sqrt((1.0 - x) * y)
     return lower * lower, 1.0 - upper * upper
+
+
+def kmk_of_slopes(kappa1: float, kappa2: float) -> EquilibriumLaw:
+    """The limit law on [0, 1] of the Jacobi ensemble with slopes
+    (kappa1, kappa2): KMK(u_pm((1 + kappa1)/d, (1 + kappa1 + kappa2)/d)),
+    d = 2 + kappa1 + kappa2, which is KMK(0, 1) at kappa = (0, 0)."""
+    d = 2.0 + kappa1 + kappa2
+    u_minus, u_plus = u_pm((1.0 + kappa1) / d, (1.0 + kappa1 + kappa2) / d)
+    return EquilibriumLaw(Family.KESTEN_MCKAY, u_minus=u_minus, u_plus=u_plus)

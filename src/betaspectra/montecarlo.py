@@ -13,15 +13,14 @@ from __future__ import annotations
 
 import io
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .ensembles import EnsembleSpec, Kind, RngStream, sample_batch
-from .equilibria import mp_edges, u_pm
 from .errors import ParameterError
-from .jacobi import _lowest_weights
-from .rates import _refuse_nan, rate_fg, rate_fj, rate_fl
+from .jacobi import _lowest_weights, affine_s
+from .rates import _refuse_nan, outlier_cost
 
 __all__ = [
     "McExperiment",
@@ -117,26 +116,15 @@ class McResult:
         }
 
 
-def _bulk_edges(spec: EnsembleSpec) -> tuple[float, float]:
-    if spec.kind is Kind.HERMITE:
-        return (-2.0, 2.0)
-    if spec.kind is Kind.LAGUERRE:
-        return mp_edges(spec.laguerre_tau)
-    k1 = spec.kappa1 or 0.0
-    k2 = spec.kappa2 or 0.0
-    d = 2.0 + k1 + k2
-    return u_pm((1.0 + k1) / d, (1.0 + k1 + k2) / d)
+def _on_law_interval(spec: EnsembleSpec, x: float) -> float:
+    """A threshold of spec's matrices on the interval of spec.law: a
+    Jacobi-KN law lives on [0, 1], so a threshold on [-2, 2] is mapped there."""
+    return float(affine_s(x)) if spec.kind is Kind.JACOBI_KN and spec.interval == "[-2,2]" else x
 
 
 def theory_rate(spec: EnsembleSpec, x: float) -> float:
     """The large-deviation rate at threshold x (speed beta' N), either direction."""
-    if spec.kind is Kind.HERMITE:
-        return rate_fg(x)
-    if spec.kind is Kind.LAGUERRE:
-        return rate_fl(x, spec.laguerre_tau)
-    lo, hi = _bulk_edges(spec)
-    xu = x if spec.interval == "[0,1]" else (x + 2.0) / 4.0
-    return rate_fj(xu, lo, hi)
+    return outlier_cost(spec.law, _on_law_interval(spec, x))
 
 
 def _sturm_negative_count(b: np.ndarray, a: np.ndarray, x: float) -> np.ndarray:
@@ -163,16 +151,11 @@ def _count_hits(spec: EnsembleSpec, n: int, x: float, direction: str, samples: i
                 stream: RngStream) -> int:
     """Hits over fixed-size chunks, chunk i drawn from stream.generator(n, i),
     so the count is a sum of independent per-chunk counts."""
-    eff = EnsembleSpec(
-        kind=spec.kind, n=n, beta=spec.beta,
-        m=None, tau=spec.laguerre_tau if spec.kind is Kind.LAGUERRE else None,
-        a=spec.a, b=spec.b, kappa1=spec.kappa1, kappa2=spec.kappa2,
-        interval=spec.interval,
-    )
-    threshold = x
-    if spec.kind is Kind.JACOBI_KN and spec.interval == "[0,1]":
-        # the matrix acts on [-2, 2]; map a [0, 1] threshold back
-        threshold = 4.0 * x - 2.0
+    # Laguerre keeps tau = m/N fixed across sizes
+    fixed_tau = {"m": None, "tau": spec.laguerre_tau} if spec.kind is Kind.LAGUERRE else {}
+    eff = replace(spec, n=n, **fixed_tau)
+    # the matrix acts on [-2, 2]; map a Jacobi-KN threshold on [0, 1] back
+    threshold = 4.0 * x - 2.0 if spec.kind is Kind.JACOBI_KN and spec.interval == "[0,1]" else x
     hits = 0
     for chunk_id, done in enumerate(range(0, samples, CHUNK)):
         b, a = sample_batch(eff, stream.generator(n, chunk_id), min(CHUNK, samples - done))
@@ -189,10 +172,8 @@ def mc_tail_rate(exp: McExperiment) -> McResult:
     spec = exp.spec
     theory = theory_rate(spec, exp.x)
     flags = []
-    lo, hi = _bulk_edges(spec)
-    x_bulk = exp.x
-    if spec.kind is Kind.JACOBI_KN and spec.interval != "[0,1]":
-        x_bulk = (exp.x + 2.0) / 4.0
+    lo, hi = spec.law.edges
+    x_bulk = _on_law_interval(spec, exp.x)
     inside = lo < x_bulk < hi
     if inside:
         flags.append(

@@ -1,29 +1,29 @@
 """Large-deviation rate functions.
 
-Outlier costs F_G / F_L / F_J, the coordinate rates x^2/2, g, G and the
-symmetric-beta rate h (paper-literal and corrected variants), and
-ensemble-level coefficient functionals. The reversed Kullback information
-K(reference | nu) of the measure side is an exact Jost-root sum in
-`sumrule` (`measure_side_rate`).
+Outlier costs F_G / F_L / F_J and `outlier_cost`, the one place that picks
+among them by limit law; the coordinate rates x^2/2, g, G and the
+symmetric-beta rate h; and one coefficient-side rate per ensemble. The
+reversed Kullback information K(reference | nu) of the measure side is an
+exact Jost-root sum in `sumrule` (`measure_side_rate`).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from enum import Enum
 
 import numpy as np
 
-from .equilibria import mp_edges
+from .equilibria import EquilibriumLaw, Family, mp_edges
 from .errors import ParameterError
+from .jacobi import affine_s
 
 __all__ = [
     "RateReport",
-    "BetaHVariant",
     "rate_fg",
     "rate_fl",
     "rate_fj",
+    "outlier_cost",
     "small_g",
     "big_g",
     "beta_h",
@@ -33,6 +33,10 @@ __all__ = [
 ]
 
 INF = float("inf")
+# x*x overflows near 1.34e154; past this bound F_G(x) = x^2/2 and F_L(x) = x
+# to double precision, as the next terms, -1 - 2 log x and O(log x), are
+# below 1e-140 of the value.
+_HUGE = 1e150
 
 
 @dataclass
@@ -62,14 +66,14 @@ def _refuse_nan(x: float) -> None:
 
 def rate_fg(x: float) -> float:
     """Extreme-eigenvalue cost for the Hermite bulk [-2, 2]:
-    integral of sqrt(t^2 - 4) from 2 to |x|; 0 inside the bulk, +inf at
-    x = +-inf."""
+    integral of sqrt(t^2 - 4) from 2 to |x|; 0 inside the bulk, +inf where
+    it exceeds the largest double (|x| above about 1.9e154)."""
     _refuse_nan(x)
     ax = abs(x)
     if ax <= 2.0:
         return 0.0
-    if ax == INF:
-        return INF
+    if ax > _HUGE:
+        return 0.5 * ax * ax
     root = math.sqrt(ax * ax - 4.0)
     return 0.5 * ax * root - 2.0 * math.log(0.5 * (ax + root))
 
@@ -137,8 +141,10 @@ def rate_fl(x: float, tau: float) -> float:
         raise ParameterError(f"tau must be in (0, 1], got {tau}")
     _refuse_nan(x)
     a, b = mp_edges(tau)
-    if x <= 0.0 or x == INF:
+    if x <= 0.0:
         return INF
+    if x > _HUGE:
+        return x
     if a <= x <= b:
         return 0.0
     if x > b:
@@ -171,9 +177,22 @@ def rate_fj(x: float, u_minus: float, u_plus: float) -> float:
     )
 
 
+def outlier_cost(law: EquilibriumLaw, x: float) -> float:
+    """The extreme-eigenvalue cost of an outlier at x for the ensemble whose
+    limit law is `law`: F_G for SC, F_L for MP(tau), F_J for KMK(u_-, u_+),
+    and F_J of KMK(0, 1) for the arcsine law, through `affine_s` on [-2, 2]."""
+    if law.family is Family.SEMICIRCLE:
+        return rate_fg(x)
+    if law.family is Family.MARCHENKO_PASTUR:
+        return rate_fl(x, law.tau)
+    if law.family is Family.KESTEN_MCKAY:
+        return rate_fj(x, law.u_minus, law.u_plus)
+    return rate_fj(float(affine_s(x)) if law.interval == "[-2,2]" else x, 0.0, 1.0)
+
+
 def small_g(x: float) -> float:
-    """g(x) = x - 1 - log x for x > 0, +inf otherwise; zero only at 1."""
-    if x <= 0.0:
+    """g(x) = x - 1 - log x for 0 < x < inf, +inf otherwise; zero only at 1."""
+    if x <= 0.0 or x == INF:
         return INF
     return x - 1.0 - math.log(x)
 
@@ -185,29 +204,21 @@ def big_g(x: float) -> float:
     return small_g(x * x)
 
 
-class BetaHVariant(str, Enum):
-    CORRECTED = "corrected"
-    PAPER_LITERAL = "paper_literal"
-
-
-def beta_h(u: float, v: float, q: float, variant: BetaHVariant = BetaHVariant.CORRECTED) -> float:
+def beta_h(u: float, v: float, q: float) -> float:
     """Rate of beta_s(un + ..., vn + ...) at speed n.
 
-    The literal variant is the printed formula q(u-v) - u log(1+q)
-    - v log(1-q), transcribed into this package's sign convention for
-    symmetric-beta variables (mean (b - a)/(b + a), which flips q relative
-    to the source display): q(v-u) - u log(1-q) - v log(1+q). The corrected
-    variant is the contraction of the gamma rates under the same
-    convention: it is nonnegative, strictly convex on (-1, 1) and vanishes
-    exactly at q* = (v - u)/(u + v). The two differ by a function affine
-    in q.
+    This is the contraction of the gamma rates in this package's sign
+    convention for symmetric-beta variables (mean (b - a)/(b + a), which
+    flips q relative to the source display): it is nonnegative, strictly
+    convex on (-1, 1) and vanishes exactly at q* = (v - u)/(u + v). The
+    source prints q(u-v) - u log(1+q) - v log(1-q), in this convention
+    q(v-u) - u log(1-q) - v log(1+q), which differs from h by a function
+    affine in q.
     """
     if u <= 0.0 or v <= 0.0:
         raise ParameterError("beta_h needs u, v > 0")
     if not (-1.0 < q < 1.0):
         return INF
-    if variant is BetaHVariant.PAPER_LITERAL:
-        return q * (v - u) - u * math.log1p(-q) - v * math.log1p(q)
     # (u + v) times the relative entropy of Bernoulli((1 - q)/2) against
     # Bernoulli(u/(u + v)), as u g(x) + v g(y) with g(x) = x - log(1 + x) >= 0,
     # 1 + x = (1 - q)(u + v)/(2u) and 1 + y = (1 + q)(u + v)/(2v): no term
@@ -240,12 +251,7 @@ def hermite_rate(coeffs) -> RateReport:
 
 
 def laguerre_rate(d, s, tau: float) -> RateReport:
-    """Laguerre coefficient-side rate: sum G(d_k) + tau * sum G(s_k/sqrt(tau)).
-
-    At tau = 1 with len(s) == len(d) > 0 the same value is recomputed from
-    the assembled Jacobi coefficients (b_0 - 1 + sum(b_k - 2) - 2 sum log a_k
-    plus the boundary term s_L^2 - 1) and asserted equal to 1e-10.
-    """
+    """Laguerre coefficient-side rate: sum G(d_k) + tau * sum G(s_k/sqrt(tau))."""
     if not (0.0 < tau <= 1.0):
         raise ParameterError(f"tau must be in (0, 1], got {tau}")
     d = np.asarray(d, dtype=float)
@@ -262,62 +268,29 @@ def laguerre_rate(d, s, tau: float) -> RateReport:
         terms.append((f"tau*G(s_{k}/sqrt(tau))", t))
         total += t
     flags = ["infinite"] if not math.isfinite(total) else []
-    if tau == 1.0 and len(s) == len(d) > 0 and math.isfinite(total):
-        from .jacobi import ds_assemble
-
-        coeffs = ds_assemble(d, s)
-        alt = (
-            coeffs.b[0]
-            - 1.0
-            + float(np.sum(coeffs.b[1 : len(d)] - 2.0))
-            + (s[-1] ** 2 - 1.0)
-            - 2.0 * float(np.sum(np.log(coeffs.a)))
-        )
-        if abs(alt - total) > 1e-10 * (1.0 + abs(total)):
-            raise AssertionError(f"tau=1 identity violated: {alt} vs {total}")
     return RateReport(value=total, terms=terms, truncation=len(d), tail_bound=0.0, flags=flags)
 
 
-def jacobi_ensemble_rate(
-    alpha,
-    kappa1: float,
-    kappa2: float,
-    variant: BetaHVariant = BetaHVariant.CORRECTED,
-) -> RateReport:
+def jacobi_ensemble_rate(alpha, kappa1: float, kappa2: float) -> RateReport:
     """Verblunsky-side rate of the Jacobi ensemble with slopes (kappa1, kappa2).
 
-    paper_literal evaluates the displayed series verbatim; corrected sums
-    the corrected symmetric-beta rate with (u, v) = (1 + kappa2, 1 + kappa1)
+    Sums the symmetric-beta rate `beta_h` with (u, v) = (1 + kappa2, 1 + kappa1)
     at even indices and (1 + kappa1 + kappa2, 1) at odd ones, which vanishes
     at the almost-sure limits of the coefficients (sumrule.jacobi_limit_alphas)
     and matches the sampler's even-index mean (kappa1 - kappa2)/(2 + kappa1
-    + kappa2). At kappa = 0 both reduce to -sum log(1 - alpha_k^2).
+    + kappa2). At kappa = 0 it is -sum log(1 - alpha_k^2). The measure side
+    it is probed against picks its outlier cost in `outlier_cost`.
     """
     if not (kappa1 >= 0.0 and kappa2 >= 0.0):
         raise ParameterError(f"slopes kappa must be >= 0, got ({kappa1}, {kappa2})")
     vec = np.asarray(alpha.alpha if hasattr(alpha, "alpha") else alpha, dtype=float)
-    k1, k2 = kappa1, kappa2
     terms = []
     total = 0.0
     for k, al in enumerate(vec):
         if not (-1.0 < al < 1.0):
             return RateReport(value=INF, terms=[], truncation=len(vec), flags=["infinite"])
-        if variant is BetaHVariant.PAPER_LITERAL:
-            if k % 2 == 0:
-                t = (
-                    al * (k1 - k2)
-                    - (1.0 + k1) * math.log1p(al)
-                    - (1.0 + k2) * math.log1p(-al)
-                )
-            else:
-                t = (
-                    al * (k1 + k2)
-                    - (1.0 + k1 + k2) * math.log1p(al)
-                    - math.log1p(-al)
-                )
-        else:
-            u, v = (1.0 + k2, 1.0 + k1) if k % 2 == 0 else (1.0 + k1 + k2, 1.0)
-            t = beta_h(u, v, al, BetaHVariant.CORRECTED)
+        u, v = (1.0 + kappa2, 1.0 + kappa1) if k % 2 == 0 else (1.0 + kappa1 + kappa2, 1.0)
+        t = beta_h(u, v, al)
         terms.append((f"alpha_{k}", t))
         total += t
     return RateReport(value=total, terms=terms, truncation=len(vec), tail_bound=0.0)

@@ -23,8 +23,8 @@ from .equilibria import (
     Family,
     TailJacobiModel,
     ac_density,
+    kmk_of_slopes,
     m_function,
-    u_pm,
 )
 from .errors import NotPositiveDefiniteError, ParameterError
 from .jacobi import PIVMIN, JacobiCoeffs, VerblunskyCoeffs, ds_factorize, geronimus
@@ -33,9 +33,7 @@ from .rates import (
     hermite_rate,
     jacobi_ensemble_rate,
     laguerre_rate,
-    rate_fg,
-    rate_fj,
-    rate_fl,
+    outlier_cost,
 )
 
 __all__ = [
@@ -199,6 +197,8 @@ def _jost(model: TailJacobiModel) -> _JostRoots:
     b_inf, a_inf = model.b_inf, model.a_inf
     b = [(model.b_at(j) - b_inf) / a_inf for j in range(k)]
     a = [model.a_at(j) / a_inf for j in range(k)]
+    if max(a) * max(a) == math.inf:
+        raise ParameterError(f"head entry a/a_inf = {max(a)!r} overflows when squared")
     n = 2 * k
     comp = np.zeros((n, n))
     flat = comp.reshape(-1)  # strided slices of it are (off-)diagonals of blocks
@@ -240,19 +240,6 @@ def outliers(model: TailJacobiModel):
     return _jost(model).outlier_list
 
 
-def _outlier_cost(reference: EquilibriumLaw):
-    """The extreme-eigenvalue cost of the reference's ensemble on its support."""
-    if reference.family is Family.SEMICIRCLE:
-        return rate_fg
-    if reference.family is Family.MARCHENKO_PASTUR:
-        return lambda e: rate_fl(e, reference.tau)
-    if reference.family is Family.KESTEN_MCKAY:
-        return lambda e: rate_fj(e, reference.u_minus, reference.u_plus)
-    # arcsine: KMK(0, 1), on [0, 1] or mapped to [-2, 2]
-    lo, hi = reference.support
-    return lambda e: rate_fj((e - lo) / (hi - lo), 0.0, 1.0)
-
-
 def _measure_side(
     model: TailJacobiModel, reference: EquilibriumLaw, roots: _JostRoots
 ) -> RateReport:
@@ -262,9 +249,8 @@ def _measure_side(
         raise ParameterError(
             f"reference support [{rlo}, {rhi}] does not match model bulk [{lo}, {hi}]"
         )
-    cost = _outlier_cost(reference)
     terms = [("kullback", roots.kullback(reference))]
-    terms += [(f"F({e:.12g})", cost(e)) for e, _ in roots.outlier_list]
+    terms += [(f"F({e:.12g})", outlier_cost(reference, e)) for e, _ in roots.outlier_list]
     flags = [
         f"edge resonance at {e:.12g}: Jost root within {JOST_EDGE_DELTA:g} "
         "of the unit circle, not counted as an outlier"
@@ -282,9 +268,7 @@ def measure_side_rate(model: TailJacobiModel, reference: EquilibriumLaw) -> Rate
 
     reference must share its support with the model bulk: SC for the free
     tail, MP(tau) for the Laguerre tail, KMK(u_-, u_+) for the Jacobi tail on
-    [0, 1]. Its family picks the outlier cost: F_G (`rate_fg`) for SC, F_L
-    (`rate_fl`) for MP, and F_J (`rate_fj`) on the support for KMK and the
-    arcsine law.
+    [0, 1]. Its family picks the outlier cost (`rates.outlier_cost`).
     """
     return _measure_side(model, reference, _jost(model))
 
@@ -402,8 +386,7 @@ def conjecture_probe_jacobi(alpha_head, kappa1: float, kappa2: float) -> Conject
     the coefficient side sums the head alone. Through the Geronimus relations
     the sequence is a constant-tail Jacobi model on [-2, 2], mapped to [0, 1]
     (b -> (b + 2)/4, a -> a/4); the measure side is `measure_side_rate`
-    against KMK(u_-, u_+), exact (truncation 0), with the arcsine law
-    KMK(0, 1) at kappa = (0, 0).
+    against the KMK law of the slopes (`kmk_of_slopes`), exact (truncation 0).
     """
     head = np.asarray(
         alpha_head.alpha if isinstance(alpha_head, VerblunskyCoeffs) else alpha_head,
@@ -419,10 +402,7 @@ def conjecture_probe_jacobi(alpha_head, kappa1: float, kappa2: float) -> Conject
     full = geronimus(VerblunskyCoeffs(alpha), span + 1)
     b, a = 0.25 * (full.b + 2.0), 0.25 * full.a  # b_span and a_{span-1} are the tail
     model = TailJacobiModel(a_inf=a[-1], b_inf=b[-1], head=JacobiCoeffs(b[:-1], a[:-1]))
-    d = 2.0 + kappa1 + kappa2
-    u_minus, u_plus = u_pm((1.0 + kappa1) / d, (1.0 + kappa1 + kappa2) / d)
-    reference = EquilibriumLaw(Family.KESTEN_MCKAY, u_minus=u_minus, u_plus=u_plus)
-    measure_report = measure_side_rate(model, reference)
+    measure_report = measure_side_rate(model, kmk_of_slopes(kappa1, kappa2))
     return ConjectureReport(
         family="jacobi_kn",
         coefficient_side=coeff_report,

@@ -8,7 +8,6 @@ import math
 import time
 
 import numpy as np
-import pytest
 from scipy.optimize import minimize_scalar
 
 from betaspectra.ensembles import EnsembleSpec, Kind

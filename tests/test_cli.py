@@ -10,11 +10,12 @@ import numpy as np
 import pytest
 
 import betaspectra
+from betaspectra import cli as cli_module
 from betaspectra.cli import cli
 from betaspectra.ensembles import EnsembleSpec, Kind
 from betaspectra.jacobi import JacobiCoeffs
 from betaspectra.montecarlo import McExperiment
-from betaspectra.sumrule import TailJacobiModel
+from betaspectra.sumrule import SumRuleReport, TailJacobiModel
 
 
 def run(capsys, *argv):
@@ -201,6 +202,9 @@ MISUSE = [
     ("rate", "--family", "fj", "--u-minus", "0.2", "--u-plus", "0.6", "--x", "nan"),
     ("mc", "--x", "nan", "--n-list", "5", "--samples", "10"),
     ("moments", "--c", "inf"),
+    ("mc", "--ensemble", "laguerre", "--m", "10", "--tau", "0.5", "--x", "3"),
+    ("sample", "--ensemble", "hermite", "--n", "5", "--tau", "0.5"),
+    ("rate", "--family", "jacobi", "--alpha", "0.1", "--variant", "paper_literal"),
 ]
 
 
@@ -233,6 +237,31 @@ def test_rate_at_infinite_threshold(capsys):
         code, out, err = run(capsys, "rate", "--family", *argv, "--x", "inf")
         assert code == 0 and err == ""
         assert json.loads(out)["value"] == math.inf
+
+
+def test_rate_at_huge_arguments(capsys):
+    # finite wherever the value fits in a double, +inf beyond, never NaN
+    for argv, expect in ((("fg", "--x", "1e200"), math.inf),
+                         (("fl", "--x", "1e200", "--tau", "0.5"), 1e200),
+                         (("hermite", "--a", "1e160"), math.inf)):
+        code, out, err = run(capsys, "rate", "--family", *argv)
+        assert code == 0 and err == ""
+        assert json.loads(out)["value"] == expect
+
+
+def test_sumrule_huge_heads(capsys, tmp_path, monkeypatch):
+    code, out, _ = run(capsys, "sumrule", "--model", model_file(tmp_path, [1e200], []))
+    assert code == 0 and json.loads(out)["gap"] == 0.0
+    # a_0^2 overflows: one error line, no traceback
+    code, out, err = run(capsys, "sumrule", "--model", model_file(tmp_path, [0.0], [1e160]))
+    assert code == 1 and out == ""
+    assert len(err.strip().splitlines()) == 1 and err.startswith("error: ")
+    # a NaN gap fails the check rather than passing it
+    nan_report = SumRuleReport(jacobi_side=1.0, measure_side=math.nan, gap=math.nan,
+                               outlier_list=[])
+    monkeypatch.setattr(cli_module, "sumrule_verify", lambda model: nan_report)
+    code, out, _ = run(capsys, "sumrule", "--model", model_file(tmp_path, [0.3], []))
+    assert code == 2 and math.isnan(json.loads(out)["gap"])
 
 
 @pytest.mark.parametrize("value", ["-inf", "-1e-3", "-2.5"])

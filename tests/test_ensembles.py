@@ -19,7 +19,15 @@ from betaspectra.ensembles import (
     sample_beta_s,
     spectral_measure,
 )
-from betaspectra.equilibria import ARCSINE_01, ChebGrid, density
+from betaspectra.equilibria import (
+    ARCSINE_01,
+    SC,
+    ChebGrid,
+    EquilibriumLaw,
+    Family,
+    density,
+    kmk_of_slopes,
+)
 from betaspectra.errors import ParameterError
 from betaspectra.jacobi import VerblunskyCoeffs
 from betaspectra.montecarlo import McExperiment, mc_tail_rate, stat_suite
@@ -41,6 +49,34 @@ def test_spec_validation():
     spec = EnsembleSpec(kind=Kind.LAGUERRE, n=10, beta=2.0, tau=0.5)
     assert spec.laguerre_m == 5
     assert spec.beta_prime == 1.0
+
+
+@pytest.mark.parametrize("kind, params", [
+    (Kind.LAGUERRE, dict(m=10, tau=0.5)),  # m = 10 at N = 40 is tau = 0.25
+    (Kind.HERMITE, dict(tau=0.5)),
+    (Kind.HERMITE, dict(kappa1=1.0)),
+    (Kind.LAGUERRE, dict(tau=0.5, a=1.0)),
+    (Kind.JACOBI_KN, dict(m=10)),
+    (Kind.JACOBI_KN, dict(a=1.0, kappa1=0.5)),
+    (Kind.JACOBI_KN, dict(b=1.0, kappa2=0.5)),
+])
+def test_spec_refuses_ignored_or_contradictory_parameters(kind, params):
+    with pytest.raises(ParameterError):
+        EnsembleSpec(kind=kind, n=40, beta=2.0, **params)
+    with pytest.raises(ParameterError):
+        EnsembleSpec.from_json({"kind": kind.value, "n": 40, "beta": 2.0, **params})
+
+
+def test_spec_law():
+    assert EnsembleSpec(kind=Kind.HERMITE, n=4, beta=2.0).law == SC
+    lag = EnsembleSpec(kind=Kind.LAGUERRE, n=40, beta=2.0, m=10)
+    assert lag.law == EquilibriumLaw(Family.MARCHENKO_PASTUR, tau=0.25)
+    slopes = EnsembleSpec(kind=Kind.JACOBI_KN, n=4, beta=2.0, kappa1=1.0, kappa2=0.5)
+    assert slopes.law == kmk_of_slopes(1.0, 0.5)
+    # fixed exponents are slopes 0: the arcsine law KMK(0, 1), on either interval
+    for interval in ("[-2,2]", "[0,1]"):
+        fixed = EnsembleSpec(kind=Kind.JACOBI_KN, n=4, beta=2.0, a=0.5, interval=interval)
+        assert fixed.law == EquilibriumLaw(Family.KESTEN_MCKAY, u_minus=0.0, u_plus=1.0)
 
 
 def test_measure_interval_validation():

@@ -14,8 +14,8 @@ from betaspectra.equilibria import (
     EquilibriumLaw,
     Family,
     density,
+    kmk_of_slopes,
     moment,
-    mp_edges,
     sigma_pm,
     stieltjes,
     u_pm,
@@ -66,6 +66,24 @@ def test_density_nonnegative(law):
     lo, hi = law.support
     xs = np.linspace(lo + 1e-9 * (hi - lo), hi - 1e-9 * (hi - lo), 501)
     assert np.all(density(law, xs) >= 0.0)
+
+
+@pytest.mark.parametrize("law", ALL_LAWS)
+def test_edges_are_the_support_in_closed_form(law):
+    assert law.edges == pytest.approx(law.support, abs=1e-15)
+    if law.family is Family.MARCHENKO_PASTUR:
+        assert law.edges == ((1.0 - math.sqrt(law.tau)) ** 2, (1.0 + math.sqrt(law.tau)) ** 2)
+    if law.family is Family.KESTEN_MCKAY:
+        assert law.edges == (law.u_minus, law.u_plus)
+
+
+def test_kmk_of_slopes():
+    for k1, k2 in [(0.0, 0.0), (1.0, 0.5), (0.3, 2.0), (0.0, 1.7)]:
+        d = 2.0 + k1 + k2
+        u_minus, u_plus = u_pm((1.0 + k1) / d, (1.0 + k1 + k2) / d)
+        assert kmk_of_slopes(k1, k2) == EquilibriumLaw(
+            Family.KESTEN_MCKAY, u_minus=u_minus, u_plus=u_plus)
+    assert kmk_of_slopes(0.0, 0.0).edges == (0.0, 1.0)
 
 
 def test_stieltjes_sc_closed_form():

@@ -11,7 +11,7 @@ from betaspectra.moments_opt import (
     moment_opt_report,
     moments_to_jacobi,
 )
-from betaspectra.jacobi import jacobi_moments, spectral_decompose
+from betaspectra.jacobi import jacobi_moments
 from betaspectra.sumrule import TailJacobiModel
 
 

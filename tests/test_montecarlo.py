@@ -2,6 +2,7 @@
 
 import math
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from scipy import stats
 
-from betaspectra.ensembles import EnsembleSpec, Kind, RngStream, sample_batch, sample_hermite
+from betaspectra.ensembles import EnsembleSpec, Kind, RngStream, sample_batch
 from betaspectra.errors import ParameterError
 from betaspectra.jacobi import _lowest_weights, spectral_decompose
 from betaspectra.montecarlo import (
@@ -52,6 +53,21 @@ def test_theory_rate_dispatch():
     # default interval maps the threshold from [-2, 2] to [0, 1]
     jac2 = EnsembleSpec(kind=Kind.JACOBI_KN, n=10, beta=2.0, kappa1=0.0, kappa2=0.0)
     assert theory_rate(jac2, 0.0) == rate_fj(0.5, 0.0, 1.0)
+    # values of the per-ensemble dispatch before spec.law, compared exactly
+    lag_m = EnsembleSpec(kind=Kind.LAGUERRE, n=40, beta=2.0, m=10)
+    assert theory_rate(lag_m, 3.5) == 0.5169671603794678
+    assert theory_rate(lag_m, 0.1) == 0.372534234120556
+    for interval, inside, outside in (("[-2,2]", 1.9, 2.5), ("[0,1]", 0.98, 1.1)):
+        fixed = EnsembleSpec(kind=Kind.JACOBI_KN, n=10, beta=2.0, a=0.5, b=1.5,
+                             interval=interval)
+        assert theory_rate(fixed, inside) == 0.0
+        assert theory_rate(fixed, outside) == math.inf
+    slopes = EnsembleSpec(kind=Kind.JACOBI_KN, n=10, beta=2.0, kappa1=1.0, kappa2=0.5)
+    assert theory_rate(slopes, 1.93) == 0.010965941663942456
+    assert theory_rate(slopes, -1.9) == 0.21847955877335434
+    slopes01 = EnsembleSpec(kind=Kind.JACOBI_KN, n=10, beta=2.0, kappa1=0.3, kappa2=2.0,
+                            interval="[0,1]")
+    assert theory_rate(slopes01, 0.99) == 1.1917599740602367
 
 
 def test_sturm_count_matches_eigensolve():
@@ -171,6 +187,19 @@ def test_mc_inside_bulk_flag():
     res = mc_tail_rate(exp)
     assert res.theory == 0.0
     assert any("inside the bulk" in f for f in res.flags)
+    # the flag text, edges and mapped threshold included, as before spec.law
+    tail = ": probability tends to 1 and the rate is 0"
+    lag = EnsembleSpec(kind=Kind.LAGUERRE, n=40, beta=2.0, tau=0.5)
+    jac = EnsembleSpec(kind=Kind.JACOBI_KN, n=10, beta=2.0, kappa1=1.0, kappa2=0.5)
+    for spec, x, text in (
+        (lag, 2.0, "threshold 2 lies inside the bulk (0.0857864, 2.91421)"),
+        (jac, 1.0, "threshold 0.75 lies inside the bulk (0.0834918, 0.977733)"),
+        (replace(jac, interval="[0,1]"), 0.5,
+         "threshold 0.5 lies inside the bulk (0.0834918, 0.977733)"),
+    ):
+        flags = mc_tail_rate(McExperiment(spec=spec, x=x, n_list=(10,), samples=200,
+                                          seed=7)).flags
+        assert flags == [text + tail]
 
 
 def test_mc_csv_format():

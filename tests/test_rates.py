@@ -1,6 +1,7 @@
-"""Rate functions: closed forms, convexity, zero sets, variant relations."""
+"""Rate functions: closed forms, convexity, zero sets, the printed h."""
 
 import math
+import sys
 
 import mpmath
 import numpy as np
@@ -9,14 +10,14 @@ from scipy.integrate import quad
 
 from betaspectra.equilibria import ARCSINE_01, ARCSINE_SYM, SC, EquilibriumLaw, Family, mp_edges
 from betaspectra.errors import ParameterError
-from betaspectra.jacobi import JacobiCoeffs, VerblunskyCoeffs
+from betaspectra.jacobi import JacobiCoeffs, VerblunskyCoeffs, ds_assemble
 from betaspectra.rates import (
-    BetaHVariant,
     beta_h,
     big_g,
     hermite_rate,
     jacobi_ensemble_rate,
     laguerre_rate,
+    outlier_cost,
     rate_fg,
     rate_fj,
     rate_fl,
@@ -123,6 +124,63 @@ def test_rate_fj_mpmath_oracle(x, u_minus, u_plus):
     assert rate_fj(x, u_minus, u_plus) == pytest.approx(ref, rel=1e-10, abs=0.0)
 
 
+HUGE_X = [1e150, 1.3e154, 1.8e154, 1e200, 1e300]
+
+
+def _as_double(val) -> float:
+    """The double nearest an mpmath value, +inf past the largest double."""
+    return INF if val > sys.float_info.max else float(val)
+
+
+def _huge_oracles(x, tau):
+    """F_G, F_L(tau) and G at x > 2, (1 + sqrt(tau))^2 from their closed
+    antiderivatives in 60 digits."""
+    with mpmath.workdps(60):
+        x = mpmath.mpf(x)
+        r = mpmath.sqrt(x * x - 4)
+        fg = x / 2 * r - 2 * mpmath.log((x + r) / 2)
+        a, b = (1 - mpmath.sqrt(tau)) ** 2, (1 + mpmath.sqrt(tau)) ** 2
+        rab = mpmath.sqrt(a * b)
+
+        def prim(t):  # an antiderivative of sqrt((t - a)(t - b))/t for t >= b
+            q = mpmath.sqrt((t - a) * (t - b))
+            return (q - (a + b) / 2 * mpmath.log(2 * q + 2 * t - (a + b))
+                    - rab * mpmath.log(abs((2 * rab * q - (a + b) * t + 2 * a * b) / t)))
+
+        g = x * x - 1 - 2 * mpmath.log(x)
+        return _as_double(fg), _as_double(prim(x) - prim(b)), _as_double(g)
+
+
+@pytest.mark.parametrize("x", HUGE_X)
+def test_costs_at_huge_thresholds(x):
+    # the finite value wherever it fits in a double, +inf beyond, never NaN
+    fg, fl, g = _huge_oracles(x, 0.5)
+    _, fl1, _ = _huge_oracles(x, 1.0)
+    for got, ref in ((rate_fg(x), fg), (rate_fg(-x), fg), (rate_fl(x, 0.5), fl),
+                     (rate_fl(x, 1.0), fl1), (big_g(x), g)):
+        if ref == INF:
+            assert got == INF
+        else:
+            assert got == pytest.approx(ref, rel=1e-14, abs=0.0)
+
+
+def test_g_at_infinity():
+    assert small_g(INF) == INF and big_g(INF) == INF
+    assert small_g(1e300) == pytest.approx(1e300, rel=1e-14)
+
+
+def test_outlier_cost_dispatch():
+    assert outlier_cost(SC, -2.7) == rate_fg(-2.7)
+    assert outlier_cost(EquilibriumLaw(Family.MARCHENKO_PASTUR, tau=0.3), 2.5) == rate_fl(2.5, 0.3)
+    kmk = EquilibriumLaw(Family.KESTEN_MCKAY, u_minus=0.2, u_plus=0.7)
+    assert outlier_cost(kmk, 0.9) == rate_fj(0.9, 0.2, 0.7)
+    # the arcsine law is KMK(0, 1); on [-2, 2] through s(y) = (y + 2)/4
+    assert outlier_cost(ARCSINE_01, 0.5) == 0.0 and outlier_cost(ARCSINE_01, 1.2) == INF
+    assert outlier_cost(ARCSINE_SYM, -1.9) == 0.0 and outlier_cost(ARCSINE_SYM, 2.1) == INF
+    with pytest.raises(ParameterError, match="NaN"):
+        outlier_cost(ARCSINE_SYM, math.nan)
+
+
 def test_small_big_g():
     assert small_g(1.0) == 0.0
     assert small_g(0.0) == INF
@@ -155,24 +213,24 @@ def test_beta_h_literal_example():
     assert beta_h(2.0, 1.0, -1.0 / 3.0) == pytest.approx(0.0, abs=1e-10)
 
 
+def _printed_h(u, v, q):
+    # the source's display of h, in the package's sign convention
+    return q * (v - u) - u * math.log1p(-q) - v * math.log1p(q)
+
+
 def test_beta_h_variants_differ_by_affine():
     for u, v in [(1.5, 1.0), (2.0, 3.0)]:
         qs = np.linspace(-0.9, 0.9, 181)
-        diff = np.array([
-            beta_h(u, v, q, BetaHVariant.PAPER_LITERAL) - beta_h(u, v, q)
-            for q in qs
-        ])
+        diff = np.array([_printed_h(u, v, q) - beta_h(u, v, q) for q in qs])
         assert np.max(np.abs(np.diff(diff, 2))) < 1e-12
 
 
 def test_beta_h_equal_parameters_symmetric_log():
-    # u = v reduces both variants to -u log(1 - q^2)
+    # u = v reduces both h and the printed formula to -u log(1 - q^2)
     for q in (-0.5, 0.0, 0.3, 0.8):
         expect = -1.0 * math.log(1.0 - q * q)
         assert beta_h(1.0, 1.0, q) == pytest.approx(expect, abs=1e-13)
-        assert beta_h(1.0, 1.0, q, BetaHVariant.PAPER_LITERAL) == pytest.approx(
-            expect, abs=1e-13
-        )
+        assert _printed_h(1.0, 1.0, q) == pytest.approx(expect, abs=1e-13)
 
 
 def test_hermite_rate():
@@ -204,21 +262,29 @@ def test_laguerre_rate_example():
 
 
 def test_laguerre_tau1_identity_random():
+    # at tau = 1 the rate equals b_0 - 1 + sum(b_k - 2) - 2 sum log a_k plus
+    # the boundary term s_L^2 - 1, from the assembled Jacobi coefficients
     rng = np.random.default_rng(12)
     for _ in range(50):
         n = rng.integers(2, 9)
         d = rng.uniform(0.3, 2.0, n)
         s = rng.uniform(0.3, 2.0, n)
-        # the identity is asserted internally at 1e-10; no exception means pass
-        laguerre_rate(d, s, 1.0)
+        total = laguerre_rate(d, s, 1.0).value
+        coeffs = ds_assemble(d, s)
+        alt = (
+            coeffs.b[0] - 1.0
+            + float(np.sum(coeffs.b[1:n] - 2.0))
+            + (s[-1] ** 2 - 1.0)
+            - 2.0 * float(np.sum(np.log(coeffs.a)))
+        )
+        assert abs(alt - total) <= 1e-10 * (1.0 + abs(total))
 
 
 def test_jacobi_ensemble_rate_zero_slopes():
     alpha = VerblunskyCoeffs(np.array([0.3, -0.2, 0.5]))
     expect = -float(np.sum(np.log(1.0 - alpha.alpha**2)))
-    for variant in BetaHVariant:
-        got = jacobi_ensemble_rate(alpha, 0.0, 0.0, variant).value
-        assert got == pytest.approx(expect, abs=1e-13)
+    got = jacobi_ensemble_rate(alpha, 0.0, 0.0).value
+    assert got == pytest.approx(expect, abs=1e-13)
 
 
 def test_jacobi_ensemble_rate_structure():

@@ -41,9 +41,16 @@ def _used_names(tree: ast.Module) -> set:
     return used
 
 
-@pytest.mark.parametrize("module", MODULES)
-def test_no_unused_module_imports(module):
-    with open(os.path.join(PACKAGE_DIR, module)) as fh:
+TEST_DIR = os.path.dirname(os.path.abspath(__file__))
+TEST_MODULES = sorted(name for name in os.listdir(TEST_DIR) if name.endswith(".py"))
+SOURCES = [(name, os.path.join(PACKAGE_DIR, name)) for name in MODULES] + [
+    (f"tests/{name}", os.path.join(TEST_DIR, name)) for name in TEST_MODULES
+]
+
+
+@pytest.mark.parametrize("module, path", SOURCES, ids=[name for name, _ in SOURCES])
+def test_no_unused_module_imports(module, path):
+    with open(path) as fh:
         tree = ast.parse(fh.read(), filename=module)
     used = _used_names(tree)
     unused = sorted(

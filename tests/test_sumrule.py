@@ -20,7 +20,7 @@ from betaspectra.jacobi import (
     geronimus,
     spectral_decompose,
 )
-from betaspectra.rates import big_g, jacobi_ensemble_rate, laguerre_rate, rate_fg
+from betaspectra.rates import big_g, jacobi_ensemble_rate, laguerre_rate, outlier_cost
 from betaspectra import sumrule as sumrule_module
 from betaspectra.sumrule import (
     JOST_EDGE_DELTA,
@@ -330,6 +330,40 @@ def test_measure_side_support_mismatch():
     mp = EquilibriumLaw(Family.MARCHENKO_PASTUR, tau=0.5)
     with pytest.raises(ParameterError):
         measure_side_rate(FREE, mp)
+
+
+# Each law's measure-side terms on the head (b_0, b_1) = tail + (2.8, 0.1) a_inf,
+# a_0 = 1.1 a_inf: one outlier above the support, its cost picked by the law
+OUTLIER_TERMS = [
+    (SC, 1.9557403434972065, 1.9886392968941444),
+    (EquilibriumLaw(Family.MARCHENKO_PASTUR, tau=0.3), 2.3078908452048488, 0.21339244380907996),
+    (EquilibriumLaw(Family.KESTEN_MCKAY, u_minus=0.2, u_plus=0.7),
+     1.9806609553632066, 0.19574274492249122),
+    (ARCSINE_SYM, 2.62348307849693, math.inf),
+]
+
+
+@pytest.mark.parametrize("law, kullback, cost", OUTLIER_TERMS,
+                         ids=["sc", "mp0.3", "kmk", "arcsine[-2,2]"])
+def test_measure_side_outlier_cost_terms(law, kullback, cost):
+    # values of the per-family dispatch before rates.outlier_cost, compared exactly
+    base = law.model
+    model = TailJacobiModel(a_inf=base.a_inf, b_inf=base.b_inf, head=JacobiCoeffs(
+        base.b_inf + base.a_inf * np.array([2.8, 0.1]), base.a_inf * np.array([1.1])))
+    terms = measure_side_rate(model, law).terms
+    (energy, _), = outliers(model)
+    assert [value for _, value in terms] == [kullback, cost]
+    assert terms[1][1] == outlier_cost(law, energy)
+
+
+def test_huge_heads():
+    # b_0 = 1e200: both sides are +inf (b_0^2/2 and F_G(E) overflow), so the gap is 0
+    report = sumrule_verify(TailJacobiModel(head=JacobiCoeffs(np.array([1e200]), np.empty(0))))
+    assert report.jacobi_side == math.inf and report.measure_side == math.inf
+    assert report.gap == 0.0
+    # a_0^2 overflows in the Jost companion matrix: refused by name
+    with pytest.raises(ParameterError, match="overflows"):
+        sumrule_verify(TailJacobiModel(head=JacobiCoeffs(np.array([0.0]), np.array([1e160]))))
 
 
 def test_conjecture_probe_laguerre_at_minimizer():
