@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 
@@ -134,8 +135,10 @@ def _cmd_sumrule(args) -> int:
         model = TailJacobiModel.from_json(json.load(fh))
     report = sumrule_verify(model)
     _emit_json(args, report.to_json())
-    # a NaN gap compares false either way: only <= lets it fail
-    return 0 if abs(report.gap) <= args.tol * (1.0 + abs(report.jacobi_side)) else 2
+    # a NaN gap compares false either way: only <= lets it fail; an infinite
+    # gap passes against an infinite tolerance, so it fails by name
+    gap = report.gap
+    return 0 if math.isfinite(gap) and abs(gap) <= args.tol * (1.0 + abs(report.jacobi_side)) else 2
 
 
 def _cmd_rate(args) -> int:

@@ -88,6 +88,7 @@ class EnsembleSpec:
     fixed exponents (a, b) or slopes (kappa1, kappa2) with the scaling
     b(N) = beta' * kappa1 * N, a(N) = beta' * kappa2 * N. Hermite takes
     neither; a parameter of another ensemble, or both of a pair, is refused.
+    Only Jacobi-KN has a "[0,1]" interval form.
     """
 
     kind: Kind
@@ -107,6 +108,8 @@ class EnsembleSpec:
         if self.n < 1:
             raise ParameterError(f"N must be >= 1, got {self.n}")
         _check_interval(self.interval)
+        if self.interval != "[-2,2]" and self.kind is not Kind.JACOBI_KN:
+            raise ParameterError(f"{self.kind.value} has no {self.interval} form; only jacobi_kn has")
         foreign = [k for k in SPEC_PARAMS
                    if k not in _PARAMS[self.kind] and getattr(self, k) is not None]
         if foreign:
@@ -187,7 +190,10 @@ def sample_beta_s(a: float, b: float, rng: np.random.Generator, size=None):
     """
     if np.min(a) <= 0.0 or np.min(b) <= 0.0:
         raise ParameterError("beta_s parameters must be > 0")
-    return 2.0 * rng.beta(b, a, size=size) - 1.0
+    x = rng.beta(b, a, size=size)
+    x *= 2.0
+    x -= 1.0
+    return x
 
 
 # A Beta draw with a tiny parameter can round to 0 or 1, making 2x - 1 = -1
@@ -201,7 +207,9 @@ GAMMA_MIN = np.finfo(float).smallest_subnormal
 
 def _chi(shape, scale: float, gen: np.random.Generator, size) -> np.ndarray:
     """Square roots of Gamma(shape, scale) draws, none of them 0."""
-    return np.sqrt(np.maximum(gen.gamma(shape, scale, size=size), GAMMA_MIN))
+    draws = gen.gamma(shape, scale, size=size)
+    np.maximum(draws, GAMMA_MIN, out=draws)
+    return np.sqrt(draws, out=draws)
 
 
 def _hermite_draw(n: int, beta_prime: float, gen: np.random.Generator, batch: int):
@@ -246,30 +254,58 @@ def sample_laguerre(spec: EnsembleSpec, rng: RngStream) -> LaguerreDraw:
     return LaguerreDraw(d=d[0], s=s[0], coeffs=ds_assemble(d[0], s[0]))
 
 
-def _swap_pairs(x: np.ndarray) -> np.ndarray:
-    """Exchange rows 2p - 1 and 2p (p >= 1) of x in place and return x."""
-    odd = x[2::2].copy()
-    x[2::2] = x[1::2]
-    x[1::2] = odd
-    return x
+def _swap_order(size: int) -> np.ndarray:
+    """0..size-1 with 2p - 1 and 2p (p >= 1) exchanged; its own inverse."""
+    k = np.arange(size)
+    k[1::2] += 1
+    k[2::2] -= 1
+    return k
 
 
-def _jacobi_kn_draw(n: int, ea: float, eb: float, beta_prime: float,
+def _jacobi_kn_rows(n: int, ea: float, eb: float, beta_prime: float,
                     gen: np.random.Generator, batch: int) -> np.ndarray:
-    """alpha_0..alpha_{2N-2} of `batch` Killip-Nenciu models, shape
-    (batch, 2N - 1); even index 2p and odd index 2p-1 laws per Killip-Nenciu."""
-    k = np.arange(2 * n - 1)
+    """Verblunsky coefficients of `batch` Killip-Nenciu models as drawn:
+    shape (2N - 1, batch), row r holding alpha_{_swap_order(2N - 1)[r]}.
+
+    One beta call draws the indices in the order alpha_0, alpha_2, alpha_1,
+    alpha_4, alpha_3, ..., each index for the whole batch; even index 2p
+    and odd index 2p-1 laws per Killip-Nenciu.
+    """
+    k = _swap_order(2 * n - 1)
     p = (k + 1) // 2
     rest = (n - p - 1) * beta_prime
     even = k % 2 == 0
     first = np.where(even, rest + ea + 1.0, rest + ea + eb + 2.0)
     second = np.where(even, rest + eb + 1.0, (n - p) * beta_prime)
-    # one beta call draws the indices in the order alpha_0, alpha_2, alpha_1,
-    # alpha_4, alpha_3, ..., each index for the whole batch
-    draws = sample_beta_s(_swap_pairs(first)[:, None], _swap_pairs(second)[:, None], gen,
-                          size=(2 * n - 1, batch))
-    np.clip(draws, -ALPHA_MAX, ALPHA_MAX, out=draws)
-    return _swap_pairs(draws).T
+    draws = sample_beta_s(first[:, None], second[:, None], gen, size=(2 * n - 1, batch))
+    return np.clip(draws, -ALPHA_MAX, ALPHA_MAX, out=draws)
+
+
+def _jacobi_kn_draw(n: int, ea: float, eb: float, beta_prime: float,
+                    gen: np.random.Generator, batch: int) -> np.ndarray:
+    """alpha_0..alpha_{2N-2} of `batch` Killip-Nenciu models, shape
+    (batch, 2N - 1)."""
+    return _jacobi_kn_rows(n, ea, eb, beta_prime, gen, batch)[_swap_order(2 * n - 1)].T
+
+
+# Columns per block of the batched Killip-Nenciu map: the Geronimus scratch
+# of one block stays small beside the draws it overwrites.
+KN_BLOCK = 256
+
+
+def _jacobi_kn_batch(n: int, ea: float, eb: float, beta_prime: float,
+                     gen: np.random.Generator, batch: int):
+    """b (batch, n) and a (batch, n - 1) of `batch` Killip-Nenciu models,
+    as views of the draw array: block by block of columns, the Geronimus
+    relations write b_k into row 2k and a_k into row 2k + 1."""
+    draws = _jacobi_kn_rows(n, ea, eb, beta_prime, gen, batch)
+    order = _swap_order(2 * n - 1)
+    for lo in range(0, batch, KN_BLOCK):
+        block = slice(lo, lo + KN_BLOCK)
+        b, a = _geronimus(draws[order, block].T, n)
+        draws[0::2, block] = b.T
+        draws[1::2, block] = a.T
+    return draws[0::2].T, draws[1::2].T
 
 
 def sample_jacobi_kn(spec: EnsembleSpec, rng: RngStream) -> tuple[VerblunskyCoeffs, JacobiCoeffs]:
@@ -294,7 +330,7 @@ def sample_batch(spec: EnsembleSpec, gen: np.random.Generator, batch: int):
     if spec.kind is Kind.LAGUERRE:
         return _ds_assemble(*_laguerre_draw(spec.n, spec.laguerre_m, spec.beta_prime, gen, batch))
     ea, eb = spec.exponents
-    return _geronimus(_jacobi_kn_draw(spec.n, ea, eb, spec.beta_prime, gen, batch), spec.n)
+    return _jacobi_kn_batch(spec.n, ea, eb, spec.beta_prime, gen, batch)
 
 
 def spectral_measure(coeffs: JacobiCoeffs, interval: str = "[-2,2]") -> DiscreteMeasure:

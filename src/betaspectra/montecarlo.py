@@ -5,14 +5,20 @@ Both draw their models through ensembles.sample_batch: the tail rates a
 chunk of samples at a time, the suite one sample per generator, with one
 batched spectral decomposition of all its samples. Hit
 detection uses the Sturm sign-count of the shifted tridiagonal recursion:
-lambda_max >= x iff fewer than N leading-minor pivots at x are negative.
-One vectorized pass per sample batch, no eigensolve.
+lambda_max >= x iff fewer than N leading-minor pivots at x are negative,
+one vectorized pass per chunk and no eigensolve. The chunks of one
+mc_tail_rate call run concurrently on the usable cores; each keeps its own
+generator and draws, so the counts do not depend on the number of cores.
 """
 
 from __future__ import annotations
 
 import io
 import math
+import os
+import threading
+from collections import deque
+from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -34,6 +40,8 @@ __all__ = [
 
 CSV_HEADER = "N,x,samples,hits,p_hat,rate_hat,stderr,theory"
 CHUNK = 8192
+# Cap on the bytes of b and a of the chunks being counted at once
+MAX_INFLIGHT_BYTES = 64 << 20
 
 
 @dataclass(frozen=True)
@@ -147,20 +155,96 @@ def _sturm_negative_count(b: np.ndarray, a: np.ndarray, x: float) -> np.ndarray:
     return count
 
 
-def _count_hits(spec: EnsembleSpec, n: int, x: float, direction: str, samples: int,
-                stream: RngStream) -> int:
-    """Hits over fixed-size chunks, chunk i drawn from stream.generator(n, i),
-    so the count is a sum of independent per-chunk counts."""
+class _Budget:
+    """Admits chunks while the bytes of their b and a in flight stay within
+    MAX_INFLIGHT_BYTES; a larger chunk runs alone."""
+
+    def __init__(self) -> None:
+        self.used = 0
+        self.cond = threading.Condition()
+
+    @contextmanager
+    def hold(self, nbytes: int):
+        with self.cond:
+            self.cond.wait_for(lambda: self.used == 0 or self.used + nbytes <= MAX_INFLIGHT_BYTES)
+            self.used += nbytes
+        try:
+            yield
+        finally:
+            with self.cond:
+                self.used -= nbytes
+                self.cond.notify_all()
+
+
+def _usable_cores() -> int:
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _chunks(exp: McExperiment, stream: RngStream) -> list:
+    """(row, spec, generator, size) of every chunk of every row of exp.n_list,
+    largest N * size first. Chunk i of size N draws from stream.generator(N, i),
+    so a row's count is a sum of independent per-chunk counts."""
+    spec = exp.spec
     # Laguerre keeps tau = m/N fixed across sizes
     fixed_tau = {"m": None, "tau": spec.laguerre_tau} if spec.kind is Kind.LAGUERRE else {}
-    eff = replace(spec, n=n, **fixed_tau)
+    jobs = []
+    for row, n in enumerate(exp.n_list):
+        eff = replace(spec, n=n, **fixed_tau)
+        for chunk_id, done in enumerate(range(0, exp.samples, CHUNK)):
+            jobs.append((row, eff, stream.generator(n, chunk_id), min(CHUNK, exp.samples - done)))
+    jobs.sort(key=lambda job: -job[1].n * job[3])
+    return jobs
+
+
+def _chunk_hits(spec: EnsembleSpec, gen: np.random.Generator, size: int, threshold: float,
+                direction: str) -> int:
+    b, a = sample_batch(spec, gen, size)
+    neg = _sturm_negative_count(b, a, threshold)
+    return int(np.sum(neg < b.shape[1] if direction == "max_above" else neg >= 1))
+
+
+def _count_hits(exp: McExperiment, stream: RngStream) -> list:
+    """Hits per row of exp.n_list, counted on min(usable cores, chunks)
+    threads. Each chunk keeps its generator and its draws, so the counts do
+    not depend on the number of threads.
+
+    The calling thread takes chunks from the largest end, the helper threads
+    from the smallest: the largest working sets then stay in the calling
+    thread's malloc arena rather than in per-thread arenas that each keep
+    their own high-water mark.
+    """
     # the matrix acts on [-2, 2]; map a Jacobi-KN threshold on [0, 1] back
-    threshold = 4.0 * x - 2.0 if spec.kind is Kind.JACOBI_KN and spec.interval == "[0,1]" else x
-    hits = 0
-    for chunk_id, done in enumerate(range(0, samples, CHUNK)):
-        b, a = sample_batch(eff, stream.generator(n, chunk_id), min(CHUNK, samples - done))
-        neg = _sturm_negative_count(b, a, threshold)
-        hits += int(np.sum(neg < b.shape[1] if direction == "max_above" else neg >= 1))
+    threshold = 4.0 * exp.x - 2.0 if exp.spec.interval == "[0,1]" else exp.x
+    jobs = deque(_chunks(exp, stream))
+    budget = _Budget()
+    counts, errors = [], []
+
+    def work(take) -> None:
+        try:
+            while not errors:
+                try:
+                    row, eff, gen, size = take()
+                except IndexError:
+                    return
+                with budget.hold(8 * size * (2 * eff.n - 1)):
+                    counts.append((row, _chunk_hits(eff, gen, size, threshold, exp.direction)))
+        except BaseException as exc:
+            errors.append(exc)
+
+    helpers = [threading.Thread(target=work, args=(jobs.pop,))
+               for _ in range(min(_usable_cores(), len(jobs)) - 1)]
+    for t in helpers:
+        t.start()
+    work(jobs.popleft)
+    for t in helpers:
+        t.join()
+    if errors:
+        raise errors[0]
+    hits = [0] * len(exp.n_list)
+    for row, chunk_hits in counts:
+        hits[row] += chunk_hits
     return hits
 
 
@@ -189,10 +273,8 @@ def mc_tail_rate(exp: McExperiment) -> McResult:
                 f"expected hits at N = {n_max} is about {expected:.3g} (< 30): "
                 "estimates will be noisy"
             )
-    stream = RngStream(seed=exp.seed, stream=0)
     rows = []
-    for n in exp.n_list:
-        hits = _count_hits(spec, n, exp.x, exp.direction, exp.samples, stream)
+    for n, hits in zip(exp.n_list, _count_hits(exp, RngStream(seed=exp.seed, stream=0))):
         p_hat = hits / exp.samples
         if hits == 0:
             # lower bound from the unobserved-event scale 1/samples

@@ -10,6 +10,7 @@ exact Jost-root sum in `sumrule` (`measure_side_rate`).
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -37,6 +38,8 @@ INF = float("inf")
 # to double precision, as the next terms, -1 - 2 log x and O(log x), are
 # below 1e-140 of the value.
 _HUGE = 1e150
+# below this, x*x is subnormal or 0
+_TINY_SQUARE = sys.float_info.min
 
 
 @dataclass
@@ -201,7 +204,11 @@ def big_g(x: float) -> float:
     """G(x) = g(x^2) for x > 0, +inf otherwise."""
     if x <= 0.0:
         return INF
-    return small_g(x * x)
+    sq = x * x
+    if sq < _TINY_SQUARE:
+        # x^2 underflows; beside 1 it is negligible, so G = -1 - 2 log x
+        return -1.0 - 2.0 * math.log(x)
+    return small_g(sq)
 
 
 def beta_h(u: float, v: float, q: float) -> float:

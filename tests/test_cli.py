@@ -204,6 +204,8 @@ MISUSE = [
     ("moments", "--c", "inf"),
     ("mc", "--ensemble", "laguerre", "--m", "10", "--tau", "0.5", "--x", "3"),
     ("sample", "--ensemble", "hermite", "--n", "5", "--tau", "0.5"),
+    ("sample", "--ensemble", "hermite", "--n", "5", "--interval", "[0,1]"),
+    ("mc", "--ensemble", "laguerre", "--tau", "0.5", "--x", "3", "--interval", "[0,1]"),
     ("rate", "--family", "jacobi", "--alpha", "0.1", "--variant", "paper_literal"),
 ]
 
@@ -262,6 +264,21 @@ def test_sumrule_huge_heads(capsys, tmp_path, monkeypatch):
     monkeypatch.setattr(cli_module, "sumrule_verify", lambda model: nan_report)
     code, out, _ = run(capsys, "sumrule", "--model", model_file(tmp_path, [0.3], []))
     assert code == 2 and math.isnan(json.loads(out)["gap"])
+    # so does an infinite one, which its tolerance tol (1 + |inf|) would pass
+    inf_report = SumRuleReport(jacobi_side=math.inf, measure_side=1.0, gap=math.inf,
+                               outlier_list=[])
+    monkeypatch.setattr(cli_module, "sumrule_verify", lambda model: inf_report)
+    code, out, _ = run(capsys, "sumrule", "--model", model_file(tmp_path, [0.3], []))
+    assert code == 2 and json.loads(out)["gap"] == math.inf
+
+
+def test_sumrule_tiny_off_diagonal(capsys, tmp_path):
+    # a_0 = 1e-170 squares to 0 in doubles; G(a_0) = -1 - 2 log a_0 all the same
+    code, out, _ = run(capsys, "sumrule", "--model", model_file(tmp_path, [0.0, 0.0], [1e-170]))
+    report = json.loads(out)
+    assert code == 0
+    assert report["jacobi_side"] == pytest.approx(781.8789316179755326, rel=1e-14, abs=0.0)
+    assert abs(report["gap"]) <= 1e-6 * (1.0 + report["jacobi_side"])
 
 
 @pytest.mark.parametrize("value", ["-inf", "-1e-3", "-2.5"])

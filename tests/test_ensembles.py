@@ -1,12 +1,17 @@
 """Tridiagonal ensemble samplers: determinism, laws of the entries,
 bulk statistics at moderate size."""
 
+import hashlib
+import itertools
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from betaspectra.ensembles import (
+    SPEC_PARAMS,
     EnsembleSpec,
     Kind,
     RngStream,
@@ -30,7 +35,7 @@ from betaspectra.equilibria import (
 )
 from betaspectra.errors import ParameterError
 from betaspectra.jacobi import VerblunskyCoeffs
-from betaspectra.montecarlo import McExperiment, mc_tail_rate, stat_suite
+from betaspectra.montecarlo import CHUNK, McExperiment, mc_tail_rate, stat_suite
 
 
 def test_spec_validation():
@@ -323,10 +328,72 @@ def test_esd_arcsine_chi2_improves_with_n():
 
 
 def test_spec_json_round_trip():
-    for spec in (
-        EnsembleSpec(kind=Kind.HERMITE, n=10, beta=2.0),
-        EnsembleSpec(kind=Kind.LAGUERRE, n=10, beta=1.0, m=7),
-        EnsembleSpec(kind=Kind.JACOBI_KN, n=5, beta=2.0, kappa1=0.3, kappa2=0.1,
-                     interval="[0,1]"),
-    ):
-        assert EnsembleSpec.from_json(spec.to_json()) == spec
+    # every valid combination of each ensemble's parameters, on both intervals
+    values = {"m": 7, "tau": 0.5, "a": 0.3, "b": 1.5, "kappa1": 0.3, "kappa2": 0.1}
+    valid = 0
+    for kind, interval in itertools.product(Kind, ("[-2,2]", "[0,1]")):
+        for r in range(len(SPEC_PARAMS) + 1):
+            for keys in itertools.combinations(SPEC_PARAMS, r):
+                try:
+                    spec = EnsembleSpec(kind=kind, n=10, beta=1.0, interval=interval,
+                                        **{k: values[k] for k in keys})
+                except ParameterError:
+                    continue
+                assert EnsembleSpec.from_json(spec.to_json()) == spec
+                valid += 1
+    # Hermite: no parameter; Laguerre: m or tau; Jacobi-KN: a subset of
+    # (a, b) or a nonempty subset of the slopes, on either interval
+    assert valid == 1 + 2 + 2 * (4 + 3)
+
+
+def test_spec_refuses_unit_interval_outside_jacobi_kn():
+    for kind, params in ((Kind.HERMITE, {}), (Kind.LAGUERRE, {"tau": 0.5})):
+        with pytest.raises(ParameterError, match="only jacobi_kn"):
+            EnsembleSpec(kind=kind, n=5, beta=2.0, interval="[0,1]", **params)
+
+
+# sha256 of b then a, both C-ordered little-endian doubles, of
+# sample_batch(spec, RngStream(seed=17).generator(batch), batch); pinned
+# from the samplers as they stood before the batch paths were made lean
+BATCH_SPECS = {
+    Kind.HERMITE: EnsembleSpec(kind=Kind.HERMITE, n=40, beta=1.0),
+    Kind.LAGUERRE: EnsembleSpec(kind=Kind.LAGUERRE, n=40, beta=2.0, tau=0.5),
+    Kind.JACOBI_KN: EnsembleSpec(kind=Kind.JACOBI_KN, n=40, beta=1.0, kappa1=1.0, kappa2=0.5),
+}
+BATCH_DIGESTS = {
+    (Kind.HERMITE, 1): "5e30d4153b3d46c00af488abe3599d9d5bfa8a6ee3597b8614d6ace71568af4a",
+    (Kind.HERMITE, 5): "71b17d68e1cf0a232f089a46ce22e32d5ff1508ca071306d5af34d302f68ea84",
+    (Kind.HERMITE, CHUNK): "75cbb0ac233cc9eba84ba3e8cc454b6d35166b688a844d6a0fb7158429069549",
+    (Kind.HERMITE, CHUNK + 1): "c3f51fefd943f6939743233c730c302c648c84730304c414aaa3a83118efe31f",
+    (Kind.LAGUERRE, 1): "ff8f5e88f02a6eadea560b5f7deac6eadbb60a352fa77391314c3f5be3bf36e1",
+    (Kind.LAGUERRE, 5): "6c311d835027c733b13789cfc6a75d9c76fcf7bf5e32cb33b06fa11171bffd3f",
+    (Kind.LAGUERRE, CHUNK): "3f63bfd6b01a58f07d511135ee0026cfa08527ace531cf1c602ab6bd83f7426f",
+    (Kind.LAGUERRE, CHUNK + 1): "5f3fdf7f3e8bd9a4cf63b2cbd28e17b8c3c11878dddee08bf3adbcadc66613d3",
+    (Kind.JACOBI_KN, 1): "bbb1f5a6256c53c7560cf49723c01f95dbdeb2c9d5824090a633d39bfc1c9fd4",
+    (Kind.JACOBI_KN, 5): "548f9165eb52e4be90648066b68f4482720c196b109ab9bf7b22cbe4385dee0a",
+    (Kind.JACOBI_KN, CHUNK): "a9949be9f856a44b8b1a3a9b48ec665be867944d03e4aa2cc2824eaa7167c6a5",
+    (Kind.JACOBI_KN, CHUNK + 1): "983086dfe71203f05cfeae925c0c4a80587b5c1a92658ba012936c316227a2ce",
+}
+
+
+@pytest.mark.parametrize("kind, batch", BATCH_DIGESTS, ids=lambda v: getattr(v, "value", v))
+def test_sample_batch_golden_digests(kind, batch):
+    b, a = sample_batch(BATCH_SPECS[kind], RngStream(seed=17).generator(batch), batch)
+    h = hashlib.sha256(np.ascontiguousarray(b, dtype="<f8").tobytes())
+    h.update(np.ascontiguousarray(a, dtype="<f8").tobytes())
+    assert h.hexdigest() == BATCH_DIGESTS[kind, batch]
+
+
+@pytest.mark.parametrize("spec", [
+    EnsembleSpec(kind=Kind.HERMITE, n=80, beta=1.0),
+    EnsembleSpec(kind=Kind.JACOBI_KN, n=80, beta=1.0, kappa1=1.0, kappa2=0.5),
+], ids=["hermite", "jacobi_kn"])
+def test_chunk_peak_memory_near_its_coefficients(spec):
+    sample_batch(spec, RngStream(seed=1).generator(0), 2)  # first-call set-up
+    tracemalloc.start()
+    try:
+        b, a = sample_batch(spec, RngStream(seed=1).generator(1), CHUNK)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.5 * (b.nbytes + a.nbytes)

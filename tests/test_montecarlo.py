@@ -1,6 +1,8 @@
 """Monte Carlo tail-rate estimator and sampler sanity suite."""
 
 import math
+import sys
+import threading
 import tracemalloc
 from dataclasses import replace
 
@@ -11,6 +13,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from scipy import stats
 
+from betaspectra import montecarlo
 from betaspectra.ensembles import EnsembleSpec, Kind, RngStream, sample_batch
 from betaspectra.errors import ParameterError
 from betaspectra.jacobi import _lowest_weights, spectral_decompose
@@ -21,7 +24,7 @@ from betaspectra.montecarlo import (
     stat_suite,
     theory_rate,
 )
-from betaspectra.montecarlo import _ks_pvalue, _sturm_negative_count
+from betaspectra.montecarlo import CHUNK, _ks_pvalue, _sturm_negative_count
 from betaspectra.rates import rate_fg, rate_fj, rate_fl
 
 HERMITE = EnsembleSpec(kind=Kind.HERMITE, n=2, beta=2.0)
@@ -137,6 +140,77 @@ def test_mc_determinism_and_chunk_invariance():
         direct += int(np.sum(np.linalg.eigvalsh(mats)[:, -1] >= 2.1))
     assert r1.rows[0].hits == direct
     assert direct > 0
+    # the same sum whatever the number of threads the chunks run on
+    for cores in (1, 3):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(montecarlo, "_usable_cores", lambda: cores)
+            assert mc_tail_rate(exp).rows[0].hits == direct
+
+
+THREAD_CASES = [
+    (EnsembleSpec(kind=Kind.HERMITE, n=12, beta=1.0), 1.7, -1.7),
+    (EnsembleSpec(kind=Kind.LAGUERRE, n=12, beta=2.0, tau=0.5), 2.5, 0.12),
+    (EnsembleSpec(kind=Kind.JACOBI_KN, n=12, beta=1.0, kappa1=1.0, kappa2=0.5), 1.8, -1.0),
+]
+
+
+def _record_threads(mp) -> set:
+    """Wrap the sampler that mc_tail_rate calls; the returned set fills
+    with the threads that call it."""
+    seen = set()
+
+    def recording(*args):
+        seen.add(threading.get_ident())
+        return sample_batch(*args)
+
+    mp.setattr(montecarlo, "sample_batch", recording)
+    return seen
+
+
+@pytest.mark.parametrize("direction", ["max_above", "min_below"])
+@pytest.mark.parametrize("spec, x_max, x_min", THREAD_CASES, ids=[k.value for k in Kind])
+def test_mc_rows_do_not_depend_on_thread_count(spec, x_max, x_min, direction):
+    # a repeated size and three chunks per size (CHUNK, CHUNK and the rest)
+    exp = McExperiment(spec=spec, x=x_max if direction == "max_above" else x_min,
+                       n_list=(6, 12, 6), samples=2 * CHUNK + 500, seed=11, direction=direction)
+    before = threading.active_count()
+    rows = {}
+    interval = sys.getswitchinterval()
+    for cores in (1, 3):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(montecarlo, "_usable_cores", lambda: cores)
+            threads = _record_threads(mp)
+            # frequent thread switches, so that a lost update would show
+            sys.setswitchinterval(1e-5)
+            try:
+                rows[cores] = [vars(r) for r in mc_tail_rate(exp).rows]
+            finally:
+                sys.setswitchinterval(interval)
+        assert len(threads) <= cores
+        assert threading.active_count() == before
+    # a cap below one chunk's bytes runs the chunks one at a time
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(montecarlo, "_usable_cores", lambda: 3)
+        mp.setattr(montecarlo, "MAX_INFLIGHT_BYTES", 1)
+        assert [vars(r) for r in mc_tail_rate(exp).rows] == rows[1]
+    assert rows[1] == rows[3]
+    assert rows[1][0] == rows[1][2]
+    assert all(0 < r["hits"] < exp.samples for r in rows[1])
+
+
+def test_mc_chunk_error_reaches_caller(monkeypatch):
+    def failing(spec, gen, size):
+        if spec.n == 8 and size < CHUNK:
+            raise RuntimeError("chunk failed")
+        return sample_batch(spec, gen, size)
+
+    monkeypatch.setattr(montecarlo, "_usable_cores", lambda: 3)
+    monkeypatch.setattr(montecarlo, "sample_batch", failing)
+    before = threading.active_count()
+    exp = McExperiment(spec=HERMITE, x=2.0, n_list=(4, 8, 16), samples=CHUNK + 10, seed=1)
+    with pytest.raises(RuntimeError, match="chunk failed"):
+        mc_tail_rate(exp)
+    assert threading.active_count() == before
 
 
 def test_mc_hit_counting_against_direct_sampling():

@@ -164,6 +164,15 @@ def test_costs_at_huge_thresholds(x):
             assert got == pytest.approx(ref, rel=1e-14, abs=0.0)
 
 
+@pytest.mark.parametrize("x", [1e-150, 1.4e-154, 1.5e-154, 1e-160, 1e-170, 1e-200, 1e-250, 1e-300])
+def test_big_g_where_the_square_underflows(x):
+    # below about 1.5e-154, x^2 is subnormal or 0; G stays -1 - 2 log x
+    mx = mpmath.mpf(x)
+    with mpmath.workdps(40):
+        ref = float(mx * mx - 1 - mpmath.log(mx * mx))
+    assert big_g(x) == pytest.approx(ref, rel=1e-15, abs=0.0)
+
+
 def test_g_at_infinity():
     assert small_g(INF) == INF and big_g(INF) == INF
     assert small_g(1e300) == pytest.approx(1e300, rel=1e-14)
