@@ -1,21 +1,30 @@
 """Tridiagonal samplers for the beta-Hermite, beta-Laguerre and
 Killip-Nenciu beta-Jacobi ensembles.
 
-Each ensemble has one draw function with a batch axis; a single draw is a
-batch of one, and sample_batch dispatches on the kind. All samplers are
-pure functions of their generator: identical (seed, stream) reproduces
-identical coefficient sequences.
+Each ensemble's entry laws (Gamma shapes and scale, Beta parameters) are
+written once, in _hermite_laws, _laguerre_laws and _jacobi_kn_laws, and
+read in two iteration orders:
+- sample_batch draws full b (batch, N) and a (batch, N - 1) arrays; a
+  single draw is a batch of one (sample_hermite/_laguerre/_jacobi_kn);
+- sample_rows draws one matrix row at a time for the whole batch and
+  yields b_i and a_{i-1}^2, so a consumer such as the Monte Carlo Sturm
+  count holds O(batch) numbers whatever N is. Jacobi-KN rows are
+  sample_batch's numbers bit for bit; Hermite and Laguerre rows are drawn
+  in another order from the same laws.
+All samplers are pure functions of their generator: identical (seed,
+stream) reproduces identical coefficient sequences.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 
 from .equilibria import SC, EquilibriumLaw, Family, kmk_of_slopes
-from .errors import ParameterError
+from .errors import ParameterError, require_keys
 from .jacobi import (
     DiscreteMeasure,
     JacobiCoeffs,
@@ -23,6 +32,7 @@ from .jacobi import (
     _ds_assemble,
     _eigenvalues,
     _geronimus,
+    _geronimus_step,
     affine_s,
     ds_assemble,
     geronimus,
@@ -38,6 +48,7 @@ __all__ = [
     "sample_laguerre",
     "sample_jacobi_kn",
     "sample_batch",
+    "sample_rows",
     "spectral_measure",
     "esd",
 ]
@@ -103,6 +114,10 @@ class EnsembleSpec:
     interval: str = "[-2,2]"
 
     def __post_init__(self) -> None:
+        for key in ("beta", "a", "b", "kappa1", "kappa2"):
+            val = getattr(self, key)
+            if val is not None and not math.isfinite(val):
+                raise ParameterError(f"{key} must be finite, got {val}")
         if self.beta <= 0.0:
             raise ParameterError(f"beta must be > 0, got {self.beta}")
         if self.n < 1:
@@ -131,6 +146,11 @@ class EnsembleSpec:
     @property
     def beta_prime(self) -> float:
         return self.beta / 2.0
+
+    @property
+    def dim(self) -> int:
+        """Size of the matrix: N (Laguerre: m)."""
+        return self.laguerre_m if self.kind is Kind.LAGUERRE else self.n
 
     @property
     def laguerre_m(self) -> int:
@@ -174,6 +194,7 @@ class EnsembleSpec:
 
     @staticmethod
     def from_json(obj: dict) -> "EnsembleSpec":
+        require_keys(obj, "ensemble spec", "kind", "n", "beta")
         return EnsembleSpec(
             kind=Kind(obj["kind"]),
             n=int(obj["n"]),
@@ -205,19 +226,37 @@ ALPHA_MAX = np.nextafter(1.0, 0.0)
 GAMMA_MIN = np.finfo(float).smallest_subnormal
 
 
-def _chi(shape, scale: float, gen: np.random.Generator, size) -> np.ndarray:
-    """Square roots of Gamma(shape, scale) draws, none of them 0."""
+def _gamma(shape, scale: float, gen: np.random.Generator, size) -> np.ndarray:
+    """Gamma(shape, scale) draws, none of them 0."""
     draws = gen.gamma(shape, scale, size=size)
-    np.maximum(draws, GAMMA_MIN, out=draws)
+    return np.maximum(draws, GAMMA_MIN, out=draws)
+
+
+def _chi(shape, scale: float, gen: np.random.Generator, size) -> np.ndarray:
+    """Square roots of _gamma draws."""
+    draws = _gamma(shape, scale, gen, size)
     return np.sqrt(draws, out=draws)
+
+
+def _hermite_laws(n: int, beta_prime: float):
+    """Scale 1/(beta' N) of every Hermite entry (the variance of b_j) and
+    the Gamma shapes beta'(N - 1 - j) of a_j^2, j = 0..N-2."""
+    return 1.0 / (beta_prime * n), beta_prime * (n - 1.0 - np.arange(n - 1))
 
 
 def _hermite_draw(n: int, beta_prime: float, gen: np.random.Generator, batch: int):
     """b (batch, n) and a (batch, n - 1) of `batch` Hermite models."""
-    scale = 1.0 / (beta_prime * n)
+    scale, shapes = _hermite_laws(n, beta_prime)
     b = gen.normal(0.0, np.sqrt(scale), size=(batch, n))
-    a = _chi(beta_prime * (n - 1.0 - np.arange(n - 1)), scale, gen, (batch, n - 1))
-    return b, a
+    return b, _chi(shapes, scale, gen, (batch, n - 1))
+
+
+def _hermite_rows(n: int, beta_prime: float, gen: np.random.Generator, batch: int):
+    scale, shapes = _hermite_laws(n, beta_prime)
+    sd = np.sqrt(scale)
+    yield gen.normal(0.0, sd, size=batch), 0.0
+    for shape in shapes:
+        yield gen.normal(0.0, sd, size=batch), _gamma(shape, scale, gen, batch)
 
 
 def sample_hermite(spec: EnsembleSpec, rng: RngStream) -> JacobiCoeffs:
@@ -236,13 +275,31 @@ class LaguerreDraw:
     coeffs: JacobiCoeffs
 
 
+def _laguerre_laws(n: int, m: int, beta_prime: float):
+    """Scale 1/(beta' N) and the Gamma shapes of d_k^2, beta'(N + 1 - k) for
+    k = 1..m, and of s_k^2, beta'(m - k) for k = 1..m-1."""
+    return (1.0 / (beta_prime * n), beta_prime * (n + 1.0 - np.arange(1, m + 1)),
+            beta_prime * (m - np.arange(1, m)))
+
+
 def _laguerre_draw(n: int, m: int, beta_prime: float, gen: np.random.Generator, batch: int):
     """Bidiagonal factors d (batch, m) and s (batch, m - 1) of `batch`
     Laguerre models."""
-    scale = 1.0 / (beta_prime * n)
-    d = _chi(beta_prime * (n + 1.0 - np.arange(1, m + 1)), scale, gen, (batch, m))
-    s = _chi(beta_prime * (m - np.arange(1, m)), scale, gen, (batch, m - 1))
-    return d, s
+    scale, d_shapes, s_shapes = _laguerre_laws(n, m, beta_prime)
+    d = _chi(d_shapes, scale, gen, (batch, m))
+    return d, _chi(s_shapes, scale, gen, (batch, m - 1))
+
+
+def _laguerre_rows(n: int, m: int, beta_prime: float, gen: np.random.Generator, batch: int):
+    # rows of B B^T from the squares D = d^2 and S = s^2 as drawn:
+    # b_k = S_{k-1} + D_k and a_{k-1}^2 = S_{k-1} D_{k-1}, no square root
+    scale, d_shapes, s_shapes = _laguerre_laws(n, m, beta_prime)
+    d2 = _gamma(d_shapes[0], scale, gen, batch)
+    yield d2, 0.0
+    for d_shape, s_shape in zip(d_shapes[1:], s_shapes):
+        d2_prev, d2 = d2, _gamma(d_shape, scale, gen, batch)
+        s2 = _gamma(s_shape, scale, gen, batch)
+        yield s2 + d2, s2 * d2_prev
 
 
 def sample_laguerre(spec: EnsembleSpec, rng: RngStream) -> LaguerreDraw:
@@ -262,30 +319,39 @@ def _swap_order(size: int) -> np.ndarray:
     return k
 
 
-def _jacobi_kn_rows(n: int, ea: float, eb: float, beta_prime: float,
-                    gen: np.random.Generator, batch: int) -> np.ndarray:
-    """Verblunsky coefficients of `batch` Killip-Nenciu models as drawn:
-    shape (2N - 1, batch), row r holding alpha_{_swap_order(2N - 1)[r]}.
-
-    One beta call draws the indices in the order alpha_0, alpha_2, alpha_1,
-    alpha_4, alpha_3, ..., each index for the whole batch; even index 2p
-    and odd index 2p-1 laws per Killip-Nenciu.
-    """
+def _jacobi_kn_laws(n: int, ea: float, eb: float, beta_prime: float):
+    """Parameters (first, second) of the symmetric-beta laws of the
+    Verblunsky coefficients, in the order they are drawn: alpha_0, alpha_2,
+    alpha_1, alpha_4, alpha_3, ... (entry r is alpha_{_swap_order(2N - 1)[r]}).
+    Even index 2p and odd index 2p - 1 laws per Killip-Nenciu."""
     k = _swap_order(2 * n - 1)
     p = (k + 1) // 2
     rest = (n - p - 1) * beta_prime
     even = k % 2 == 0
     first = np.where(even, rest + ea + 1.0, rest + ea + eb + 2.0)
     second = np.where(even, rest + eb + 1.0, (n - p) * beta_prime)
-    draws = sample_beta_s(first[:, None], second[:, None], gen, size=(2 * n - 1, batch))
+    return first, second
+
+
+def _jacobi_kn_alphas(first, second, gen: np.random.Generator, size) -> np.ndarray:
+    draws = sample_beta_s(first, second, gen, size=size)
     return np.clip(draws, -ALPHA_MAX, ALPHA_MAX, out=draws)
+
+
+def _jacobi_kn_as_drawn(n: int, ea: float, eb: float, beta_prime: float,
+                     gen: np.random.Generator, batch: int) -> np.ndarray:
+    """Verblunsky coefficients of `batch` Killip-Nenciu models as drawn:
+    shape (2N - 1, batch), one beta call, row r for the whole batch after
+    row r - 1 in the order of _jacobi_kn_laws."""
+    first, second = _jacobi_kn_laws(n, ea, eb, beta_prime)
+    return _jacobi_kn_alphas(first[:, None], second[:, None], gen, (2 * n - 1, batch))
 
 
 def _jacobi_kn_draw(n: int, ea: float, eb: float, beta_prime: float,
                     gen: np.random.Generator, batch: int) -> np.ndarray:
     """alpha_0..alpha_{2N-2} of `batch` Killip-Nenciu models, shape
     (batch, 2N - 1)."""
-    return _jacobi_kn_rows(n, ea, eb, beta_prime, gen, batch)[_swap_order(2 * n - 1)].T
+    return _jacobi_kn_as_drawn(n, ea, eb, beta_prime, gen, batch)[_swap_order(2 * n - 1)].T
 
 
 # Columns per block of the batched Killip-Nenciu map: the Geronimus scratch
@@ -298,7 +364,7 @@ def _jacobi_kn_batch(n: int, ea: float, eb: float, beta_prime: float,
     """b (batch, n) and a (batch, n - 1) of `batch` Killip-Nenciu models,
     as views of the draw array: block by block of columns, the Geronimus
     relations write b_k into row 2k and a_k into row 2k + 1."""
-    draws = _jacobi_kn_rows(n, ea, eb, beta_prime, gen, batch)
+    draws = _jacobi_kn_as_drawn(n, ea, eb, beta_prime, gen, batch)
     order = _swap_order(2 * n - 1)
     for lo in range(0, batch, KN_BLOCK):
         block = slice(lo, lo + KN_BLOCK)
@@ -306,6 +372,24 @@ def _jacobi_kn_batch(n: int, ea: float, eb: float, beta_prime: float,
         draws[0::2, block] = b.T
         draws[1::2, block] = a.T
     return draws[0::2].T, draws[1::2].T
+
+
+def _jacobi_kn_rows(n: int, ea: float, eb: float, beta_prime: float,
+                    gen: np.random.Generator, batch: int):
+    # the draw order alpha_0, alpha_2, alpha_1, ... brings alpha_{2k} and
+    # alpha_{2k-1} just when row k needs them, so the draws are those of
+    # _jacobi_kn_batch; a_{k-1} is rounded as there before it is squared
+    laws = zip(*_jacobi_kn_laws(n, ea, eb, beta_prime))
+    even = _jacobi_kn_alphas(*next(laws), gen, batch)
+    yield even * 2.0, 0.0
+    w = 2.0  # 1 - alpha_{2k-3}; the boundary alpha_{-1} = -1 at k = 1
+    for even_law, odd_law in zip(laws, laws):
+        even_prev, even = even, _jacobi_kn_alphas(*even_law, gen, batch)
+        odd = _jacobi_kn_alphas(*odd_law, gen, batch)
+        a2, b = _geronimus_step(w, even_prev, odd, even)
+        a = np.sqrt(a2, out=a2)
+        yield b, np.square(a, out=a)
+        w = 1.0 - odd
 
 
 def sample_jacobi_kn(spec: EnsembleSpec, rng: RngStream) -> tuple[VerblunskyCoeffs, JacobiCoeffs]:
@@ -323,14 +407,34 @@ def sample_jacobi_kn(spec: EnsembleSpec, rng: RngStream) -> tuple[VerblunskyCoef
 
 def sample_batch(spec: EnsembleSpec, gen: np.random.Generator, batch: int):
     """Jacobi coefficients of `batch` independent draws of spec's model:
-    b (batch, size) and a (batch, size - 1), size N (Laguerre: m). A batch
-    of one draws what sample_hermite/_laguerre/_jacobi_kn draw."""
+    b (batch, size) and a (batch, size - 1), size spec.dim. A batch of one
+    draws what sample_hermite/_laguerre/_jacobi_kn draw."""
     if spec.kind is Kind.HERMITE:
         return _hermite_draw(spec.n, spec.beta_prime, gen, batch)
     if spec.kind is Kind.LAGUERRE:
         return _ds_assemble(*_laguerre_draw(spec.n, spec.laguerre_m, spec.beta_prime, gen, batch))
     ea, eb = spec.exponents
     return _jacobi_kn_batch(spec.n, ea, eb, spec.beta_prime, gen, batch)
+
+
+def sample_rows(spec: EnsembleSpec, gen: np.random.Generator, batch: int):
+    """`batch` independent draws of spec's model, one matrix row at a time:
+    yields b_i and a_{i-1}^2 (0.0 for i = 0) for i = 0..spec.dim - 1, each an
+    array over the batch, so a consumer holds O(batch) numbers whatever N is.
+
+    Each row is drawn for the whole batch before the next one. Jacobi-KN
+    draws then take the draw order of sample_batch, and its rows are the
+    squares of sample_batch's coefficients bit for bit; Hermite and
+    Laguerre draws follow another order than sample_batch's, from the same
+    laws, and a_{i-1}^2 is the Gamma draw itself (Laguerre: a product of
+    two), never a rounded square root squared.
+    """
+    if spec.kind is Kind.HERMITE:
+        return _hermite_rows(spec.n, spec.beta_prime, gen, batch)
+    if spec.kind is Kind.LAGUERRE:
+        return _laguerre_rows(spec.n, spec.laguerre_m, spec.beta_prime, gen, batch)
+    ea, eb = spec.exponents
+    return _jacobi_kn_rows(spec.n, ea, eb, spec.beta_prime, gen, batch)
 
 
 def spectral_measure(coeffs: JacobiCoeffs, interval: str = "[-2,2]") -> DiscreteMeasure:

@@ -19,7 +19,7 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import DomainError, ParameterError, PoleError
+from .errors import DomainError, ParameterError, PoleError, require_keys
 from .jacobi import JacobiCoeffs, jacobi_moments
 
 __all__ = [
@@ -101,6 +101,8 @@ class TailJacobiModel:
 
     @staticmethod
     def from_json(obj: dict) -> "TailJacobiModel":
+        require_keys(obj, "model", "tail")
+        require_keys(obj["tail"], "model tail", "a", "b")
         return TailJacobiModel(
             a_inf=float(obj["tail"]["a"]),
             b_inf=float(obj["tail"]["b"]),

@@ -1,4 +1,5 @@
-"""Semantic exception hierarchy shared by all modules."""
+"""Semantic exception hierarchy shared by all modules, and the input check
+that JSON readers share."""
 
 
 class BetaSpectraError(Exception):
@@ -31,3 +32,13 @@ class RangeError(BetaSpectraError, ValueError):
 
 class PoleError(BetaSpectraError, ValueError):
     """Evaluation requested at (or numerically on top of) a pole."""
+
+
+def require_keys(obj, what: str, *keys: str) -> None:
+    """Refuse a JSON value that is not an object, or that lacks one of keys
+    or holds null there, with a ParameterError naming what and the key."""
+    if not isinstance(obj, dict):
+        raise ParameterError(f"{what} must be a JSON object, got {type(obj).__name__}")
+    missing = [key for key in keys if obj.get(key) is None]
+    if missing:
+        raise ParameterError(f"{what} has no {missing[0]!r} value")

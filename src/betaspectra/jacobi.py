@@ -17,6 +17,7 @@ from .errors import (
     InvalidMatrixError,
     NotPositiveDefiniteError,
     RangeError,
+    require_keys,
 )
 
 __all__ = [
@@ -86,6 +87,7 @@ class JacobiCoeffs:
 
     @staticmethod
     def from_json(obj: dict) -> "JacobiCoeffs":
+        require_keys(obj, "Jacobi coefficients", "b", "a")
         return JacobiCoeffs(np.asarray(obj["b"], dtype=float), np.asarray(obj["a"], dtype=float))
 
 
@@ -418,33 +420,33 @@ def jacobi_moments(coeffs: JacobiCoeffs, j: int, rmax: int) -> np.ndarray:
     return out
 
 
+def _geronimus_step(w, even_prev, odd, even):
+    """Geronimus relations for one row k >= 1, elementwise: a_{k-1}^2 and b_k
+    from w = 1 - alpha_{2k-3} (2 at k = 1, the boundary alpha_{-1} = -1),
+    alpha_{2k-2}, alpha_{2k-1} and alpha_{2k}:
+
+        a_{k-1}^2 = (1 - alpha_{2k-3}) (1 - alpha_{2k-2}^2) (1 + alpha_{2k-1})
+        b_k = (1 - alpha_{2k-1}) alpha_{2k} - (1 + alpha_{2k-1}) alpha_{2k-2}
+    """
+    return ((1.0 - even_prev * even_prev) * w * (1.0 + odd),
+            (1.0 - odd) * even - (1.0 + odd) * even_prev)
+
+
 def _geronimus(alpha: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
     """Geronimus relations over the last axis of alpha (alpha_0..alpha_{2n-2});
     leading axes are a batch. Returns b (..., n) and a (..., n - 1).
 
-    The boundary alpha_{-1} = -1 enters as the factor 2 in b_0 and a_0;
-    other negative indices never contribute (their prefactor is zero).
-    Every step writes into b, a or one scratch array, so a large batch
-    costs no padded copy of alpha.
+    b_0 = 2 alpha_0, and _geronimus_step gives every later row at once.
     """
     even = alpha[..., 0 : 2 * n - 1 : 2]  # alpha_{2k}, k = 0..n-1
     odd = alpha[..., 1 : 2 * n - 2 : 2]  # alpha_{2k+1}, k = 0..n-2
-    # a_k = sqrt((1 - alpha_{2k-1}) (1 - alpha_{2k}^2) (1 + alpha_{2k+1}))
-    a = np.square(even[..., :-1])
-    np.subtract(1.0, a, out=a)
-    a[..., :1] *= 2.0
-    t = np.subtract(1.0, odd)
-    a[..., 1:] *= t[..., :-1]
-    # b_k = (1 - alpha_{2k-1}) alpha_{2k} - (1 + alpha_{2k-1}) alpha_{2k-2}
+    w = np.empty_like(odd)
+    w[..., :1] = 2.0
+    np.subtract(1.0, odd[..., :-1], out=w[..., 1:])
     b = np.empty_like(even)
     np.multiply(even[..., :1], 2.0, out=b[..., :1])
-    np.multiply(t, even[..., 1:], out=b[..., 1:])
-    np.add(odd, 1.0, out=t)
-    a *= t
-    np.sqrt(a, out=a)
-    t *= even[..., :-1]
-    b[..., 1:] -= t
-    return b, a
+    a2, b[..., 1:] = _geronimus_step(w, even[..., :-1], odd, even[..., 1:])
+    return b, np.sqrt(a2, out=a2)
 
 
 def geronimus(alpha: VerblunskyCoeffs, n: int) -> JacobiCoeffs:

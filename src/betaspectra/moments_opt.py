@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .equilibria import SC, ChebGrid, density
-from .errors import NotPositiveDefiniteError, ParameterError
+from .errors import NotPositiveDefiniteError, ParameterError, require_keys
 from .jacobi import JacobiCoeffs
 from .rates import hermite_rate
 
@@ -80,6 +80,7 @@ class MomentConstraint:
 
     @staticmethod
     def from_json(obj: dict) -> "MomentConstraint":
+        require_keys(obj, "moment constraint", "c")
         return MomentConstraint(np.asarray(obj["c"], dtype=float))
 
 

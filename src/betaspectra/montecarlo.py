@@ -1,14 +1,16 @@
 """Monte Carlo estimation of extreme-eigenvalue large-deviation rates and
 distributional sanity suites for the tridiagonal samplers.
 
-Both draw their models through ensembles.sample_batch: the tail rates a
-chunk of samples at a time, the suite one sample per generator, with one
-batched spectral decomposition of all its samples. Hit
-detection uses the Sturm sign-count of the shifted tridiagonal recursion:
-lambda_max >= x iff fewer than N leading-minor pivots at x are negative,
-one vectorized pass per chunk and no eigensolve. The chunks of one
-mc_tail_rate call run concurrently on the usable cores; each keeps its own
-generator and draws, so the counts do not depend on the number of cores.
+The tail rates count a chunk of samples at a time, one matrix row at a
+time: ensembles.sample_rows draws row i of every sample of the chunk, the
+Sturm sign-count folds it into the pivots of the shifted LDL^T recursion
+and drops it (lambda_max >= x iff fewer than N pivots at x are negative),
+so a chunk holds O(CHUNK) numbers whatever N is and no eigensolve runs.
+The chunks of one mc_tail_rate call run concurrently on the usable cores;
+each keeps its own generator and draws, so the counts do not depend on the
+number of cores. The suite draws one sample per generator through
+ensembles.sample_batch, with one batched spectral decomposition of all its
+samples.
 """
 
 from __future__ import annotations
@@ -18,13 +20,12 @@ import math
 import os
 import threading
 from collections import deque
-from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .ensembles import EnsembleSpec, Kind, RngStream, sample_batch
-from .errors import ParameterError
+from .ensembles import EnsembleSpec, Kind, RngStream, sample_batch, sample_rows
+from .errors import ParameterError, require_keys
 from .jacobi import _lowest_weights, affine_s
 from .rates import _refuse_nan, outlier_cost
 
@@ -40,8 +41,6 @@ __all__ = [
 
 CSV_HEADER = "N,x,samples,hits,p_hat,rate_hat,stderr,theory"
 CHUNK = 8192
-# Cap on the bytes of b and a of the chunks being counted at once
-MAX_INFLIGHT_BYTES = 64 << 20
 
 
 @dataclass(frozen=True)
@@ -78,8 +77,11 @@ class McExperiment:
 
     @staticmethod
     def from_json(obj: dict) -> "McExperiment":
+        require_keys(obj, "experiment", "spec")
+        spec = EnsembleSpec.from_json(obj["spec"])
+        require_keys(obj, "experiment", "x", "n_list", "samples", "seed")
         return McExperiment(
-            spec=EnsembleSpec.from_json(obj["spec"]),
+            spec=spec,
             x=float(obj["x"]),
             n_list=tuple(obj["n_list"]),
             samples=int(obj["samples"]),
@@ -135,45 +137,22 @@ def theory_rate(spec: EnsembleSpec, x: float) -> float:
     return outlier_cost(spec.law, _on_law_interval(spec, x))
 
 
-def _sturm_negative_count(b: np.ndarray, a: np.ndarray, x: float) -> np.ndarray:
-    """Number of eigenvalues < x for each tridiagonal sample in the batch.
+def _sturm_negative_count(rows, x: float) -> np.ndarray:
+    """Number of eigenvalues < x of each tridiagonal matrix of a batch.
 
-    b: (batch, N) diagonals, a: (batch, N-1) off-diagonals. Counts negative
-    pivots of the shifted LDL^T recursion q_i = b_i - x - a_{i-1}^2/q_{i-1}.
-    Each pivot decreases in x, so a zero pivot becomes +tiny, its value
-    just below x: an eigenvalue equal to x is not counted.
+    rows yields, row by row, b_i and a_{i-1}^2 (0 for i = 0) as arrays over
+    the batch, as ensembles.sample_rows does. Counts negative pivots of the
+    shifted LDL^T recursion q_i = b_i - x - a_{i-1}^2/q_{i-1}. Each pivot
+    decreases in x, so a zero pivot becomes +tiny, its value just below x:
+    an eigenvalue equal to x is not counted.
     """
-    batch, n = b.shape
     tiny = 1e-300
-    q = b[:, 0] - x
-    q = np.where(q == 0.0, tiny, q)
-    count = (q < 0.0).astype(np.int64)
-    for i in range(1, n):
-        q = b[:, i] - x - (a[:, i - 1] ** 2) / q
-        q = np.where(q == 0.0, tiny, q)
+    q, count = 1.0, 0
+    for b_i, a2 in rows:
+        q = b_i - x - a2 / q
+        q[q == 0.0] = tiny
         count += q < 0.0
     return count
-
-
-class _Budget:
-    """Admits chunks while the bytes of their b and a in flight stay within
-    MAX_INFLIGHT_BYTES; a larger chunk runs alone."""
-
-    def __init__(self) -> None:
-        self.used = 0
-        self.cond = threading.Condition()
-
-    @contextmanager
-    def hold(self, nbytes: int):
-        with self.cond:
-            self.cond.wait_for(lambda: self.used == 0 or self.used + nbytes <= MAX_INFLIGHT_BYTES)
-            self.used += nbytes
-        try:
-            yield
-        finally:
-            with self.cond:
-                self.used -= nbytes
-                self.cond.notify_all()
 
 
 def _usable_cores() -> int:
@@ -200,44 +179,34 @@ def _chunks(exp: McExperiment, stream: RngStream) -> list:
 
 def _chunk_hits(spec: EnsembleSpec, gen: np.random.Generator, size: int, threshold: float,
                 direction: str) -> int:
-    b, a = sample_batch(spec, gen, size)
-    neg = _sturm_negative_count(b, a, threshold)
-    return int(np.sum(neg < b.shape[1] if direction == "max_above" else neg >= 1))
+    neg = _sturm_negative_count(sample_rows(spec, gen, size), threshold)
+    return int(np.sum(neg < spec.dim if direction == "max_above" else neg >= 1))
 
 
 def _count_hits(exp: McExperiment, stream: RngStream) -> list:
     """Hits per row of exp.n_list, counted on min(usable cores, chunks)
-    threads. Each chunk keeps its generator and its draws, so the counts do
-    not depend on the number of threads.
-
-    The calling thread takes chunks from the largest end, the helper threads
-    from the smallest: the largest working sets then stay in the calling
-    thread's malloc arena rather than in per-thread arenas that each keep
-    their own high-water mark.
-    """
+    threads that take the chunks in turn. Each chunk keeps its generator and
+    its draws, so the counts do not depend on the number of threads."""
     # the matrix acts on [-2, 2]; map a Jacobi-KN threshold on [0, 1] back
     threshold = 4.0 * exp.x - 2.0 if exp.spec.interval == "[0,1]" else exp.x
     jobs = deque(_chunks(exp, stream))
-    budget = _Budget()
     counts, errors = [], []
 
-    def work(take) -> None:
+    def work() -> None:
         try:
             while not errors:
                 try:
-                    row, eff, gen, size = take()
+                    row, eff, gen, size = jobs.popleft()
                 except IndexError:
                     return
-                with budget.hold(8 * size * (2 * eff.n - 1)):
-                    counts.append((row, _chunk_hits(eff, gen, size, threshold, exp.direction)))
+                counts.append((row, _chunk_hits(eff, gen, size, threshold, exp.direction)))
         except BaseException as exc:
             errors.append(exc)
 
-    helpers = [threading.Thread(target=work, args=(jobs.pop,))
-               for _ in range(min(_usable_cores(), len(jobs)) - 1)]
+    helpers = [threading.Thread(target=work) for _ in range(min(_usable_cores(), len(jobs)) - 1)]
     for t in helpers:
         t.start()
-    work(jobs.popleft)
+    work()
     for t in helpers:
         t.join()
     if errors:
@@ -404,7 +373,7 @@ def stat_suite(
     """
     if reps < 2:
         raise ParameterError(f"reps must be >= 2 for the correlation test, got {reps}")
-    size = spec.laguerre_m if spec.kind is Kind.LAGUERRE else spec.n
+    size = spec.dim
     if size < 2:
         raise ParameterError(f"the suite needs a matrix of size >= 2, got {size}: "
                              "one atom always has weight 1")

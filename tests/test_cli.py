@@ -420,3 +420,46 @@ def test_mc_all_hit_row_prints_unsigned_zero(capsys):
     rows = [line.split(",") for line in out.strip().split("\n")[1:]]
     (full,) = [row for row in rows if row[3] == row[2]]  # every sample hit
     assert full[5] == "0"
+
+
+@pytest.mark.parametrize("argv", [
+    ("--beta", "nan"),
+    ("--beta", "inf"),
+    ("--ensemble", "jacobi_kn", "--a", "nan", "--b", "1"),
+], ids=["beta-nan", "beta-inf", "jacobi-a-nan"])
+def test_mc_refuses_non_finite_parameters(capsys, argv):
+    # these once printed every sample as a hit, rate_hat nan, and exit 0
+    code, out, err = run(capsys, "mc", "--x", "2.1", "--n-list", "20", "--samples", "100", *argv)
+    assert code == 1 and out == ""
+    assert err.startswith("error:") and "must be finite" in err
+
+
+MISSING_KEY_CASES = [
+    ("sumrule", "--model", {"head": {"b": [0.0], "a": []}}, "'tail'"),
+    ("probe", "--model", {"head": {"b": [0.0], "a": []}}, "'tail'"),
+    ("sumrule", "--model", {"tail": {"a": 1.0}}, "'b'"),
+    ("sumrule", "--model", {"tail": {"a": 1.0, "b": 0.0}, "head": {"b": [0.0]}}, "'a'"),
+    ("mc", "--experiment", {"spec": {"kind": "hermite"}}, "'n'"),
+    ("mc", "--experiment", {"spec": {"kind": "hermite", "n": 4, "beta": 2.0}, "x": 2.5}, "'n_list'"),
+    ("moments", "--constraint", {"coefficients": [1.0]}, "'c'"),
+    ("mc", "--experiment", {"spec": {"kind": "hermite", "n": 4, "beta": None}}, "'beta'"),
+    ("mc", "--experiment", {"spec": {"kind": "hermite", "n": 4, "beta": 2.0}, "x": None,
+                            "n_list": [4], "samples": 10, "seed": 1}, "'x'"),
+    ("mc", "--experiment", [1, 2], "JSON object"),
+]
+
+
+@pytest.mark.parametrize("cmd, flag, obj, key", MISSING_KEY_CASES,
+                         ids=[f"{c[0]}-{i}" for i, c in enumerate(MISSING_KEY_CASES)])
+def test_input_file_missing_key_is_one_error_line(tmp_path, cmd, flag, obj, key):
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(obj))
+    argv = [cmd, flag, str(path)] + (["--family", "laguerre"] if cmd == "probe" else [])
+    proc = subprocess.run(
+        [sys.executable, "-m", "betaspectra.cli", *argv],
+        env=source_env(), capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("error:") and key in proc.stderr
+    assert len(proc.stderr.strip().splitlines()) == 1

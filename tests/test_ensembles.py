@@ -4,6 +4,7 @@ bulk statistics at moderate size."""
 import hashlib
 import itertools
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -22,6 +23,7 @@ from betaspectra.ensembles import (
     sample_jacobi_kn,
     sample_laguerre,
     sample_beta_s,
+    sample_rows,
     spectral_measure,
 )
 from betaspectra.equilibria import (
@@ -54,6 +56,17 @@ def test_spec_validation():
     spec = EnsembleSpec(kind=Kind.LAGUERRE, n=10, beta=2.0, tau=0.5)
     assert spec.laguerre_m == 5
     assert spec.beta_prime == 1.0
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")], ids=str)
+@pytest.mark.parametrize("key", ["beta", "a", "b", "kappa1", "kappa2"])
+def test_spec_refuses_non_finite_parameters(key, value):
+    # NaN passed every range check (beta <= 0 and a <= -1 are both false),
+    # and mc then reported every sample as a hit
+    kind = Kind.HERMITE if key == "beta" else Kind.JACOBI_KN
+    params = {"beta": 2.0, key: value}
+    with pytest.raises(ParameterError, match=f"{key} must be finite"):
+        EnsembleSpec(kind=kind, n=4, **params)
 
 
 @pytest.mark.parametrize("kind, params", [
@@ -397,3 +410,70 @@ def test_chunk_peak_memory_near_its_coefficients(spec):
     finally:
         tracemalloc.stop()
     assert peak <= 1.5 * (b.nbytes + a.nbytes)
+
+
+def test_spec_dim():
+    assert EnsembleSpec(kind=Kind.HERMITE, n=7, beta=1.0).dim == 7
+    assert EnsembleSpec(kind=Kind.LAGUERRE, n=7, beta=1.0, m=3).dim == 3
+    assert EnsembleSpec(kind=Kind.LAGUERRE, n=10, beta=1.0, tau=0.5).dim == 5
+    assert EnsembleSpec(kind=Kind.JACOBI_KN, n=7, beta=1.0, kappa1=1.0).dim == 7
+
+
+def _gather_rows(spec, gen, batch):
+    rows = list(sample_rows(spec, gen, batch))
+    assert len(rows) == spec.dim
+    assert rows[0][1] == 0.0
+    b = np.stack([row[0] for row in rows], axis=1)
+    a2 = np.stack([row[1] for row in rows[1:]], axis=1) if spec.dim > 1 else np.empty((batch, 0))
+    return b, a2
+
+
+@pytest.mark.parametrize("n, batch", [(1, 3), (2, 1), (7, 5), (40, CHUNK + 1)])
+def test_jacobi_kn_rows_are_sample_batch_squared(n, batch):
+    # the row stream draws sample_batch's numbers in sample_batch's order
+    for spec in (BATCH_SPECS[Kind.JACOBI_KN],
+                 EnsembleSpec(kind=Kind.JACOBI_KN, n=4, beta=2.0, a=0.5, b=1.5)):
+        spec = replace(spec, n=n)
+        b, a2 = _gather_rows(spec, RngStream(seed=17).generator(batch), batch)
+        full_b, full_a = sample_batch(spec, RngStream(seed=17).generator(batch), batch)
+        assert np.array_equal(b, full_b)
+        assert np.array_equal(a2, np.square(full_a))
+
+
+@pytest.mark.parametrize("spec", [
+    EnsembleSpec(kind=Kind.HERMITE, n=9, beta=1.0),
+    EnsembleSpec(kind=Kind.LAGUERRE, n=9, beta=2.0, m=6),
+    EnsembleSpec(kind=Kind.LAGUERRE, n=9, beta=0.5, m=9),
+], ids=["hermite", "laguerre-m6", "laguerre-m9"])
+def test_rows_follow_the_entry_laws(spec):
+    # Hermite: b_i ~ N(0, 1/(beta' N)), a_j^2 ~ Gamma(beta'(N - 1 - j), 1/(beta' N));
+    # Laguerre: d_k^2 ~ Gamma(beta'(N + 1 - k)), s_k^2 ~ Gamma(beta'(m - k)),
+    # b_k = s_k^2 + d_{k+1}^2, a_{k-1}^2 = s_k^2 d_k^2, all of scale 1/(beta' N)
+    n, bp, batch = spec.n, spec.beta_prime, 40000
+    scale = 1.0 / (bp * n)
+    b, a2 = _gather_rows(spec, RngStream(seed=3).generator(0), batch)
+    if spec.kind is Kind.HERMITE:
+        mean_b = np.zeros(n)
+        mean_a2 = bp * (n - 1.0 - np.arange(n - 1)) * scale
+    else:
+        m = spec.dim
+        ed = bp * (n + 1.0 - np.arange(1, m + 1)) * scale
+        es = bp * (m - np.arange(1, m)) * scale
+        mean_b = np.concatenate(([ed[0]], es + ed[1:]))
+        mean_a2 = es * ed[:-1]
+    for draws, mean in ((b, mean_b), (a2, mean_a2)):
+        sem = draws.std(axis=0) / np.sqrt(batch)
+        assert np.all(np.abs(draws.mean(axis=0) - mean) <= 6.0 * sem)
+    # rows of different samples are independent and not copies of each other
+    assert np.unique(b[:, -1]).size == batch
+
+
+@pytest.mark.parametrize("spec", SMALL_BETA_SPECS, ids=lambda spec: spec.kind.value)
+def test_small_beta_rows_stay_positive(spec):
+    # Gamma draws of shape ~1e-3 underflow to 0; the rows floor them as the
+    # full samplers do. A Laguerre a_{k-1}^2 = S_{k-1} D_{k-1} of two floored
+    # draws can still round to 0, which decouples rows whose coupling was
+    # below 1e-300 anyway; b_k = S_{k-1} + D_k stays > 0
+    for seed in range(20):
+        b, a2 = _gather_rows(spec, RngStream(seed=seed).generator(0), 64)
+        assert np.min(a2 if spec.kind is Kind.HERMITE else b) > 0.0

@@ -14,9 +14,9 @@ from hypothesis.extra.numpy import arrays
 from scipy import stats
 
 from betaspectra import montecarlo
-from betaspectra.ensembles import EnsembleSpec, Kind, RngStream, sample_batch
+from betaspectra.ensembles import EnsembleSpec, Kind, RngStream, sample_batch, sample_rows
 from betaspectra.errors import ParameterError
-from betaspectra.jacobi import _lowest_weights, spectral_decompose
+from betaspectra.jacobi import JacobiCoeffs, _lowest_weights, spectral_decompose
 from betaspectra.montecarlo import (
     CSV_HEADER,
     McExperiment,
@@ -28,6 +28,31 @@ from betaspectra.montecarlo import CHUNK, _ks_pvalue, _sturm_negative_count
 from betaspectra.rates import rate_fg, rate_fj, rate_fl
 
 HERMITE = EnsembleSpec(kind=Kind.HERMITE, n=2, beta=2.0)
+
+
+def _rows(b, a):
+    """b (batch, n) and a (batch, n - 1) row by row, as sample_rows yields
+    them: b_i and a_{i-1}^2, 0.0 for i = 0."""
+    return zip(b.T, [0.0, *np.square(a).T])
+
+
+def _streamed(spec, gen, batch):
+    """b and a^2 of sample_rows(spec, gen, batch) gathered into arrays."""
+    rows = list(sample_rows(spec, gen, batch))
+    assert len(rows) == spec.dim
+    b = np.stack([row[0] for row in rows], axis=1)
+    a2 = np.stack([row[1] for row in rows[1:]], axis=1) if spec.dim > 1 else np.empty((batch, 0))
+    return b, a2
+
+
+def _eigvalsh(b, a2):
+    mats = np.zeros(b.shape + b.shape[-1:])
+    idx = np.arange(b.shape[-1])
+    a = np.sqrt(a2)
+    mats[:, idx, idx] = b
+    mats[:, idx[:-1], idx[1:]] = a
+    mats[:, idx[1:], idx[:-1]] = a
+    return np.linalg.eigvalsh(mats)
 
 
 def test_experiment_validation():
@@ -78,10 +103,8 @@ def test_sturm_count_matches_eigensolve():
     b = rng.normal(size=(6, 9))
     a = rng.uniform(0.2, 1.5, size=(6, 8))
     for x in (-1.0, 0.0, 0.5, 2.0):
-        counts = _sturm_negative_count(b, a, x)
+        counts = _sturm_negative_count(_rows(b, a), x)
         for i in range(6):
-            from betaspectra.jacobi import JacobiCoeffs
-
             lam = spectral_decompose(JacobiCoeffs(b[i], a[i])).locations
             assert counts[i] == int(np.sum(lam < x))
 
@@ -100,7 +123,7 @@ def test_sturm_count_property(batch, n, data):
     lam = np.linalg.eigvalsh(mats)
     # away from ties both counts are exact; ties are the next test
     assume(np.min(np.abs(lam - x)) > 1e-9)
-    assert np.array_equal(_sturm_negative_count(b, a, x), np.sum(lam < x, axis=1))
+    assert np.array_equal(_sturm_negative_count(_rows(b, a), x), np.sum(lam < x, axis=1))
 
 
 @settings(max_examples=100, deadline=None, derandomize=True)
@@ -114,7 +137,7 @@ def test_sturm_count_at_an_eigenvalue(c, t, upper):
     a = np.full((1, 1), t / 4.0)
     x = (c + t) / 4.0 if upper else (c - t) / 4.0
     lam = np.array([(c - t) / 4.0, (c + t) / 4.0])
-    assert _sturm_negative_count(b, a, x)[0] == np.sum(lam < x) == int(upper)
+    assert _sturm_negative_count(_rows(b, a), x)[0] == np.sum(lam < x) == int(upper)
 
 
 def test_mc_determinism_and_chunk_invariance():
@@ -123,21 +146,14 @@ def test_mc_determinism_and_chunk_invariance():
     exp = McExperiment(spec=HERMITE, x=2.1, n_list=(12,), samples=20000, seed=3)
     r1 = mc_tail_rate(exp)
     assert mc_tail_rate(exp).rows[0].hits == r1.rows[0].hits
-    from betaspectra.ensembles import _hermite_draw
-    from betaspectra.montecarlo import CHUNK
-
     stream = RngStream(seed=3, stream=0)
     sizes = [CHUNK, CHUNK, 20000 - 2 * CHUNK]
     assert sizes[-1] > 0
+    spec = replace(HERMITE, n=12)
     direct = 0
     for chunk_id, size in enumerate(sizes):
-        b, a = _hermite_draw(12, 1.0, stream.generator(12, chunk_id), size)
-        mats = np.zeros((size, 12, 12))
-        idx = np.arange(12)
-        mats[:, idx, idx] = b
-        mats[:, idx[:-1], idx[1:]] = a
-        mats[:, idx[1:], idx[:-1]] = a
-        direct += int(np.sum(np.linalg.eigvalsh(mats)[:, -1] >= 2.1))
+        lam = _eigvalsh(*_streamed(spec, stream.generator(12, chunk_id), size))
+        direct += int(np.sum(lam[:, -1] >= 2.1))
     assert r1.rows[0].hits == direct
     assert direct > 0
     # the same sum whatever the number of threads the chunks run on
@@ -155,15 +171,15 @@ THREAD_CASES = [
 
 
 def _record_threads(mp) -> set:
-    """Wrap the sampler that mc_tail_rate calls; the returned set fills
+    """Wrap the row stream that mc_tail_rate counts; the returned set fills
     with the threads that call it."""
     seen = set()
 
     def recording(*args):
         seen.add(threading.get_ident())
-        return sample_batch(*args)
+        return sample_rows(*args)
 
-    mp.setattr(montecarlo, "sample_batch", recording)
+    mp.setattr(montecarlo, "sample_rows", recording)
     return seen
 
 
@@ -188,10 +204,11 @@ def test_mc_rows_do_not_depend_on_thread_count(spec, x_max, x_min, direction):
                 sys.setswitchinterval(interval)
         assert len(threads) <= cores
         assert threading.active_count() == before
-    # a cap below one chunk's bytes runs the chunks one at a time
+    # the order in which the threads take the chunks does not matter either
+    chunks = montecarlo._chunks
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(montecarlo, "_usable_cores", lambda: 3)
-        mp.setattr(montecarlo, "MAX_INFLIGHT_BYTES", 1)
+        mp.setattr(montecarlo, "_chunks", lambda *args: chunks(*args)[::-1])
         assert [vars(r) for r in mc_tail_rate(exp).rows] == rows[1]
     assert rows[1] == rows[3]
     assert rows[1][0] == rows[1][2]
@@ -202,10 +219,10 @@ def test_mc_chunk_error_reaches_caller(monkeypatch):
     def failing(spec, gen, size):
         if spec.n == 8 and size < CHUNK:
             raise RuntimeError("chunk failed")
-        return sample_batch(spec, gen, size)
+        return sample_rows(spec, gen, size)
 
     monkeypatch.setattr(montecarlo, "_usable_cores", lambda: 3)
-    monkeypatch.setattr(montecarlo, "sample_batch", failing)
+    monkeypatch.setattr(montecarlo, "sample_rows", failing)
     before = threading.active_count()
     exp = McExperiment(spec=HERMITE, x=2.0, n_list=(4, 8, 16), samples=CHUNK + 10, seed=1)
     with pytest.raises(RuntimeError, match="chunk failed"):
@@ -217,18 +234,87 @@ def test_mc_hit_counting_against_direct_sampling():
     # brute-force eigenvalue check on a small configuration
     exp = McExperiment(spec=HERMITE, x=2.0, n_list=(8,), samples=3000, seed=5)
     res = mc_tail_rate(exp)
-    stream = RngStream(seed=5, stream=0)
+    b, a2 = _streamed(replace(HERMITE, n=8), RngStream(seed=5, stream=0).generator(8, 0), 3000)
     direct = 0
-    gen = stream.generator(8, 0)
-    from betaspectra.ensembles import _hermite_draw
-
-    b, a = _hermite_draw(8, 1.0, gen, 3000)
-    from betaspectra.jacobi import JacobiCoeffs
-
     for i in range(3000):
-        lam = spectral_decompose(JacobiCoeffs(b[i], a[i])).locations
+        lam = spectral_decompose(JacobiCoeffs(b[i], np.sqrt(a2[i]))).locations
         direct += int(lam[-1] >= 2.0)
     assert res.rows[0].hits == direct
+
+
+STREAM_CASES = [
+    (EnsembleSpec(kind=Kind.HERMITE, n=9, beta=1.0), 1.7, -1.7),
+    (EnsembleSpec(kind=Kind.LAGUERRE, n=9, beta=2.0, tau=0.5), 2.5, 0.15),
+    (EnsembleSpec(kind=Kind.JACOBI_KN, n=9, beta=1.0, kappa1=1.0, kappa2=0.5), 1.8, -1.0),
+]
+
+
+@pytest.mark.parametrize("direction", ["max_above", "min_below"])
+@pytest.mark.parametrize("spec, x_max, x_min", STREAM_CASES, ids=[k.value for k in Kind])
+def test_mc_hits_equal_eigvalsh_on_streamed_rows(spec, x_max, x_min, direction):
+    # several chunks per size and a repeated size: every row's hits are the
+    # eigvalsh counts of the matrices built from the rows each chunk streams
+    x = x_max if direction == "max_above" else x_min
+    exp = McExperiment(spec=spec, x=x, n_list=(5, 9, 5), samples=CHUNK + 300, seed=21,
+                       direction=direction)
+    stream = RngStream(seed=21, stream=0)
+    expect = []
+    for n in exp.n_list:
+        eff = replace(spec, n=n, m=None, tau=0.5) if spec.kind is Kind.LAGUERRE else replace(spec, n=n)
+        hits = 0
+        for chunk_id, size in enumerate((CHUNK, 300)):
+            lam = _eigvalsh(*_streamed(eff, stream.generator(n, chunk_id), size))
+            hits += int(np.sum(lam[:, -1] >= x if direction == "max_above" else lam[:, 0] < x))
+        expect.append(hits)
+    assert [r.hits for r in mc_tail_rate(exp).rows] == expect
+    assert expect[0] == expect[2]
+    assert all(0 < h < exp.samples for h in expect)
+
+
+# hits of Jacobi-KN experiments counted from full sample_batch arrays,
+# before counting streamed the rows: the row stream draws the same numbers
+# and rounds a_k the same way, so these stay exact
+JACOBI_KN_GOLDEN = [
+    (EnsembleSpec(kind=Kind.JACOBI_KN, n=12, beta=1.0, kappa1=1.0, kappa2=0.5),
+     1.8, "max_above", (6, 12, 6), 2 * CHUNK + 500, 11, [4385, 8830, 4385]),
+    (EnsembleSpec(kind=Kind.JACOBI_KN, n=12, beta=1.0, kappa1=1.0, kappa2=0.5),
+     -1.0, "min_below", (6, 12, 6), 2 * CHUNK + 500, 11, [14076, 16824, 14076]),
+    (EnsembleSpec(kind=Kind.JACOBI_KN, n=12, beta=2.0, a=0.5, b=1.5),
+     1.9, "max_above", (3, 25), CHUNK + 77, 4, [940, 8269]),
+    (EnsembleSpec(kind=Kind.JACOBI_KN, n=12, beta=0.5, kappa1=0.3, kappa2=2.0, interval="[0,1]"),
+     0.02, "min_below", (1, 2, 40), 3000, 9, [82, 167, 2915]),
+]
+
+
+@pytest.mark.parametrize("case", JACOBI_KN_GOLDEN, ids=range(len(JACOBI_KN_GOLDEN)))
+def test_mc_jacobi_kn_golden_hits(case):
+    spec, x, direction, n_list, samples, seed, hits = case
+    exp = McExperiment(spec=spec, x=x, n_list=n_list, samples=samples, seed=seed,
+                       direction=direction)
+    assert [r.hits for r in mc_tail_rate(exp).rows] == hits
+
+
+@pytest.mark.parametrize("spec", [
+    EnsembleSpec(kind=Kind.HERMITE, n=2, beta=1.0),
+    EnsembleSpec(kind=Kind.LAGUERRE, n=2, beta=1.0, tau=0.5),
+    EnsembleSpec(kind=Kind.JACOBI_KN, n=2, beta=1.0, kappa1=1.0, kappa2=0.5),
+], ids=[k.value for k in Kind])
+def test_chunk_peak_memory_does_not_grow_with_n(spec):
+    # a chunk holds a few arrays of CHUNK numbers, whatever N is; a full
+    # CHUNK x N chunk of b and a at N = 400 would be 52 MB
+    def peak(n):
+        eff = replace(spec, n=n)
+        montecarlo._chunk_hits(eff, RngStream(seed=1).generator(n), 4, 2.0, "max_above")
+        tracemalloc.start()
+        try:
+            montecarlo._chunk_hits(eff, RngStream(seed=1).generator(n), CHUNK, 2.0, "max_above")
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    small, large = peak(80), peak(400)
+    assert large <= small + 16 * 1024
+    assert large <= 16 * CHUNK * 8
 
 
 def test_mc_rate_converges_toward_theory():
