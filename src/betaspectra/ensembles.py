@@ -2,15 +2,16 @@
 Killip-Nenciu beta-Jacobi ensembles.
 
 Each ensemble's entry laws (Gamma shapes and scale, Beta parameters) are
-written once, in _hermite_laws, _laguerre_laws and _jacobi_kn_laws, and
-read in two iteration orders:
-- sample_batch draws full b (batch, N) and a (batch, N - 1) arrays; a
-  single draw is a batch of one (sample_hermite/_laguerre/_jacobi_kn);
-- sample_rows draws one matrix row at a time for the whole batch and
-  yields b_i and a_{i-1}^2, so a consumer such as the Monte Carlo Sturm
-  count holds O(batch) numbers whatever N is. Jacobi-KN rows are
-  sample_batch's numbers bit for bit; Hermite and Laguerre rows are drawn
-  in another order from the same laws.
+written once, in _hermite_laws, _laguerre_laws and _jacobi_kn_laws, in the
+one order in which they are drawn: each entry for the whole batch, then
+the next. Two readers take the draws in that order:
+- sample_batch draws them whole, with one generator call per entry family,
+  and returns b (batch, N) and a (batch, N - 1) arrays; a single draw is a
+  batch of one (sample_hermite/_laguerre/_jacobi_kn);
+- sample_rows draws them one matrix row at a time and yields b_i and
+  a_{i-1}^2, so a consumer such as the Monte Carlo Sturm count holds
+  O(batch) numbers whatever N is.
+With the same generator both readers draw the same numbers bit for bit.
 All samplers are pure functions of their generator: identical (seed,
 stream) reproduces identical coefficient sequences.
 """
@@ -24,7 +25,7 @@ from enum import Enum
 import numpy as np
 
 from .equilibria import SC, EquilibriumLaw, Family, kmk_of_slopes
-from .errors import ParameterError, require_keys
+from .errors import ParameterError, convert, require_keys
 from .jacobi import (
     DiscreteMeasure,
     JacobiCoeffs,
@@ -197,9 +198,10 @@ class EnsembleSpec:
         require_keys(obj, "ensemble spec", "kind", "n", "beta")
         return EnsembleSpec(
             kind=Kind(obj["kind"]),
-            n=int(obj["n"]),
-            beta=float(obj["beta"]),
-            **{key: obj.get(key) for key in SPEC_PARAMS},
+            n=convert(obj, "ensemble spec", "n", int),
+            beta=convert(obj, "ensemble spec", "beta", float),
+            **{key: convert(obj, "ensemble spec", key, int if key == "m" else float)
+               for key in SPEC_PARAMS if obj.get(key) is not None},
             interval=obj.get("interval", "[-2,2]"),
         )
 
@@ -232,31 +234,30 @@ def _gamma(shape, scale: float, gen: np.random.Generator, size) -> np.ndarray:
     return np.maximum(draws, GAMMA_MIN, out=draws)
 
 
-def _chi(shape, scale: float, gen: np.random.Generator, size) -> np.ndarray:
-    """Square roots of _gamma draws."""
-    draws = _gamma(shape, scale, gen, size)
-    return np.sqrt(draws, out=draws)
-
-
 def _hermite_laws(n: int, beta_prime: float):
     """Scale 1/(beta' N) of every Hermite entry (the variance of b_j) and
-    the Gamma shapes beta'(N - 1 - j) of a_j^2, j = 0..N-2."""
+    the Gamma shapes beta'(N - 1 - j) of a_j^2, j = 0..N-2. The b_j are
+    drawn from the generator and the a_j^2 from a child it spawns, so that
+    each family is drawn in one call or row by row alike."""
     return 1.0 / (beta_prime * n), beta_prime * (n - 1.0 - np.arange(n - 1))
 
 
 def _hermite_draw(n: int, beta_prime: float, gen: np.random.Generator, batch: int):
-    """b (batch, n) and a (batch, n - 1) of `batch` Hermite models."""
+    """b (batch, n) and a^2 (batch, n - 1) of `batch` Hermite models: one
+    normal and one Gamma call, each entry for the whole batch after the one
+    before, as _hermite_rows draws them."""
     scale, shapes = _hermite_laws(n, beta_prime)
-    b = gen.normal(0.0, np.sqrt(scale), size=(batch, n))
-    return b, _chi(shapes, scale, gen, (batch, n - 1))
+    b = gen.normal(0.0, np.sqrt(scale), size=(n, batch))
+    return b.T, _gamma(shapes[:, None], scale, gen.spawn(1)[0], (n - 1, batch)).T
 
 
 def _hermite_rows(n: int, beta_prime: float, gen: np.random.Generator, batch: int):
     scale, shapes = _hermite_laws(n, beta_prime)
     sd = np.sqrt(scale)
+    gammas = gen.spawn(1)[0]
     yield gen.normal(0.0, sd, size=batch), 0.0
     for shape in shapes:
-        yield gen.normal(0.0, sd, size=batch), _gamma(shape, scale, gen, batch)
+        yield gen.normal(0.0, sd, size=batch), _gamma(shape, scale, gammas, batch)
 
 
 def sample_hermite(spec: EnsembleSpec, rng: RngStream) -> JacobiCoeffs:
@@ -264,7 +265,7 @@ def sample_hermite(spec: EnsembleSpec, rng: RngStream) -> JacobiCoeffs:
     b_j ~ N(0, 1/(beta' N)), a_j^2 ~ gamma(beta'(N-1-j), 1/(beta' N))."""
     if spec.kind is not Kind.HERMITE:
         raise ParameterError("spec.kind must be hermite")
-    b, a = _hermite_draw(spec.n, spec.beta_prime, rng.generator(), 1)
+    b, a = sample_batch(spec, rng.generator(), 1)
     return JacobiCoeffs(b[0], a[0])
 
 
@@ -275,28 +276,43 @@ class LaguerreDraw:
     coeffs: JacobiCoeffs
 
 
+def _swap_order(size: int) -> np.ndarray:
+    """0..size-1 with 2p - 1 and 2p (p >= 1) exchanged; its own inverse."""
+    k = np.arange(size)
+    k[1::2] += 1
+    k[2::2] -= 1
+    return k
+
+
 def _laguerre_laws(n: int, m: int, beta_prime: float):
-    """Scale 1/(beta' N) and the Gamma shapes of d_k^2, beta'(N + 1 - k) for
-    k = 1..m, and of s_k^2, beta'(m - k) for k = 1..m-1."""
-    return (1.0 / (beta_prime * n), beta_prime * (n + 1.0 - np.arange(1, m + 1)),
-            beta_prime * (m - np.arange(1, m)))
+    """Scale 1/(beta' N) and the Gamma shapes of D_k = d_k^2, beta'(N + 1 - k)
+    for k = 1..m, and of S_k = s_k^2, beta'(m - k) for k = 1..m-1, in the
+    order they are drawn: D_1, D_2, S_1, D_3, S_2, ... (entry r is entry
+    _swap_order(2m - 1)[r] of D_1, S_1, D_2, S_2, ...)."""
+    q = _swap_order(2 * m - 1)
+    k = q // 2 + 1
+    return 1.0 / (beta_prime * n), beta_prime * np.where(q % 2 == 0, n + 1.0 - k, m - k)
 
 
 def _laguerre_draw(n: int, m: int, beta_prime: float, gen: np.random.Generator, batch: int):
-    """Bidiagonal factors d (batch, m) and s (batch, m - 1) of `batch`
-    Laguerre models."""
-    scale, d_shapes, s_shapes = _laguerre_laws(n, m, beta_prime)
-    d = _chi(d_shapes, scale, gen, (batch, m))
-    return d, _chi(s_shapes, scale, gen, (batch, m - 1))
+    """Squared bidiagonal factors D (batch, m) and S (batch, m - 1) of
+    `batch` Laguerre models: one Gamma call, each entry for the whole batch
+    after the one before, in the order of _laguerre_laws, as _laguerre_rows
+    draws them."""
+    scale, shapes = _laguerre_laws(n, m, beta_prime)
+    drawn = _gamma(shapes[:, None], scale, gen, (2 * m - 1, batch))
+    squares = drawn[_swap_order(2 * m - 1)].T
+    return squares[:, 0::2], squares[:, 1::2]
 
 
 def _laguerre_rows(n: int, m: int, beta_prime: float, gen: np.random.Generator, batch: int):
     # rows of B B^T from the squares D = d^2 and S = s^2 as drawn:
     # b_k = S_{k-1} + D_k and a_{k-1}^2 = S_{k-1} D_{k-1}, no square root
-    scale, d_shapes, s_shapes = _laguerre_laws(n, m, beta_prime)
-    d2 = _gamma(d_shapes[0], scale, gen, batch)
+    scale, shapes = _laguerre_laws(n, m, beta_prime)
+    laws = iter(shapes)
+    d2 = _gamma(next(laws), scale, gen, batch)
     yield d2, 0.0
-    for d_shape, s_shape in zip(d_shapes[1:], s_shapes):
+    for d_shape, s_shape in zip(laws, laws):
         d2_prev, d2 = d2, _gamma(d_shape, scale, gen, batch)
         s2 = _gamma(s_shape, scale, gen, batch)
         yield s2 + d2, s2 * d2_prev
@@ -307,16 +323,9 @@ def sample_laguerre(spec: EnsembleSpec, rng: RngStream) -> LaguerreDraw:
     coefficients of L = B B^T (an m x m matrix)."""
     if spec.kind is not Kind.LAGUERRE:
         raise ParameterError("spec.kind must be laguerre")
-    d, s = _laguerre_draw(spec.n, spec.laguerre_m, spec.beta_prime, rng.generator(), 1)
-    return LaguerreDraw(d=d[0], s=s[0], coeffs=ds_assemble(d[0], s[0]))
-
-
-def _swap_order(size: int) -> np.ndarray:
-    """0..size-1 with 2p - 1 and 2p (p >= 1) exchanged; its own inverse."""
-    k = np.arange(size)
-    k[1::2] += 1
-    k[2::2] -= 1
-    return k
+    d2, s2 = _laguerre_draw(spec.n, spec.laguerre_m, spec.beta_prime, rng.generator(), 1)
+    d, s = np.sqrt(d2[0]), np.sqrt(s2[0])
+    return LaguerreDraw(d=d, s=s, coeffs=ds_assemble(d, s))
 
 
 def _jacobi_kn_laws(n: int, ea: float, eb: float, beta_prime: float):
@@ -338,47 +347,22 @@ def _jacobi_kn_alphas(first, second, gen: np.random.Generator, size) -> np.ndarr
     return np.clip(draws, -ALPHA_MAX, ALPHA_MAX, out=draws)
 
 
-def _jacobi_kn_as_drawn(n: int, ea: float, eb: float, beta_prime: float,
-                     gen: np.random.Generator, batch: int) -> np.ndarray:
-    """Verblunsky coefficients of `batch` Killip-Nenciu models as drawn:
-    shape (2N - 1, batch), one beta call, row r for the whole batch after
-    row r - 1 in the order of _jacobi_kn_laws."""
-    first, second = _jacobi_kn_laws(n, ea, eb, beta_prime)
-    return _jacobi_kn_alphas(first[:, None], second[:, None], gen, (2 * n - 1, batch))
-
-
 def _jacobi_kn_draw(n: int, ea: float, eb: float, beta_prime: float,
                     gen: np.random.Generator, batch: int) -> np.ndarray:
     """alpha_0..alpha_{2N-2} of `batch` Killip-Nenciu models, shape
-    (batch, 2N - 1)."""
-    return _jacobi_kn_as_drawn(n, ea, eb, beta_prime, gen, batch)[_swap_order(2 * n - 1)].T
-
-
-# Columns per block of the batched Killip-Nenciu map: the Geronimus scratch
-# of one block stays small beside the draws it overwrites.
-KN_BLOCK = 256
-
-
-def _jacobi_kn_batch(n: int, ea: float, eb: float, beta_prime: float,
-                     gen: np.random.Generator, batch: int):
-    """b (batch, n) and a (batch, n - 1) of `batch` Killip-Nenciu models,
-    as views of the draw array: block by block of columns, the Geronimus
-    relations write b_k into row 2k and a_k into row 2k + 1."""
-    draws = _jacobi_kn_as_drawn(n, ea, eb, beta_prime, gen, batch)
-    order = _swap_order(2 * n - 1)
-    for lo in range(0, batch, KN_BLOCK):
-        block = slice(lo, lo + KN_BLOCK)
-        b, a = _geronimus(draws[order, block].T, n)
-        draws[0::2, block] = b.T
-        draws[1::2, block] = a.T
-    return draws[0::2].T, draws[1::2].T
+    (batch, 2N - 1): one Beta call, each coefficient for the whole batch
+    after the one before, in the order of _jacobi_kn_laws, as
+    _jacobi_kn_rows draws them."""
+    first, second = _jacobi_kn_laws(n, ea, eb, beta_prime)
+    drawn = _jacobi_kn_alphas(first[:, None], second[:, None], gen, (2 * n - 1, batch))
+    return drawn[_swap_order(2 * n - 1)].T
 
 
 def _jacobi_kn_rows(n: int, ea: float, eb: float, beta_prime: float,
                     gen: np.random.Generator, batch: int):
     # the draw order alpha_0, alpha_2, alpha_1, ... brings alpha_{2k} and
-    # alpha_{2k-1} just when row k needs them, so the draws are those of
-    # _jacobi_kn_batch; a_{k-1} is rounded as there before it is squared
+    # alpha_{2k-1} just when row k needs them; a_{k-1} is rounded as
+    # _geronimus rounds it before it is squared
     laws = zip(*_jacobi_kn_laws(n, ea, eb, beta_prime))
     even = _jacobi_kn_alphas(*next(laws), gen, batch)
     yield even * 2.0, 0.0
@@ -407,14 +391,17 @@ def sample_jacobi_kn(spec: EnsembleSpec, rng: RngStream) -> tuple[VerblunskyCoef
 
 def sample_batch(spec: EnsembleSpec, gen: np.random.Generator, batch: int):
     """Jacobi coefficients of `batch` independent draws of spec's model:
-    b (batch, size) and a (batch, size - 1), size spec.dim. A batch of one
-    draws what sample_hermite/_laguerre/_jacobi_kn draw."""
+    b (batch, size) and a (batch, size - 1), size spec.dim, from the draws
+    sample_rows makes with the same generator. A batch of one draws what
+    sample_hermite/_laguerre/_jacobi_kn draw."""
     if spec.kind is Kind.HERMITE:
-        return _hermite_draw(spec.n, spec.beta_prime, gen, batch)
+        b, a2 = _hermite_draw(spec.n, spec.beta_prime, gen, batch)
+        return b, np.sqrt(a2, out=a2)
     if spec.kind is Kind.LAGUERRE:
-        return _ds_assemble(*_laguerre_draw(spec.n, spec.laguerre_m, spec.beta_prime, gen, batch))
+        d2, s2 = _laguerre_draw(spec.n, spec.laguerre_m, spec.beta_prime, gen, batch)
+        return _ds_assemble(np.sqrt(d2), np.sqrt(s2))
     ea, eb = spec.exponents
-    return _jacobi_kn_batch(spec.n, ea, eb, spec.beta_prime, gen, batch)
+    return _geronimus(_jacobi_kn_draw(spec.n, ea, eb, spec.beta_prime, gen, batch), spec.n)
 
 
 def sample_rows(spec: EnsembleSpec, gen: np.random.Generator, batch: int):
@@ -422,12 +409,12 @@ def sample_rows(spec: EnsembleSpec, gen: np.random.Generator, batch: int):
     yields b_i and a_{i-1}^2 (0.0 for i = 0) for i = 0..spec.dim - 1, each an
     array over the batch, so a consumer holds O(batch) numbers whatever N is.
 
-    Each row is drawn for the whole batch before the next one. Jacobi-KN
-    draws then take the draw order of sample_batch, and its rows are the
-    squares of sample_batch's coefficients bit for bit; Hermite and
-    Laguerre draws follow another order than sample_batch's, from the same
-    laws, and a_{i-1}^2 is the Gamma draw itself (Laguerre: a product of
-    two), never a rounded square root squared.
+    Each row is drawn for the whole batch before the next one, which is the
+    order in which sample_batch draws its whole arrays: with the same
+    generator the rows are sample_batch's draws bit for bit. A Hermite
+    a_{i-1}^2 is the Gamma draw itself and a Laguerre one the product
+    S_{i-1} D_{i-1} of two, never a rounded square root squared; Jacobi-KN
+    rows are the squares of sample_batch's coefficients.
     """
     if spec.kind is Kind.HERMITE:
         return _hermite_rows(spec.n, spec.beta_prime, gen, batch)

@@ -19,7 +19,7 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import DomainError, ParameterError, PoleError, require_keys
+from .errors import DomainError, ParameterError, PoleError, convert, require_keys
 from .jacobi import JacobiCoeffs, jacobi_moments
 
 __all__ = [
@@ -104,8 +104,8 @@ class TailJacobiModel:
         require_keys(obj, "model", "tail")
         require_keys(obj["tail"], "model tail", "a", "b")
         return TailJacobiModel(
-            a_inf=float(obj["tail"]["a"]),
-            b_inf=float(obj["tail"]["b"]),
+            a_inf=convert(obj["tail"], "model tail", "a", float),
+            b_inf=convert(obj["tail"], "model tail", "b", float),
             head=JacobiCoeffs.from_json(obj.get("head", {"b": [], "a": []})),
         )
 

@@ -1,4 +1,4 @@
-"""Semantic exception hierarchy shared by all modules, and the input check
+"""Semantic exception hierarchy shared by all modules, and the input checks
 that JSON readers share."""
 
 
@@ -42,3 +42,12 @@ def require_keys(obj, what: str, *keys: str) -> None:
     missing = [key for key in keys if obj.get(key) is None]
     if missing:
         raise ParameterError(f"{what} has no {missing[0]!r} value")
+
+
+def convert(obj: dict, what: str, key: str, to):
+    """to(obj[key]), refusing a value of the wrong type for it (a list where
+    a number belongs, say) with a ParameterError naming what and the key."""
+    try:
+        return to(obj[key])
+    except (TypeError, ValueError):
+        raise ParameterError(f"{what}: the {key!r} value {obj[key]!r} has the wrong type") from None

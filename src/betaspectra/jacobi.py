@@ -17,6 +17,7 @@ from .errors import (
     InvalidMatrixError,
     NotPositiveDefiniteError,
     RangeError,
+    convert,
     require_keys,
 )
 
@@ -88,7 +89,9 @@ class JacobiCoeffs:
     @staticmethod
     def from_json(obj: dict) -> "JacobiCoeffs":
         require_keys(obj, "Jacobi coefficients", "b", "a")
-        return JacobiCoeffs(np.asarray(obj["b"], dtype=float), np.asarray(obj["a"], dtype=float))
+        b, a = (convert(obj, "Jacobi coefficients", key, lambda v: np.fromiter(v, float))
+                for key in ("b", "a"))
+        return JacobiCoeffs(b, a)
 
 
 @dataclass(frozen=True)

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .equilibria import SC, ChebGrid, density
-from .errors import NotPositiveDefiniteError, ParameterError, require_keys
+from .errors import NotPositiveDefiniteError, ParameterError, convert, require_keys
 from .jacobi import JacobiCoeffs
 from .rates import hermite_rate
 
@@ -81,7 +81,8 @@ class MomentConstraint:
     @staticmethod
     def from_json(obj: dict) -> "MomentConstraint":
         require_keys(obj, "moment constraint", "c")
-        return MomentConstraint(np.asarray(obj["c"], dtype=float))
+        c = convert(obj, "moment constraint", "c", lambda v: np.asarray(v, dtype=float))
+        return MomentConstraint(c)
 
 
 def _is_interior(h: np.ndarray) -> bool:

@@ -8,9 +8,9 @@ and drops it (lambda_max >= x iff fewer than N pivots at x are negative),
 so a chunk holds O(CHUNK) numbers whatever N is and no eigensolve runs.
 The chunks of one mc_tail_rate call run concurrently on the usable cores;
 each keeps its own generator and draws, so the counts do not depend on the
-number of cores. The suite draws one sample per generator through
-ensembles.sample_batch, with one batched spectral decomposition of all its
-samples.
+number of cores. The suite draws all its samples as one batch from one
+generator through ensembles.sample_batch, in the row order of the tail
+rates, with one batched spectral decomposition of all of them.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .ensembles import EnsembleSpec, Kind, RngStream, sample_batch, sample_rows
-from .errors import ParameterError, require_keys
+from .errors import ParameterError, convert, require_keys
 from .jacobi import _lowest_weights, affine_s
 from .rates import _refuse_nan, outlier_cost
 
@@ -82,10 +82,10 @@ class McExperiment:
         require_keys(obj, "experiment", "x", "n_list", "samples", "seed")
         return McExperiment(
             spec=spec,
-            x=float(obj["x"]),
-            n_list=tuple(obj["n_list"]),
-            samples=int(obj["samples"]),
-            seed=int(obj["seed"]),
+            x=convert(obj, "experiment", "x", float),
+            n_list=convert(obj, "experiment", "n_list", lambda sizes: tuple(map(int, sizes))),
+            samples=convert(obj, "experiment", "samples", int),
+            seed=convert(obj, "experiment", "seed", int),
             direction=obj.get("direction", "max_above"),
         )
 
@@ -380,10 +380,8 @@ def stat_suite(
     # scipy.special is imported here so that paths without the suite never load it
     from scipy.special import betainc
 
-    stream = RngStream(seed=seed, stream=1)
     bp = spec.beta_prime
-    draws = [sample_batch(spec, stream.generator(i), 1) for i in range(reps)]
-    b, a = map(np.concatenate, zip(*draws))
+    b, a = sample_batch(spec, RngStream(seed=seed, stream=1).generator(), reps)
     lam, pi1 = _lowest_weights(b, a)
     lam_max = lam[:, -1]
     m1 = b[:, 0]  # sum_k pi_k lambda_k = <e_1, J e_1>

@@ -446,6 +446,12 @@ MISSING_KEY_CASES = [
     ("mc", "--experiment", {"spec": {"kind": "hermite", "n": 4, "beta": 2.0}, "x": None,
                             "n_list": [4], "samples": 10, "seed": 1}, "'x'"),
     ("mc", "--experiment", [1, 2], "JSON object"),
+    # a value of the wrong type is named like a missing one
+    ("mc", "--experiment", {"spec": {"kind": "hermite", "n": 4, "beta": 2.0}, "x": [2.5],
+                            "n_list": [4], "samples": 10, "seed": 1}, "'x'"),
+    ("mc", "--experiment", {"spec": {"kind": "hermite", "n": 4, "beta": 2.0}, "x": 2.5,
+                            "n_list": 10, "samples": 10, "seed": 1}, "'n_list'"),
+    ("sumrule", "--model", {"tail": {"a": [1.0], "b": 0.0}, "head": {"b": [0.0], "a": []}}, "'a'"),
 ]
 
 

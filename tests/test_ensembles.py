@@ -3,7 +3,6 @@ bulk statistics at moderate size."""
 
 import hashlib
 import itertools
-import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -16,7 +15,9 @@ from betaspectra.ensembles import (
     EnsembleSpec,
     Kind,
     RngStream,
+    _hermite_draw,
     _jacobi_kn_draw,
+    _laguerre_draw,
     esd,
     sample_batch,
     sample_hermite,
@@ -366,22 +367,23 @@ def test_spec_refuses_unit_interval_outside_jacobi_kn():
 
 
 # sha256 of b then a, both C-ordered little-endian doubles, of
-# sample_batch(spec, RngStream(seed=17).generator(batch), batch); pinned
-# from the samplers as they stood before the batch paths were made lean
+# sample_batch(spec, RngStream(seed=17).generator(batch), batch). Jacobi-KN
+# is pinned from the samplers as they stood before the batch paths were made
+# lean; Hermite and Laguerre from the draws in the row order of sample_rows
 BATCH_SPECS = {
     Kind.HERMITE: EnsembleSpec(kind=Kind.HERMITE, n=40, beta=1.0),
     Kind.LAGUERRE: EnsembleSpec(kind=Kind.LAGUERRE, n=40, beta=2.0, tau=0.5),
     Kind.JACOBI_KN: EnsembleSpec(kind=Kind.JACOBI_KN, n=40, beta=1.0, kappa1=1.0, kappa2=0.5),
 }
 BATCH_DIGESTS = {
-    (Kind.HERMITE, 1): "5e30d4153b3d46c00af488abe3599d9d5bfa8a6ee3597b8614d6ace71568af4a",
-    (Kind.HERMITE, 5): "71b17d68e1cf0a232f089a46ce22e32d5ff1508ca071306d5af34d302f68ea84",
-    (Kind.HERMITE, CHUNK): "75cbb0ac233cc9eba84ba3e8cc454b6d35166b688a844d6a0fb7158429069549",
-    (Kind.HERMITE, CHUNK + 1): "c3f51fefd943f6939743233c730c302c648c84730304c414aaa3a83118efe31f",
-    (Kind.LAGUERRE, 1): "ff8f5e88f02a6eadea560b5f7deac6eadbb60a352fa77391314c3f5be3bf36e1",
-    (Kind.LAGUERRE, 5): "6c311d835027c733b13789cfc6a75d9c76fcf7bf5e32cb33b06fa11171bffd3f",
-    (Kind.LAGUERRE, CHUNK): "3f63bfd6b01a58f07d511135ee0026cfa08527ace531cf1c602ab6bd83f7426f",
-    (Kind.LAGUERRE, CHUNK + 1): "5f3fdf7f3e8bd9a4cf63b2cbd28e17b8c3c11878dddee08bf3adbcadc66613d3",
+    (Kind.HERMITE, 1): "ac000bed8ce8f21be13fa622ac2a68c5e61581801ced6c30287ee5a5f4ad3dce",
+    (Kind.HERMITE, 5): "edcdbc29c3dd761e3647f631dd8fe793cfe8043343da7d1d12067f4bd6966ee0",
+    (Kind.HERMITE, CHUNK): "7fd65f12918d18e5d89ae50cc3602d207c09f7848fad189cced5157ffe962533",
+    (Kind.HERMITE, CHUNK + 1): "d379bc09bd817f679e4773d4a69a7b6fa46fabedbe64303ae5a8004bca211f64",
+    (Kind.LAGUERRE, 1): "27183c3ae31732fe6a0c2b0bf1aca8c4aa4d2ddbe3b85e085b964ef76dac1ed4",
+    (Kind.LAGUERRE, 5): "cd7c1f011cbe59f496d4a651659caa93d15253245e27fde2499a09ce577c0079",
+    (Kind.LAGUERRE, CHUNK): "1f65f2fb14569eb292cbd784e621629022377d060da41b22658267f407360ed6",
+    (Kind.LAGUERRE, CHUNK + 1): "68922504da9534686a9baf28076db38bdb8bbb87e579b9bdfc3b2e1117d2f754",
     (Kind.JACOBI_KN, 1): "bbb1f5a6256c53c7560cf49723c01f95dbdeb2c9d5824090a633d39bfc1c9fd4",
     (Kind.JACOBI_KN, 5): "548f9165eb52e4be90648066b68f4482720c196b109ab9bf7b22cbe4385dee0a",
     (Kind.JACOBI_KN, CHUNK): "a9949be9f856a44b8b1a3a9b48ec665be867944d03e4aa2cc2824eaa7167c6a5",
@@ -395,21 +397,6 @@ def test_sample_batch_golden_digests(kind, batch):
     h = hashlib.sha256(np.ascontiguousarray(b, dtype="<f8").tobytes())
     h.update(np.ascontiguousarray(a, dtype="<f8").tobytes())
     assert h.hexdigest() == BATCH_DIGESTS[kind, batch]
-
-
-@pytest.mark.parametrize("spec", [
-    EnsembleSpec(kind=Kind.HERMITE, n=80, beta=1.0),
-    EnsembleSpec(kind=Kind.JACOBI_KN, n=80, beta=1.0, kappa1=1.0, kappa2=0.5),
-], ids=["hermite", "jacobi_kn"])
-def test_chunk_peak_memory_near_its_coefficients(spec):
-    sample_batch(spec, RngStream(seed=1).generator(0), 2)  # first-call set-up
-    tracemalloc.start()
-    try:
-        b, a = sample_batch(spec, RngStream(seed=1).generator(1), CHUNK)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= 1.5 * (b.nbytes + a.nbytes)
 
 
 def test_spec_dim():
@@ -428,16 +415,41 @@ def _gather_rows(spec, gen, batch):
     return b, a2
 
 
+EPS = np.finfo(float).eps
+ROW_SPECS = {
+    "hermite": BATCH_SPECS[Kind.HERMITE],
+    "laguerre-m<n": BATCH_SPECS[Kind.LAGUERRE],
+    "laguerre-m=n": EnsembleSpec(kind=Kind.LAGUERRE, n=40, beta=0.5, tau=1.0),
+    "jacobi_kn": BATCH_SPECS[Kind.JACOBI_KN],
+    "jacobi_kn-exponents": EnsembleSpec(kind=Kind.JACOBI_KN, n=4, beta=2.0, a=0.5, b=1.5),
+}
+
+
 @pytest.mark.parametrize("n, batch", [(1, 3), (2, 1), (7, 5), (40, CHUNK + 1)])
-def test_jacobi_kn_rows_are_sample_batch_squared(n, batch):
-    # the row stream draws sample_batch's numbers in sample_batch's order
-    for spec in (BATCH_SPECS[Kind.JACOBI_KN],
-                 EnsembleSpec(kind=Kind.JACOBI_KN, n=4, beta=2.0, a=0.5, b=1.5)):
-        spec = replace(spec, n=n)
-        b, a2 = _gather_rows(spec, RngStream(seed=17).generator(batch), batch)
-        full_b, full_a = sample_batch(spec, RngStream(seed=17).generator(batch), batch)
-        assert np.array_equal(b, full_b)
-        assert np.array_equal(a2, np.square(full_a))
+@pytest.mark.parametrize("name", ROW_SPECS)
+def test_rows_are_the_whole_array_draws(name, n, batch):
+    # sample_rows and sample_batch draw the same numbers in the same order:
+    # the rows are recomputed bit for bit from the whole-array draws, and
+    # sample_batch's coefficients are the roots those draws give
+    spec = replace(ROW_SPECS[name], n=n)
+
+    def gen():
+        return RngStream(seed=17).generator(batch)
+
+    rows_b, rows_a2 = _gather_rows(spec, gen(), batch)
+    full_b, full_a = sample_batch(spec, gen(), batch)
+    if spec.kind is Kind.HERMITE:
+        b, a2 = _hermite_draw(n, spec.beta_prime, gen(), batch)
+    elif spec.kind is Kind.LAGUERRE:
+        d2, s2 = _laguerre_draw(n, spec.dim, spec.beta_prime, gen(), batch)
+        b = np.concatenate((d2[:, :1], s2 + d2[:, 1:]), axis=1)
+        a2 = s2 * d2[:, :-1]
+    else:
+        b, a2 = full_b, np.square(full_a)
+    assert np.array_equal(rows_b, b)
+    assert np.array_equal(rows_a2, a2)
+    assert np.allclose(full_b, b, rtol=8 * EPS, atol=0.0)
+    assert np.allclose(np.square(full_a), a2, rtol=8 * EPS, atol=0.0)
 
 
 @pytest.mark.parametrize("spec", [

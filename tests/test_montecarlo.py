@@ -486,9 +486,7 @@ def test_ks_pvalue_exact_in_pelz_good_band():
 def scipy_suite(spec, seed, reps, wrong_marginal):
     """(statistic, p-value) of each stat_suite test, from scipy.stats on the
     same draws: the suite as it was before it dropped scipy.stats."""
-    stream = RngStream(seed=seed, stream=1)
-    draws = [sample_batch(spec, stream.generator(i), 1) for i in range(reps)]
-    b, a = map(np.concatenate, zip(*draws))
+    b, a = sample_batch(spec, RngStream(seed=seed, stream=1).generator(), reps)
     lam, pi1 = _lowest_weights(b, a)
     bp = spec.beta_prime
     size = spec.laguerre_m if spec.kind is Kind.LAGUERRE else spec.n
