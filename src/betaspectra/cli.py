@@ -34,6 +34,7 @@ from .errors import (
     ParameterError,
     PoleError,
     RangeError,
+    integral,
 )
 from .jacobi import JacobiCoeffs, VerblunskyCoeffs
 from .moments_opt import MomentConstraint, moment_opt_report
@@ -182,7 +183,7 @@ def _cmd_mc(args) -> int:
             exp = McExperiment.from_json(json.load(fh))
     else:
         _require(args, "mc without --experiment", "x")
-        n_list = tuple(int(v) for v in _float_list(args.n_list))
+        n_list = tuple(integral(v, "--n-list") for v in _float_list(args.n_list))
         if not n_list:
             raise ParameterError("--n-list needs at least one matrix size")
         exp = McExperiment(
@@ -258,7 +259,6 @@ def _add_ensemble_args(p):
     p.add_argument("--b", type=float, default=None)
     p.add_argument("--kappa1", type=float, default=None)
     p.add_argument("--kappa2", type=float, default=None)
-    p.add_argument("--interval", choices=["[-2,2]", "[0,1]"], default="[-2,2]")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -267,6 +267,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sample")
     _add_ensemble_args(p)
+    p.add_argument("--interval", choices=["[-2,2]", "[0,1]"], default="[-2,2]")
     _add_common(p)
     p.set_defaults(func=_cmd_sample)
 
@@ -333,8 +334,10 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p, seed=False)
     p.set_defaults(func=_cmd_probe)
 
+    # no --interval: the affine map to [0, 1] changes no weight or correlation
     p = sub.add_parser("stats")
     _add_ensemble_args(p)
+    p.set_defaults(interval="[-2,2]")
     p.add_argument("--reps", type=int, default=300)
     p.add_argument("--negative-control", action="store_true")
     _add_common(p)

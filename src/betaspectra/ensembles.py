@@ -25,7 +25,7 @@ from enum import Enum
 import numpy as np
 
 from .equilibria import SC, EquilibriumLaw, Family, kmk_of_slopes
-from .errors import ParameterError, convert, require_keys
+from .errors import ParameterError, convert, integral, require_keys
 from .jacobi import (
     DiscreteMeasure,
     JacobiCoeffs,
@@ -115,6 +115,10 @@ class EnsembleSpec:
     interval: str = "[-2,2]"
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "kind", Kind(self.kind))  # the "is" tests need members
+        for key in ("n", "m"):
+            if getattr(self, key) is not None:
+                object.__setattr__(self, key, integral(getattr(self, key), key))
         for key in ("beta", "a", "b", "kappa1", "kappa2"):
             val = getattr(self, key)
             if val is not None and not math.isfinite(val):
@@ -198,9 +202,9 @@ class EnsembleSpec:
         require_keys(obj, "ensemble spec", "kind", "n", "beta")
         return EnsembleSpec(
             kind=Kind(obj["kind"]),
-            n=convert(obj, "ensemble spec", "n", int),
+            n=obj["n"],
             beta=convert(obj, "ensemble spec", "beta", float),
-            **{key: convert(obj, "ensemble spec", key, int if key == "m" else float)
+            **{key: obj[key] if key == "m" else convert(obj, "ensemble spec", key, float)
                for key in SPEC_PARAMS if obj.get(key) is not None},
             interval=obj.get("interval", "[-2,2]"),
         )

@@ -164,13 +164,29 @@ def ac_density(model: TailJacobiModel, x):
     return float(out) if out.ndim == 0 else out
 
 
+# the parameters of each family, and all of them
+_LAW_PARAMS = {
+    Family.SEMICIRCLE: (),
+    Family.MARCHENKO_PASTUR: ("tau",),
+    Family.KESTEN_MCKAY: ("u_minus", "u_plus"),
+    Family.ARCSINE: (),
+}
+_LAW_PARAM_NAMES = sum(_LAW_PARAMS.values(), ())
+
+
+def _refuse_foreign(family: Family, given) -> None:
+    foreign = [key for key in given if key not in _LAW_PARAMS[family]]
+    if foreign:
+        raise ParameterError(f"{family.value} takes no {', '.join(foreign)}")
+
+
 @dataclass(frozen=True)
 class EquilibriumLaw:
     """One of the four reference laws, with family-specific parameters.
 
-    MP takes tau in (0, 1]; KMK takes 0 <= u_minus < u_plus <= 1; the
-    arcsine family carries an interval flag ("[-2,2]" or "[0,1]"). The
-    arcsine law on [0, 1] is KMK(0, 1); on [-2, 2] it is its affine image.
+    MP takes tau in (0, 1]; KMK takes 0 <= u_minus < u_plus <= 1; SC and
+    the arcsine law, on [-2, 2], take none. A parameter of another family
+    is refused. The arcsine law on [0, 1] is KMK(0, 1) (ARCSINE_01).
 
     Every law is the spectral measure of `model`: a one-term head (b_0, a_0)
     on the constant tail (b, a) of its support.
@@ -180,9 +196,10 @@ class EquilibriumLaw:
     tau: float | None = None
     u_minus: float | None = None
     u_plus: float | None = None
-    interval: str = "[-2,2]"
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "family", Family(self.family))  # the "is" tests need members
+        _refuse_foreign(self.family, [key for key in _LAW_PARAM_NAMES if getattr(self, key) is not None])
         if self.family is Family.MARCHENKO_PASTUR:
             if self.tau is None or not (0.0 < self.tau <= 1.0):
                 raise ParameterError(f"MP requires tau in (0, 1], got {self.tau}")
@@ -190,9 +207,6 @@ class EquilibriumLaw:
             um, up = self.u_minus, self.u_plus
             if um is None or up is None or not (0.0 <= um < up <= 1.0):
                 raise ParameterError(f"KMK requires 0 <= u_minus < u_plus <= 1, got ({um}, {up})")
-        elif self.family is Family.ARCSINE:
-            if self.interval not in ("[-2,2]", "[0,1]"):
-                raise ParameterError(f"arcsine interval must be '[-2,2]' or '[0,1]', got {self.interval!r}")
 
     @property
     def jost_roots(self) -> tuple[float, float]:
@@ -201,7 +215,7 @@ class EquilibriumLaw:
 
         They are the images of the density's poles: x = 0 for MP and KMK,
         x = 1 for KMK. A pole on an edge of the support (a hard edge: MP at
-        tau = 1, KMK with u_minus = 0 or u_plus = 1, both arcsine laws) gives
+        tau = 1, KMK with u_minus = 0 or u_plus = 1, the arcsine law) gives
         a root of exactly -1 or 1. The semicircle has none; its roots are 0.
         """
         if self.family is Family.SEMICIRCLE:
@@ -231,8 +245,6 @@ class EquilibriumLaw:
             return math.sqrt(self.tau), 1.0 + self.tau
         if self.family is Family.KESTEN_MCKAY:
             return 0.25 * (self.u_plus - self.u_minus), 0.5 * (self.u_plus + self.u_minus)
-        if self.family is Family.ARCSINE and self.interval == "[0,1]":
-            return 0.25, 0.5
         return 1.0, 0.0
 
     @property
@@ -252,31 +264,23 @@ class EquilibriumLaw:
         return self.support
 
     def to_json(self) -> dict:
-        out = {"family": self.family.value}
-        if self.family is Family.MARCHENKO_PASTUR:
-            out["tau"] = self.tau
-        elif self.family is Family.KESTEN_MCKAY:
-            out["u_minus"] = self.u_minus
-            out["u_plus"] = self.u_plus
-        elif self.family is Family.ARCSINE:
-            out["interval"] = self.interval
-        return out
+        return {"family": self.family.value,
+                **{key: getattr(self, key) for key in _LAW_PARAMS[self.family]}}
 
     @staticmethod
     def from_json(obj: dict) -> "EquilibriumLaw":
-        fam = Family(obj["family"])
+        require_keys(obj, "law", "family")
+        family = convert(obj, "law", "family", Family)
+        _refuse_foreign(family, [key for key in obj if key != "family"])
+        require_keys(obj, "law", *_LAW_PARAMS[family])
         return EquilibriumLaw(
-            fam,
-            tau=obj.get("tau"),
-            u_minus=obj.get("u_minus"),
-            u_plus=obj.get("u_plus"),
-            interval=obj.get("interval", "[-2,2]"),
+            family, **{key: convert(obj, "law", key, float) for key in _LAW_PARAMS[family]}
         )
 
 
 SC = EquilibriumLaw(Family.SEMICIRCLE)
-ARCSINE_SYM = EquilibriumLaw(Family.ARCSINE, interval="[-2,2]")
-ARCSINE_01 = EquilibriumLaw(Family.ARCSINE, interval="[0,1]")
+ARCSINE_SYM = EquilibriumLaw(Family.ARCSINE)
+ARCSINE_01 = EquilibriumLaw(Family.KESTEN_MCKAY, u_minus=0.0, u_plus=1.0)
 
 
 def density(law: EquilibriumLaw, x):

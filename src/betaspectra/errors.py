@@ -51,3 +51,14 @@ def convert(obj: dict, what: str, key: str, to):
         return to(obj[key])
     except (TypeError, ValueError):
         raise ParameterError(f"{what}: the {key!r} value {obj[key]!r} has the wrong type") from None
+
+
+def integral(value, key: str) -> int:
+    """value as an int; one with a fractional part (8.9) or no number at all
+    is refused with a ParameterError naming key, not truncated as by int()."""
+    try:
+        if int(value) == value:
+            return int(value)
+    except (TypeError, ValueError, OverflowError):
+        pass
+    raise ParameterError(f"{key!r} must be an integer, got {value!r}")

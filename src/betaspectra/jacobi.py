@@ -114,7 +114,9 @@ class VerblunskyCoeffs:
 
     @staticmethod
     def from_json(obj: dict) -> "VerblunskyCoeffs":
-        return VerblunskyCoeffs(np.asarray(obj["alpha"], dtype=float))
+        require_keys(obj, "Verblunsky coefficients", "alpha")
+        alpha = convert(obj, "Verblunsky coefficients", "alpha", lambda v: np.fromiter(v, float))
+        return VerblunskyCoeffs(alpha)
 
 
 @dataclass(frozen=True)
@@ -141,11 +143,6 @@ class DiscreteMeasure:
     def n_atoms(self) -> int:
         return len(self.locations)
 
-    def moments(self, rmax: int) -> np.ndarray:
-        return np.array(
-            [float(np.dot(self.weights, self.locations**r)) for r in range(1, rmax + 1)]
-        )
-
     def pushforward(self, f) -> "DiscreteMeasure":
         return DiscreteMeasure(f(self.locations), self.weights.copy())
 
@@ -154,7 +151,9 @@ class DiscreteMeasure:
 
     @staticmethod
     def from_json(obj: dict) -> "DiscreteMeasure":
-        atoms = np.asarray(obj["atoms"], dtype=float)
+        require_keys(obj, "discrete measure", "atoms")  # [[location, weight], ...]
+        atoms = convert(obj, "discrete measure", "atoms",
+                        lambda v: np.asarray(v, dtype=float).reshape(len(v), 2))
         return DiscreteMeasure(atoms[:, 0], atoms[:, 1])
 
 

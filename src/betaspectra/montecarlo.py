@@ -6,11 +6,11 @@ time: ensembles.sample_rows draws row i of every sample of the chunk, the
 Sturm sign-count folds it into the pivots of the shifted LDL^T recursion
 and drops it (lambda_max >= x iff fewer than N pivots at x are negative),
 so a chunk holds O(CHUNK) numbers whatever N is and no eigensolve runs.
-The chunks of one mc_tail_rate call run concurrently on the usable cores;
-each keeps its own generator and draws, so the counts do not depend on the
-number of cores. The suite draws all its samples as one batch from one
-generator through ensembles.sample_batch, in the row order of the tail
-rates, with one batched spectral decomposition of all of them.
+The chunks of one mc_tail_rate call run on a standard thread pool sized by
+the usable cores; each keeps its own generator and draws, so the counts do
+not depend on the number of cores. The suite draws all its samples as one
+batch from one generator through ensembles.sample_batch, in the row order
+of the tail rates, with one batched spectral decomposition of all of them.
 """
 
 from __future__ import annotations
@@ -18,14 +18,12 @@ from __future__ import annotations
 import io
 import math
 import os
-import threading
-from collections import deque
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .ensembles import EnsembleSpec, Kind, RngStream, sample_batch, sample_rows
-from .errors import ParameterError, convert, require_keys
+from .errors import ParameterError, convert, integral, require_keys
 from .jacobi import _lowest_weights, affine_s
 from .rates import _refuse_nan, outlier_cost
 
@@ -56,24 +54,19 @@ class McExperiment:
     direction: str = "max_above"
 
     def __post_init__(self) -> None:
+        for key in ("samples", "seed"):
+            object.__setattr__(self, key, integral(getattr(self, key), key))
+        object.__setattr__(self, "n_list", tuple(integral(n, "n_list") for n in self.n_list))
         if self.samples < 1:
             raise ParameterError("samples must be >= 1")
         _refuse_nan(self.x)
         if self.direction not in ("max_above", "min_below"):
             raise ParameterError(f"unknown direction {self.direction!r}")
-        object.__setattr__(self, "n_list", tuple(int(n) for n in self.n_list))
         if not self.n_list:
             raise ParameterError("n_list needs at least one matrix size")
 
     def to_json(self) -> dict:
-        return {
-            "spec": self.spec.to_json(),
-            "x": self.x,
-            "n_list": list(self.n_list),
-            "samples": self.samples,
-            "seed": self.seed,
-            "direction": self.direction,
-        }
+        return {**vars(self), "spec": self.spec.to_json(), "n_list": list(self.n_list)}
 
     @staticmethod
     def from_json(obj: dict) -> "McExperiment":
@@ -83,9 +76,9 @@ class McExperiment:
         return McExperiment(
             spec=spec,
             x=convert(obj, "experiment", "x", float),
-            n_list=convert(obj, "experiment", "n_list", lambda sizes: tuple(map(int, sizes))),
-            samples=convert(obj, "experiment", "samples", int),
-            seed=convert(obj, "experiment", "seed", int),
+            n_list=convert(obj, "experiment", "n_list", tuple),
+            samples=obj["samples"],
+            seed=obj["seed"],
             direction=obj.get("direction", "max_above"),
         )
 
@@ -184,36 +177,24 @@ def _chunk_hits(spec: EnsembleSpec, gen: np.random.Generator, size: int, thresho
 
 
 def _count_hits(exp: McExperiment, stream: RngStream) -> list:
-    """Hits per row of exp.n_list, counted on min(usable cores, chunks)
-    threads that take the chunks in turn. Each chunk keeps its generator and
-    its draws, so the counts do not depend on the number of threads."""
+    """Hits per row of exp.n_list, counted on a pool of min(usable cores,
+    chunks) threads that take the chunks in turn. Each chunk keeps its
+    generator and its draws, so the counts do not depend on the thread count."""
+    # imported here: concurrent.futures loads logging, which no other path needs
+    from concurrent.futures import ThreadPoolExecutor
+
     # the matrix acts on [-2, 2]; map a Jacobi-KN threshold on [0, 1] back
     threshold = 4.0 * exp.x - 2.0 if exp.spec.interval == "[0,1]" else exp.x
-    jobs = deque(_chunks(exp, stream))
-    counts, errors = [], []
-
-    def work() -> None:
-        try:
-            while not errors:
-                try:
-                    row, eff, gen, size = jobs.popleft()
-                except IndexError:
-                    return
-                counts.append((row, _chunk_hits(eff, gen, size, threshold, exp.direction)))
-        except BaseException as exc:
-            errors.append(exc)
-
-    helpers = [threading.Thread(target=work) for _ in range(min(_usable_cores(), len(jobs)) - 1)]
-    for t in helpers:
-        t.start()
-    work()
-    for t in helpers:
-        t.join()
-    if errors:
-        raise errors[0]
+    jobs = _chunks(exp, stream)
     hits = [0] * len(exp.n_list)
-    for row, chunk_hits in counts:
-        hits[row] += chunk_hits
+    with ThreadPoolExecutor(min(_usable_cores(), len(jobs))) as pool:
+        try:
+            counts = pool.map(lambda job: _chunk_hits(*job[1:], threshold, exp.direction), jobs)
+            for (row, *_), chunk_hits in zip(jobs, counts):
+                hits[row] += chunk_hits
+        except BaseException:
+            pool.shutdown(cancel_futures=True)
+            raise
     return hits
 
 

@@ -49,17 +49,10 @@ class RateReport:
     value: float
     terms: list = field(default_factory=list)
     truncation: int = 0
-    tail_bound: float = 0.0
     flags: list = field(default_factory=list)
 
     def to_json(self) -> dict:
-        return {
-            "value": self.value,
-            "terms": [[label, val] for label, val in self.terms],
-            "truncation": self.truncation,
-            "tail_bound": self.tail_bound,
-            "flags": list(self.flags),
-        }
+        return {**vars(self), "terms": [list(term) for term in self.terms], "flags": list(self.flags)}
 
 
 def _refuse_nan(x: float) -> None:
@@ -183,14 +176,14 @@ def rate_fj(x: float, u_minus: float, u_plus: float) -> float:
 def outlier_cost(law: EquilibriumLaw, x: float) -> float:
     """The extreme-eigenvalue cost of an outlier at x for the ensemble whose
     limit law is `law`: F_G for SC, F_L for MP(tau), F_J for KMK(u_-, u_+),
-    and F_J of KMK(0, 1) for the arcsine law, through `affine_s` on [-2, 2]."""
+    and F_J of KMK(0, 1) for the arcsine law on [-2, 2], through `affine_s`."""
     if law.family is Family.SEMICIRCLE:
         return rate_fg(x)
     if law.family is Family.MARCHENKO_PASTUR:
         return rate_fl(x, law.tau)
     if law.family is Family.KESTEN_MCKAY:
         return rate_fj(x, law.u_minus, law.u_plus)
-    return rate_fj(float(affine_s(x)) if law.interval == "[-2,2]" else x, 0.0, 1.0)
+    return rate_fj(float(affine_s(x)), 0.0, 1.0)
 
 
 def small_g(x: float) -> float:
@@ -254,7 +247,7 @@ def hermite_rate(coeffs) -> RateReport:
         terms.append((f"G(a_{j})", t))
         total += t
     flags = ["infinite"] if not math.isfinite(total) else []
-    return RateReport(value=total, terms=terms, truncation=len(b), tail_bound=0.0, flags=flags)
+    return RateReport(value=total, terms=terms, truncation=len(b), flags=flags)
 
 
 def laguerre_rate(d, s, tau: float) -> RateReport:
@@ -275,7 +268,7 @@ def laguerre_rate(d, s, tau: float) -> RateReport:
         terms.append((f"tau*G(s_{k}/sqrt(tau))", t))
         total += t
     flags = ["infinite"] if not math.isfinite(total) else []
-    return RateReport(value=total, terms=terms, truncation=len(d), tail_bound=0.0, flags=flags)
+    return RateReport(value=total, terms=terms, truncation=len(d), flags=flags)
 
 
 def jacobi_ensemble_rate(alpha, kappa1: float, kappa2: float) -> RateReport:
@@ -300,4 +293,4 @@ def jacobi_ensemble_rate(alpha, kappa1: float, kappa2: float) -> RateReport:
         t = beta_h(u, v, al)
         terms.append((f"alpha_{k}", t))
         total += t
-    return RateReport(value=total, terms=terms, truncation=len(vec), tail_bound=0.0)
+    return RateReport(value=total, terms=terms, truncation=len(vec))

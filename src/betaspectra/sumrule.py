@@ -259,7 +259,7 @@ def _measure_side(
     total = sum(t for _, t in terms)
     if not math.isfinite(total):
         flags.append("infinite")
-    return RateReport(value=total, terms=terms, truncation=0, tail_bound=0.0, flags=flags)
+    return RateReport(value=total, terms=terms, truncation=0, flags=flags)
 
 
 def measure_side_rate(model: TailJacobiModel, reference: EquilibriumLaw) -> RateReport:

@@ -207,6 +207,8 @@ MISUSE = [
     ("sample", "--ensemble", "hermite", "--n", "5", "--interval", "[0,1]"),
     ("mc", "--ensemble", "laguerre", "--tau", "0.5", "--x", "3", "--interval", "[0,1]"),
     ("rate", "--family", "jacobi", "--alpha", "0.1", "--variant", "paper_literal"),
+    ("mc", "--x", "2.5", "--n-list", "8.9"),
+    ("stats", "--ensemble", "jacobi_kn", "--n", "5", "--interval", "[0,1]"),
 ]
 
 
@@ -352,6 +354,8 @@ def test_mc_fixed_jacobi_exponents_match_experiment(capsys, tmp_path):
 
 
 SCIPY_HEAVY = ("scipy.integrate", "scipy.stats", "scipy.linalg")
+# the Monte Carlo thread pool's module and the logging it loads
+POOL_MODULES = ("concurrent.futures", "logging")
 
 IMPORT_PROBE = """
 import json, sys
@@ -367,9 +371,11 @@ print(json.dumps([code, after_import, after_rate, code_sumrule, after_sumrule]))
 
 
 def test_import_and_rate_load_no_heavy_scipy(tmp_path):
+    # nor the thread pool, which only mc uses
     model = model_file(tmp_path, [1.25, -0.4, 0.3], [1.6, 0.7])
+    heavy = SCIPY_HEAVY + POOL_MODULES
     proc = subprocess.run(
-        [sys.executable, "-c", IMPORT_PROBE.format(heavy=SCIPY_HEAVY, model=model)],
+        [sys.executable, "-c", IMPORT_PROBE.format(heavy=heavy, model=model)],
         env=source_env(), capture_output=True, text=True, timeout=60, check=True,
     )
     code, after_import, after_rate, code_sumrule, after_sumrule = json.loads(
@@ -452,6 +458,17 @@ MISSING_KEY_CASES = [
     ("mc", "--experiment", {"spec": {"kind": "hermite", "n": 4, "beta": 2.0}, "x": 2.5,
                             "n_list": 10, "samples": 10, "seed": 1}, "'n_list'"),
     ("sumrule", "--model", {"tail": {"a": [1.0], "b": 0.0}, "head": {"b": [0.0], "a": []}}, "'a'"),
+    # a count with a fractional part is refused, not truncated
+    ("mc", "--experiment", {"spec": {"kind": "hermite", "n": 4, "beta": 2.0}, "x": 2.5,
+                            "n_list": [4], "samples": 10.9, "seed": 1}, "'samples'"),
+    ("mc", "--experiment", {"spec": {"kind": "hermite", "n": 4, "beta": 2.0}, "x": 2.5,
+                            "n_list": [8.9], "samples": 10, "seed": 1}, "'n_list'"),
+    ("mc", "--experiment", {"spec": {"kind": "hermite", "n": 4, "beta": 2.0}, "x": 2.5,
+                            "n_list": [4], "samples": 10, "seed": 1.5}, "'seed'"),
+    ("mc", "--experiment", {"spec": {"kind": "hermite", "n": 10.7, "beta": 2.0}, "x": 2.5,
+                            "n_list": [4], "samples": 10, "seed": 1}, "'n'"),
+    ("mc", "--experiment", {"spec": {"kind": "laguerre", "n": 10, "beta": 2.0, "m": 2.5},
+                            "x": 2.5, "n_list": [4], "samples": 10, "seed": 1}, "'m'"),
 ]
 
 

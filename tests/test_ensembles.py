@@ -57,6 +57,16 @@ def test_spec_validation():
     spec = EnsembleSpec(kind=Kind.LAGUERRE, n=10, beta=2.0, tau=0.5)
     assert spec.laguerre_m == 5
     assert spec.beta_prime == 1.0
+    # a count with a fractional part is refused, not truncated; 10.0 is 10
+    with pytest.raises(ParameterError, match="'n' must be an integer"):
+        EnsembleSpec(kind=Kind.HERMITE, n=10.7, beta=2.0)
+    with pytest.raises(ParameterError, match="'m' must be an integer"):
+        EnsembleSpec(kind=Kind.LAGUERRE, n=10, beta=2.0, m=2.5)
+    # a kind given by its value is that kind; "laguerre" once skipped the m check
+    with pytest.raises(ParameterError):
+        EnsembleSpec(kind="laguerre", n=4, beta=2.0, m=6)
+    whole = EnsembleSpec(kind=Kind.LAGUERRE, n=10.0, beta=2.0, m=np.int64(5))
+    assert (whole.n, whole.m) == (10, 5) and type(whole.n) is type(whole.m) is int
 
 
 @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")], ids=str)

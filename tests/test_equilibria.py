@@ -42,9 +42,10 @@ def test_density_point_values():
     assert density(mp1, 2.0) == pytest.approx(1.0 / (2.0 * math.pi), abs=1e-14)
     kmk01 = EquilibriumLaw(Family.KESTEN_MCKAY, u_minus=0.0, u_plus=1.0)
     assert density(kmk01, 0.5) == pytest.approx(2.0 / math.pi, rel=1e-12)
-    # the KMK(0,1) special case coincides with arcsine on [0,1]
+    # the arcsine law on [0,1] is KMK(0,1), the image of the one on [-2,2]
+    assert ARCSINE_01 == kmk01
     xs = np.linspace(0.05, 0.95, 19)
-    assert np.allclose(density(kmk01, xs), density(ARCSINE_01, xs), rtol=1e-12)
+    assert np.allclose(density(kmk01, xs), 4.0 * density(ARCSINE_SYM, 4.0 * xs - 2.0), rtol=1e-12)
 
 
 def test_invalid_parameters():
@@ -52,6 +53,33 @@ def test_invalid_parameters():
         EquilibriumLaw(Family.MARCHENKO_PASTUR, tau=1.5)
     with pytest.raises(ParameterError):
         EquilibriumLaw(Family.KESTEN_MCKAY, u_minus=0.8, u_plus=0.3)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: EquilibriumLaw(Family.SEMICIRCLE, tau=0.5),
+    lambda: EquilibriumLaw(Family.ARCSINE, u_minus=0.0),
+    lambda: EquilibriumLaw(Family.MARCHENKO_PASTUR, tau=0.5, u_plus=1.0),
+    lambda: EquilibriumLaw(Family.KESTEN_MCKAY, tau=0.5, u_minus=0.1, u_plus=0.9),
+    lambda: EquilibriumLaw.from_json({"family": "sc", "tau": 0.5}),
+    lambda: EquilibriumLaw.from_json({"family": "arcsine", "interval": "[0,1]"}),
+], ids=["sc-tau", "arcsine-u_minus", "mp-u_plus", "kmk-tau", "json-sc-tau", "json-interval"])
+def test_foreign_law_parameter_is_refused(make):
+    # a parameter of another family would be dropped by to_json, so that
+    # from_json(to_json(law)) != law
+    with pytest.raises(ParameterError, match="takes no"):
+        make()
+
+
+@pytest.mark.parametrize("obj, key", [
+    ({}, "'family'"),
+    ({"family": "mp"}, "'tau'"),
+    ({"family": "kmk", "u_minus": 0.1}, "'u_plus'"),
+    ({"family": "mp", "tau": [0.5]}, "'tau'"),
+    ({"family": "bogus"}, "'family'"),
+], ids=["empty", "mp-no-tau", "kmk-no-u_plus", "mp-tau-list", "unknown-family"])
+def test_law_from_json_names_the_bad_key(obj, key):
+    with pytest.raises(ParameterError, match=key):
+        EquilibriumLaw.from_json(obj)
 
 
 @pytest.mark.parametrize("law", ALL_LAWS)
@@ -175,6 +203,9 @@ def test_law_json_round_trip():
     for law in ALL_LAWS:
         back = EquilibriumLaw.from_json(law.to_json())
         assert back == law
+    # a family given by its value is that family; "sc" once read as the arcsine law
+    assert EquilibriumLaw("sc") == SC
+    assert density(EquilibriumLaw("sc"), 0.0) == density(SC, 0.0)
 
 
 def closed_form_density(law, x, root, one_minus_x):
@@ -185,7 +216,7 @@ def closed_form_density(law, x, root, one_minus_x):
         return root / (2.0 * math.pi)
     if law.family is Family.MARCHENKO_PASTUR:
         return root / (2.0 * math.pi * law.tau * x)
-    if law.family is Family.ARCSINE:
+    if law.family is Family.ARCSINE:  # on [-2, 2]; on [0, 1] it is KMK(0, 1)
         return 1.0 / (math.pi * root)
     um, up = law.u_minus, law.u_plus
     c = 2.0 / (1.0 - math.sqrt(um * up) - math.sqrt((1.0 - um) * (1.0 - up)))

@@ -17,6 +17,7 @@ from betaspectra.errors import (
     DegenerateMeasureError,
     InvalidMatrixError,
     NotPositiveDefiniteError,
+    ParameterError,
     RangeError,
 )
 from betaspectra.jacobi import (
@@ -508,3 +509,18 @@ def test_json_round_trips():
     assert np.array_equal(back.locations, mu.locations)
     alpha = VerblunskyCoeffs(np.array([0.1, -0.3]))
     assert np.array_equal(VerblunskyCoeffs.from_json(alpha.to_json()).alpha, alpha.alpha)
+
+
+@pytest.mark.parametrize("reader, obj, key", [
+    (DiscreteMeasure.from_json, {}, "'atoms'"),
+    (DiscreteMeasure.from_json, {"atoms": 1.0}, "'atoms'"),
+    (DiscreteMeasure.from_json, {"atoms": [0.0, 1.0]}, "'atoms'"),
+    (DiscreteMeasure.from_json, {"atoms": [[0.0, 0.5, 1.0]]}, "'atoms'"),
+    (VerblunskyCoeffs.from_json, {}, "'alpha'"),
+    (VerblunskyCoeffs.from_json, {"alpha": 0.5}, "'alpha'"),
+    (VerblunskyCoeffs.from_json, [0.5], "JSON object"),
+], ids=["measure-missing", "measure-scalar", "measure-flat", "measure-triple",
+        "alpha-missing", "alpha-scalar", "alpha-list"])
+def test_json_readers_name_the_bad_key(reader, obj, key):
+    with pytest.raises(ParameterError, match=key):
+        reader(obj)

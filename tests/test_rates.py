@@ -359,7 +359,7 @@ def kullback_term(model, law):
 def test_kullback():
     assert kullback_term(SC.model, SC) == pytest.approx(0.0, abs=1e-12)
     # K(SC | arcsine on [-2,2]) = int sc log(sc/arcsine) = 1 - log 2
-    arc = EquilibriumLaw(Family.ARCSINE, interval="[-2,2]")
+    arc = EquilibriumLaw(Family.ARCSINE)
     assert kullback_term(arc.model, SC) == pytest.approx(1.0 - math.log(2.0), abs=1e-6)
     # a reference on another support is refused, not integrated
     mp = EquilibriumLaw(Family.MARCHENKO_PASTUR, tau=0.5)
