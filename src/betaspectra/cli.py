@@ -1,8 +1,13 @@
 """Command-line driver for the spectral-measure laboratory.
 
-Subcommands: sample, sumrule, rate, mc, moments, probe, stats. All inputs
-and outputs use the JSON schemas of the owning modules; `mc` emits CSV by
-default. Exit codes: 0 success, 1 validation error, 2 numerical failure.
+Subcommands: sample, sumrule, rate, mc, moments, probe, stats. Three input
+files are read: the model of `sumrule` and `probe --family laguerre`
+(TailJacobiModel), the `mc --experiment` file (McExperiment) and the
+`moments --constraint` file (MomentConstraint). A key that a file's reader
+does not know is refused, as is a flag that the chosen `rate` or `probe`
+family does not read and `--c` beside `--constraint`. Outputs use the JSON
+schemas of the owning modules; `mc` emits CSV by default. Exit codes: 0
+success, 1 validation error, 2 numerical failure.
 """
 
 from __future__ import annotations
@@ -35,6 +40,7 @@ from .errors import (
     PoleError,
     RangeError,
     integral,
+    refuse_foreign,
 )
 from .jacobi import JacobiCoeffs, VerblunskyCoeffs
 from .moments_opt import MomentConstraint, moment_opt_report
@@ -99,11 +105,35 @@ def _resolve_seed(args) -> int:
     return args.seed
 
 
+def _flag(name: str) -> str:
+    return "--" + name.replace("_", "-")
+
+
 def _require(args, context: str, *names: str) -> None:
     """Options a subcommand needs only in some modes, so argparse cannot demand them."""
-    missing = ["--" + name.replace("_", "-") for name in names if getattr(args, name) is None]
+    missing = [_flag(name) for name in names if getattr(args, name) is None]
     if missing:
         raise ParameterError(f"{context} needs {', '.join(missing)}")
+
+
+# the options each family reads, and the defaults of those that have one
+_RATE_FLAGS = {"fg": ("x",), "fl": ("x", "tau"), "fj": ("x", "u_minus", "u_plus"),
+               "hermite": ("b", "a"), "laguerre": ("d", "s", "tau"),
+               "jacobi": ("alpha", "kappa1", "kappa2")}
+_PROBE_FLAGS = {"laguerre": ("model", "tau"), "jacobi": ("alpha", "kappa1", "kappa2")}
+_FLAG_DEFAULTS = {"tau": 1.0, "u_minus": 0.0, "u_plus": 1.0}
+
+
+def _family_flags(args, table: dict) -> None:
+    """Refuse each option of table that the call sets and its --family does
+    not read, then give the unset ones their defaults."""
+    names = dict.fromkeys(sum(table.values(), ()))
+    given = [_flag(name) for name in names if getattr(args, name) is not None]
+    refuse_foreign(f"{args.command} --family {args.family}", given,
+                   [_flag(name) for name in table[args.family]])
+    for name, value in _FLAG_DEFAULTS.items():
+        if name in names and getattr(args, name) is None:
+            setattr(args, name, value)
 
 
 def _spec_from_args(args, n: int) -> EnsembleSpec:
@@ -124,7 +154,7 @@ def _cmd_sample(args) -> int:
         out["s"] = draw.s.tolist()
     else:
         alpha, coeffs = sample_jacobi_kn(spec, stream)
-        out["alpha"] = alpha.to_json()["alpha"]
+        out["alpha"] = alpha.alpha.tolist()
     out["coeffs"] = coeffs.to_json()
     out["measure"] = spectral_measure(coeffs, spec.interval).to_json()
     _emit_json(args, out)
@@ -145,6 +175,7 @@ def _cmd_sumrule(args) -> int:
 def _cmd_rate(args) -> int:
     fam = args.family
     context = f"rate --family {fam}"
+    _family_flags(args, _RATE_FLAGS)
     if fam in ("fg", "fl", "fj"):
         _require(args, context, "x")
     if fam == "fg":
@@ -165,14 +196,12 @@ def _cmd_rate(args) -> int:
         report = laguerre_rate(
             np.asarray(_float_list(args.d)), np.asarray(_float_list(args.s)), args.tau
         )
-    elif fam == "jacobi":
+    else:
         _require(args, context, "alpha")
         report = jacobi_ensemble_rate(
             VerblunskyCoeffs(np.asarray(_float_list(args.alpha))),
             args.kappa1 or 0.0, args.kappa2 or 0.0,
         )
-    else:
-        raise ParameterError(f"unknown rate family {fam!r}")
     _emit_json(args, report.to_json())
     return 0
 
@@ -206,6 +235,7 @@ def _cmd_mc(args) -> int:
 
 def _cmd_moments(args) -> int:
     if args.constraint:
+        refuse_foreign("moments --constraint", ["--c"] if args.c is not None else [], ())
         with open(args.constraint) as fh:
             constraint = MomentConstraint.from_json(json.load(fh))
     else:
@@ -219,6 +249,7 @@ def _cmd_moments(args) -> int:
 
 
 def _cmd_probe(args) -> int:
+    _family_flags(args, _PROBE_FLAGS)
     if args.family == "laguerre":
         _require(args, "probe --family laguerre", "model")
         with open(args.model) as fh:
@@ -282,9 +313,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--family", required=True,
                    choices=["fg", "fl", "fj", "hermite", "laguerre", "jacobi"])
     p.add_argument("--x", type=float, default=None)
-    p.add_argument("--tau", type=float, default=1.0)
-    p.add_argument("--u-minus", type=float, default=0.0)
-    p.add_argument("--u-plus", type=float, default=1.0)
+    p.add_argument("--tau", type=float, default=None, help="fl and laguerre (default 1)")
+    p.add_argument("--u-minus", type=float, default=None, help="fj (default 0)")
+    p.add_argument("--u-plus", type=float, default=None, help="fj (default 1)")
     p.add_argument("--b", default=None, help="comma-separated diagonal entries")
     p.add_argument("--a", default=None, help="comma-separated off-diagonal entries")
     p.add_argument("--d", default=None)
@@ -327,7 +358,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("probe")
     p.add_argument("--family", required=True, choices=["laguerre", "jacobi"])
     p.add_argument("--model", default=None)
-    p.add_argument("--tau", type=float, default=1.0)
+    p.add_argument("--tau", type=float, default=None, help="laguerre (default 1)")
     p.add_argument("--alpha", default=None)
     p.add_argument("--kappa1", type=float, default=None)
     p.add_argument("--kappa2", type=float, default=None)

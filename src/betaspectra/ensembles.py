@@ -25,7 +25,7 @@ from enum import Enum
 import numpy as np
 
 from .equilibria import SC, EquilibriumLaw, Family, kmk_of_slopes
-from .errors import ParameterError, convert, integral, require_keys
+from .errors import ParameterError, integral, read_fields, refuse_foreign
 from .jacobi import (
     DiscreteMeasure,
     JacobiCoeffs,
@@ -130,10 +130,8 @@ class EnsembleSpec:
         _check_interval(self.interval)
         if self.interval != "[-2,2]" and self.kind is not Kind.JACOBI_KN:
             raise ParameterError(f"{self.kind.value} has no {self.interval} form; only jacobi_kn has")
-        foreign = [k for k in SPEC_PARAMS
-                   if k not in _PARAMS[self.kind] and getattr(self, k) is not None]
-        if foreign:
-            raise ParameterError(f"{self.kind.value} takes no {', '.join(foreign)}")
+        given = [key for key in SPEC_PARAMS if getattr(self, key) is not None]
+        refuse_foreign(self.kind.value, given, _PARAMS[self.kind])
         if self.kind is Kind.LAGUERRE:
             if (self.m is None) == (self.tau is None):
                 raise ParameterError("Laguerre needs exactly one of m and tau")
@@ -199,15 +197,13 @@ class EnsembleSpec:
 
     @staticmethod
     def from_json(obj: dict) -> "EnsembleSpec":
-        require_keys(obj, "ensemble spec", "kind", "n", "beta")
-        return EnsembleSpec(
-            kind=Kind(obj["kind"]),
-            n=obj["n"],
-            beta=convert(obj, "ensemble spec", "beta", float),
-            **{key: obj[key] if key == "m" else convert(obj, "ensemble spec", key, float)
-               for key in SPEC_PARAMS if obj.get(key) is not None},
-            interval=obj.get("interval", "[-2,2]"),
-        )
+        fields = read_fields(obj, "ensemble spec", _SPEC_FIELDS, ("kind", "n", "beta"))
+        return EnsembleSpec(**fields)
+
+
+# the spec's JSON keys; counts and the interval are checked by the constructor
+_SPEC_FIELDS = {"kind": Kind, "n": None, "beta": float, "m": None,
+                **{key: float for key in SPEC_PARAMS if key != "m"}, "interval": None}
 
 
 def sample_beta_s(a: float, b: float, rng: np.random.Generator, size=None):

@@ -19,7 +19,7 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import DomainError, ParameterError, PoleError, convert, require_keys
+from .errors import DomainError, ParameterError, PoleError, read_fields, refuse_foreign
 from .jacobi import JacobiCoeffs, jacobi_moments
 
 __all__ = [
@@ -101,13 +101,14 @@ class TailJacobiModel:
 
     @staticmethod
     def from_json(obj: dict) -> "TailJacobiModel":
-        require_keys(obj, "model", "tail")
-        require_keys(obj["tail"], "model tail", "a", "b")
-        return TailJacobiModel(
-            a_inf=convert(obj["tail"], "model tail", "a", float),
-            b_inf=convert(obj["tail"], "model tail", "b", float),
-            head=JacobiCoeffs.from_json(obj.get("head", {"b": [], "a": []})),
-        )
+        fields = read_fields(obj, "model", {"tail": _read_tail, "head": JacobiCoeffs.from_json},
+                             ("tail",))
+        return TailJacobiModel(**fields.pop("tail"), **fields)
+
+
+def _read_tail(obj) -> dict:
+    tail = read_fields(obj, "model tail", {"a": float, "b": float}, ("a", "b"))
+    return {"a_inf": tail["a"], "b_inf": tail["b"]}
 
 
 def _m_free(w):
@@ -174,12 +175,6 @@ _LAW_PARAMS = {
 _LAW_PARAM_NAMES = sum(_LAW_PARAMS.values(), ())
 
 
-def _refuse_foreign(family: Family, given) -> None:
-    foreign = [key for key in given if key not in _LAW_PARAMS[family]]
-    if foreign:
-        raise ParameterError(f"{family.value} takes no {', '.join(foreign)}")
-
-
 @dataclass(frozen=True)
 class EquilibriumLaw:
     """One of the four reference laws, with family-specific parameters.
@@ -199,7 +194,8 @@ class EquilibriumLaw:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "family", Family(self.family))  # the "is" tests need members
-        _refuse_foreign(self.family, [key for key in _LAW_PARAM_NAMES if getattr(self, key) is not None])
+        given = [key for key in _LAW_PARAM_NAMES if getattr(self, key) is not None]
+        refuse_foreign(self.family.value, given, _LAW_PARAMS[self.family])
         if self.family is Family.MARCHENKO_PASTUR:
             if self.tau is None or not (0.0 < self.tau <= 1.0):
                 raise ParameterError(f"MP requires tau in (0, 1], got {self.tau}")
@@ -248,34 +244,15 @@ class EquilibriumLaw:
         return 1.0, 0.0
 
     @property
-    def support(self) -> tuple[float, float]:
-        """The bulk of `model`, b_inf -+ 2 a_inf, without building it."""
-        a_inf, b_inf = self._tail()
-        return b_inf - 2.0 * a_inf, b_inf + 2.0 * a_inf
-
-    @property
     def edges(self) -> tuple[float, float]:
-        """The support's endpoints in closed form, (1 -+ sqrt(tau))^2 for MP and
-        (u_minus, u_plus) for KMK; `support` gives the same up to rounding."""
+        """The support's endpoints in closed form: (1 -+ sqrt(tau))^2 for MP,
+        (u_minus, u_plus) for KMK, (-2, 2) for SC and the arcsine law. The
+        bulk of `model` gives the same up to rounding."""
         if self.family is Family.MARCHENKO_PASTUR:
             return mp_edges(self.tau)
         if self.family is Family.KESTEN_MCKAY:
             return self.u_minus, self.u_plus
-        return self.support
-
-    def to_json(self) -> dict:
-        return {"family": self.family.value,
-                **{key: getattr(self, key) for key in _LAW_PARAMS[self.family]}}
-
-    @staticmethod
-    def from_json(obj: dict) -> "EquilibriumLaw":
-        require_keys(obj, "law", "family")
-        family = convert(obj, "law", "family", Family)
-        _refuse_foreign(family, [key for key in obj if key != "family"])
-        require_keys(obj, "law", *_LAW_PARAMS[family])
-        return EquilibriumLaw(
-            family, **{key: convert(obj, "law", key, float) for key in _LAW_PARAMS[family]}
-        )
+        return -2.0, 2.0
 
 
 SC = EquilibriumLaw(Family.SEMICIRCLE)

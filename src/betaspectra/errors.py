@@ -1,5 +1,5 @@
 """Semantic exception hierarchy shared by all modules, and the input checks
-that JSON readers share."""
+that the JSON readers and the command line share."""
 
 
 class BetaSpectraError(Exception):
@@ -34,23 +34,41 @@ class PoleError(BetaSpectraError, ValueError):
     """Evaluation requested at (or numerically on top of) a pole."""
 
 
-def require_keys(obj, what: str, *keys: str) -> None:
-    """Refuse a JSON value that is not an object, or that lacks one of keys
-    or holds null there, with a ParameterError naming what and the key."""
+def refuse_foreign(what: str, given, known) -> None:
+    """Refuse every key of given that known lacks, with one ParameterError
+    "what takes no 'key'"."""
+    foreign = [key for key in given if key not in known]
+    if foreign:
+        raise ParameterError(f"{what} takes no {', '.join(map(repr, foreign))}")
+
+
+def read_fields(obj, what: str, fields: dict, required=()) -> dict:
+    """The keys of the JSON object obj, each through its converter in fields
+    (None: passed as given, for the constructor to check), in the order of
+    fields; absent or null keys are left out. A ParameterError naming what
+    and the key refuses a value that is not an object, a key of required
+    that is missing or null, a value its converter rejects (a list where a
+    number belongs, say), and then a key that fields lacks."""
     if not isinstance(obj, dict):
         raise ParameterError(f"{what} must be a JSON object, got {type(obj).__name__}")
-    missing = [key for key in keys if obj.get(key) is None]
-    if missing:
-        raise ParameterError(f"{what} has no {missing[0]!r} value")
-
-
-def convert(obj: dict, what: str, key: str, to):
-    """to(obj[key]), refusing a value of the wrong type for it (a list where
-    a number belongs, say) with a ParameterError naming what and the key."""
-    try:
-        return to(obj[key])
-    except (TypeError, ValueError):
-        raise ParameterError(f"{what}: the {key!r} value {obj[key]!r} has the wrong type") from None
+    out = {}
+    for key, to in fields.items():
+        value = obj.get(key)
+        if value is None:
+            if key in required:
+                raise ParameterError(f"{what} has no {key!r} value")
+        elif to is None:
+            out[key] = value
+        else:
+            try:
+                out[key] = to(value)
+            except ParameterError:
+                raise  # a nested reader's, naming its own key
+            except (TypeError, ValueError):
+                raise ParameterError(
+                    f"{what}: the {key!r} value {value!r} has the wrong type") from None
+    refuse_foreign(what, obj, fields)
+    return out
 
 
 def integral(value, key: str) -> int:

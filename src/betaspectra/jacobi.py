@@ -17,8 +17,7 @@ from .errors import (
     InvalidMatrixError,
     NotPositiveDefiniteError,
     RangeError,
-    convert,
-    require_keys,
+    read_fields,
 )
 
 __all__ = [
@@ -88,10 +87,8 @@ class JacobiCoeffs:
 
     @staticmethod
     def from_json(obj: dict) -> "JacobiCoeffs":
-        require_keys(obj, "Jacobi coefficients", "b", "a")
-        b, a = (convert(obj, "Jacobi coefficients", key, lambda v: np.fromiter(v, float))
-                for key in ("b", "a"))
-        return JacobiCoeffs(b, a)
+        fields = {key: lambda v: np.fromiter(v, float) for key in ("b", "a")}
+        return JacobiCoeffs(**read_fields(obj, "Jacobi coefficients", fields, ("b", "a")))
 
 
 @dataclass(frozen=True)
@@ -108,15 +105,6 @@ class VerblunskyCoeffs:
 
     def __len__(self) -> int:
         return len(self.alpha)
-
-    def to_json(self) -> dict:
-        return {"alpha": self.alpha.tolist()}
-
-    @staticmethod
-    def from_json(obj: dict) -> "VerblunskyCoeffs":
-        require_keys(obj, "Verblunsky coefficients", "alpha")
-        alpha = convert(obj, "Verblunsky coefficients", "alpha", lambda v: np.fromiter(v, float))
-        return VerblunskyCoeffs(alpha)
 
 
 @dataclass(frozen=True)
@@ -148,13 +136,6 @@ class DiscreteMeasure:
 
     def to_json(self) -> dict:
         return {"atoms": [[float(x), float(w)] for x, w in zip(self.locations, self.weights)]}
-
-    @staticmethod
-    def from_json(obj: dict) -> "DiscreteMeasure":
-        require_keys(obj, "discrete measure", "atoms")  # [[location, weight], ...]
-        atoms = convert(obj, "discrete measure", "atoms",
-                        lambda v: np.asarray(v, dtype=float).reshape(len(v), 2))
-        return DiscreteMeasure(atoms[:, 0], atoms[:, 1])
 
 
 def spectral_decompose(coeffs: JacobiCoeffs) -> DiscreteMeasure:

@@ -13,10 +13,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .equilibria import SC, ChebGrid, density
-from .errors import NotPositiveDefiniteError, ParameterError, convert, require_keys
+from .equilibria import SC, ChebGrid, TailJacobiModel, density
+from .errors import NotPositiveDefiniteError, ParameterError, read_fields
 from .jacobi import JacobiCoeffs
 from .rates import hermite_rate
+from .sumrule import outliers
 
 __all__ = [
     "MomentConstraint",
@@ -80,9 +81,8 @@ class MomentConstraint:
 
     @staticmethod
     def from_json(obj: dict) -> "MomentConstraint":
-        require_keys(obj, "moment constraint", "c")
-        c = convert(obj, "moment constraint", "c", lambda v: np.asarray(v, dtype=float))
-        return MomentConstraint(c)
+        return MomentConstraint(**read_fields(
+            obj, "moment constraint", {"c": lambda v: np.asarray(v, dtype=float)}, ("c",)))
 
 
 def _is_interior(h: np.ndarray) -> bool:
@@ -215,10 +215,7 @@ def moment_opt_report(c: MomentConstraint) -> dict:
     dual = constrained_rate_dual(c)
     flags = list(dual.flags)
     # dual equality is only claimed when the primal achiever stays in [-2, 2]
-    from .sumrule import TailJacobiModel, outliers
-
-    model = TailJacobiModel(head=coeffs)
-    if outliers(model):
+    if outliers(TailJacobiModel(head=coeffs)):
         flags.append("primal achiever has outliers: dual equality not claimed")
     return {
         "primal": primal,

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .ensembles import EnsembleSpec, Kind, RngStream, sample_batch, sample_rows
-from .errors import ParameterError, convert, integral, require_keys
+from .errors import ParameterError, integral, read_fields
 from .jacobi import _lowest_weights, affine_s
 from .rates import _refuse_nan, outlier_cost
 
@@ -70,17 +70,13 @@ class McExperiment:
 
     @staticmethod
     def from_json(obj: dict) -> "McExperiment":
-        require_keys(obj, "experiment", "spec")
-        spec = EnsembleSpec.from_json(obj["spec"])
-        require_keys(obj, "experiment", "x", "n_list", "samples", "seed")
-        return McExperiment(
-            spec=spec,
-            x=convert(obj, "experiment", "x", float),
-            n_list=convert(obj, "experiment", "n_list", tuple),
-            samples=obj["samples"],
-            seed=obj["seed"],
-            direction=obj.get("direction", "max_above"),
-        )
+        return McExperiment(**read_fields(obj, "experiment", _EXPERIMENT_FIELDS,
+                                          ("spec", "x", "n_list", "samples", "seed")))
+
+
+# the experiment's JSON keys; counts and the direction are checked by the constructor
+_EXPERIMENT_FIELDS = {"spec": EnsembleSpec.from_json, "x": float, "n_list": tuple,
+                      "samples": None, "seed": None, "direction": None}
 
 
 @dataclass

@@ -244,7 +244,7 @@ def _measure_side(
     model: TailJacobiModel, reference: EquilibriumLaw, roots: _JostRoots
 ) -> RateReport:
     lo, hi = model.bulk
-    rlo, rhi = reference.support
+    rlo, rhi = reference.edges
     if abs(lo - rlo) > 1e-9 or abs(hi - rhi) > 1e-9:
         raise ParameterError(
             f"reference support [{rlo}, {rhi}] does not match model bulk [{lo}, {hi}]"

@@ -209,6 +209,14 @@ MISUSE = [
     ("rate", "--family", "jacobi", "--alpha", "0.1", "--variant", "paper_literal"),
     ("mc", "--x", "2.5", "--n-list", "8.9"),
     ("stats", "--ensemble", "jacobi_kn", "--n", "5", "--interval", "[0,1]"),
+    # a flag the chosen family does not read is refused, not ignored
+    ("rate", "--family", "fg", "--x", "2.5", "--tau", "0.3", "--alpha", "0.5"),
+    ("rate", "--family", "hermite", "--b", "1", "--x", "3", "--kappa1", "2"),
+    ("rate", "--family", "fj", "--x", "0.5", "--tau", "0.3"),
+    ("rate", "--family", "fl", "--x", "5", "--u-plus", "0.5"),
+    ("rate", "--family", "jacobi", "--alpha", "0.1", "--d", "1"),
+    ("probe", "--family", "jacobi", "--kappa1", "1", "--model", "nonexistent.json", "--tau", "0.2"),
+    ("probe", "--family", "laguerre", "--alpha", "0.1"),
 ]
 
 
@@ -220,6 +228,30 @@ def test_missing_option_is_one_error_line(capsys, argv):
     lines = err.strip().splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: ")
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv, flags", [
+    (("rate", "--family", "fg", "--x", "2.5", "--tau", "0.3"), ["'--tau'"]),
+    (("rate", "--family", "hermite", "--b", "1", "--x", "3", "--kappa1", "2"),
+     ["'--x'", "'--kappa1'"]),
+    (("probe", "--family", "jacobi", "--kappa1", "1", "--model", "m.json", "--tau", "0.2"),
+     ["'--model'", "'--tau'"]),
+], ids=["fg-tau", "hermite-x-kappa1", "probe-jacobi-model-tau"])
+def test_ignored_flag_is_named(capsys, argv, flags):
+    code, out, err = run(capsys, *argv)
+    assert code == 1 and out == ""
+    assert err.startswith(f"error: {argv[0]} --family {argv[2]} takes no ")
+    assert all(flag in err for flag in flags)
+
+
+def test_moments_refuses_c_beside_constraint(capsys, tmp_path):
+    path = tmp_path / "constraint.json"
+    path.write_text(json.dumps({"c": [0.0, 1.0, 0.0]}))
+    code, out, _ = run(capsys, "moments", "--constraint", str(path))
+    assert code == 0
+    code, out, err = run(capsys, "moments", "--constraint", str(path), "--c", "0,1,0")
+    assert code == 1 and out == ""
+    assert err == "error: moments --constraint takes no '--c'\n"
 
 
 @pytest.mark.parametrize("tau", ["-1", "0", "1.5"])
@@ -469,6 +501,18 @@ MISSING_KEY_CASES = [
                             "n_list": [4], "samples": 10, "seed": 1}, "'n'"),
     ("mc", "--experiment", {"spec": {"kind": "laguerre", "n": 10, "beta": 2.0, "m": 2.5},
                             "x": 2.5, "n_list": [4], "samples": 10, "seed": 1}, "'m'"),
+    # a key the reader does not know is refused at every level, not dropped
+    ("sumrule", "--model", {"tail": {"a": 1.0, "b": 0.0}, "head": {"b": [0.0], "a": []},
+                            "heads": {"b": [5.0], "a": []}}, "'heads'"),
+    ("sumrule", "--model", {"tail": {"a": 1.0, "b": 0.0, "a_inf": 2.0}}, "'a_inf'"),
+    ("probe", "--model", {"tail": {"a": 1.0, "b": 2.0},
+                          "head": {"b": [1.3], "a": [0.8], "c": [0.5]}}, "'c'"),
+    ("mc", "--experiment", {"spec": {"kind": "jacobi_kn", "n": 20, "beta": 2.0, "kapa1": 1.0},
+                            "x": 0.9, "n_list": [20], "samples": 10, "seed": 1}, "'kapa1'"),
+    ("mc", "--experiment", {"spec": {"kind": "hermite", "n": 4, "beta": 2.0}, "x": -2.5,
+                            "n_list": [4], "samples": 10, "seed": 1, "directon": "min_below"},
+     "'directon'"),
+    ("moments", "--constraint", {"c": [0.0, 1.0, 0.0], "order": 3}, "'order'"),
 ]
 
 

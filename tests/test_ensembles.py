@@ -337,7 +337,7 @@ def test_esd_arcsine_chi2_improves_with_n():
             _, coeffs = sample_jacobi_kn(spec, RngStream(seed=11).substream(i))
             mu = esd(coeffs, interval="[0,1]")
             counts += np.histogram(mu.locations, bins=8, range=(0.0, 1.0))[0]
-        grid = ChebGrid.for_interval(*ARCSINE_01.support, 1024)
+        grid = ChebGrid.for_interval(*ARCSINE_01.edges, 1024)
         edges = np.linspace(0.0, 1.0, 9)
         probs = np.array([
             float(np.dot(grid.weights[(grid.nodes >= lo) & (grid.nodes < hi)],

@@ -17,7 +17,6 @@ from betaspectra.errors import (
     DegenerateMeasureError,
     InvalidMatrixError,
     NotPositiveDefiniteError,
-    ParameterError,
     RangeError,
 )
 from betaspectra.jacobi import (
@@ -504,23 +503,3 @@ def test_json_round_trips():
     coeffs = JacobiCoeffs([0.1, -0.2], [0.7])
     back = JacobiCoeffs.from_json(coeffs.to_json())
     assert np.array_equal(back.b, coeffs.b) and np.array_equal(back.a, coeffs.a)
-    mu = DiscreteMeasure(np.array([0.0, 1.0]), np.array([0.25, 0.75]))
-    back = DiscreteMeasure.from_json(mu.to_json())
-    assert np.array_equal(back.locations, mu.locations)
-    alpha = VerblunskyCoeffs(np.array([0.1, -0.3]))
-    assert np.array_equal(VerblunskyCoeffs.from_json(alpha.to_json()).alpha, alpha.alpha)
-
-
-@pytest.mark.parametrize("reader, obj, key", [
-    (DiscreteMeasure.from_json, {}, "'atoms'"),
-    (DiscreteMeasure.from_json, {"atoms": 1.0}, "'atoms'"),
-    (DiscreteMeasure.from_json, {"atoms": [0.0, 1.0]}, "'atoms'"),
-    (DiscreteMeasure.from_json, {"atoms": [[0.0, 0.5, 1.0]]}, "'atoms'"),
-    (VerblunskyCoeffs.from_json, {}, "'alpha'"),
-    (VerblunskyCoeffs.from_json, {"alpha": 0.5}, "'alpha'"),
-    (VerblunskyCoeffs.from_json, [0.5], "JSON object"),
-], ids=["measure-missing", "measure-scalar", "measure-flat", "measure-triple",
-        "alpha-missing", "alpha-scalar", "alpha-list"])
-def test_json_readers_name_the_bad_key(reader, obj, key):
-    with pytest.raises(ParameterError, match=key):
-        reader(obj)
