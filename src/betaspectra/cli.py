@@ -5,7 +5,8 @@ files are read: the model of `sumrule` and `probe --family laguerre`
 (TailJacobiModel), the `mc --experiment` file (McExperiment) and the
 `moments --constraint` file (MomentConstraint). A key that a file's reader
 does not know is refused, as is a flag that the chosen `rate` or `probe`
-family does not read and `--c` beside `--constraint`. Outputs use the JSON
+family does not read, every `mc` flag but `--format` and `--out` beside
+`--experiment`, and `--c` beside `--constraint`. Outputs use the JSON
 schemas of the owning modules; `mc` emits CSV by default. Exit codes: 0
 success, 1 validation error, 2 numerical failure.
 """
@@ -122,6 +123,10 @@ _RATE_FLAGS = {"fg": ("x",), "fl": ("x", "tau"), "fj": ("x", "u_minus", "u_plus"
                "jacobi": ("alpha", "kappa1", "kappa2")}
 _PROBE_FLAGS = {"laguerre": ("model", "tau"), "jacobi": ("alpha", "kappa1", "kappa2")}
 _FLAG_DEFAULTS = {"tau": 1.0, "u_minus": 0.0, "u_plus": 1.0}
+# the mc options an experiment file replaces, and the defaults of those that have one
+_MC_DEFAULTS = {"ensemble": "hermite", "beta": 2.0, "interval": "[-2,2]",
+                "n_list": "20,40,80", "samples": 10000, "direction": "max_above", "seed": 0}
+_MC_FLAGS = (*_MC_DEFAULTS, *SPEC_PARAMS, "x")
 
 
 def _family_flags(args, table: dict) -> None:
@@ -208,9 +213,14 @@ def _cmd_rate(args) -> int:
 
 def _cmd_mc(args) -> int:
     if args.experiment:
+        refuse_foreign("mc --experiment",
+                       [_flag(name) for name in _MC_FLAGS if getattr(args, name) is not None], ())
         with open(args.experiment) as fh:
             exp = McExperiment.from_json(json.load(fh))
     else:
+        for name, value in _MC_DEFAULTS.items():
+            if getattr(args, name) is None:
+                setattr(args, name, value)
         _require(args, "mc without --experiment", "x")
         n_list = tuple(integral(v, "--n-list") for v in _float_list(args.n_list))
         if not n_list:
@@ -328,9 +338,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     # no abbreviations: a removed --n must not be read as --n-list
     p = sub.add_parser("mc", allow_abbrev=False)
+    # defaults in _MC_DEFAULTS: beside --experiment, only --format and --out are taken
     p.add_argument("--experiment", default=None, help="experiment JSON file")
-    p.add_argument("--ensemble", choices=[k.value for k in Kind], default="hermite")
-    p.add_argument("--beta", type=float, default=2.0)
+    p.add_argument("--ensemble", choices=[k.value for k in Kind], default=None)
+    p.add_argument("--beta", type=float, default=None)
     p.add_argument("--m", type=int, default=None,
                    help="Laguerre m at the largest --n-list size, so tau = m / N")
     p.add_argument("--tau", type=float, default=None)
@@ -338,13 +349,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--b", type=float, default=None, help="fixed Jacobi-KN exponent b")
     p.add_argument("--kappa1", type=float, default=None)
     p.add_argument("--kappa2", type=float, default=None)
-    p.add_argument("--interval", choices=["[-2,2]", "[0,1]"], default="[-2,2]")
+    p.add_argument("--interval", choices=["[-2,2]", "[0,1]"], default=None)
     p.add_argument("--x", type=float, default=None)
-    p.add_argument("--n-list", default="20,40,80")
-    p.add_argument("--samples", type=int, default=10000)
-    p.add_argument("--direction", choices=["max_above", "min_below"], default="max_above")
+    p.add_argument("--n-list", default=None)
+    p.add_argument("--samples", type=int, default=None)
+    p.add_argument("--direction", choices=["max_above", "min_below"], default=None)
     p.add_argument("--format", choices=["json", "csv"], default="csv")
-    _add_common(p)
+    _add_common(p, seed=False)
+    p.add_argument("--seed", type=int, default=None)
     p.set_defaults(func=_cmd_mc)
 
     p = sub.add_parser("moments")

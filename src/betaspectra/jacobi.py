@@ -42,8 +42,10 @@ WEIGHT_FLOOR = np.finfo(float).tiny
 # square and the inverse square of PIVMIN are normal numbers, so a ratio
 # a_i / pivot can be squared without overflow.
 PIVMIN = 2.0**-500
-# 1 -+ (overlap of two unit vectors) below this is rounding
-SQRT_EPS = np.sqrt(np.finfo(float).eps)
+EPS = np.finfo(float).eps
+# Neighbours closer than MIX |J| sqrt(pi_k pi_{k+1}) / n are re-solved
+# together: a few eps |J| of eigenvalue error then moves a weight by n eps.
+MIX = 100.0
 
 
 @dataclass(frozen=True)
@@ -142,16 +144,14 @@ def spectral_decompose(coeffs: JacobiCoeffs) -> DiscreteMeasure:
     """Atoms (lambda_k, pi_k): eigenvalues and squared first components of
     unit eigenvectors of the full n x n matrix, n = coeffs.n.
 
-    Eigenvalues from LAPACK dsterf; weights from twisted factorisations of
-    J - lambda_k at all eigenvalues at once, each neighbour pair then
-    orthogonalised and rotated to its Rayleigh-Ritz vectors
-    (_first_row_weights, after Dhillon-Parlett 2004), in about 32 n^1.5
-    bytes: no eigenvector is formed. Weights are within about n * eps
-    (absolute) of 60-digit arithmetic on the ensembles, the free matrix and
-    graded matrices, and floored at the smallest normal number. Close pairs
-    keep their summed weight to n * eps (Wilkinson's W21+, gap 7e-14);
-    pairs closer than about eps |J| whose vectors sit in different places
-    (W41+) may lose part of it.
+    Eigenvalues from LAPACK dsterf; weights from one twisted factorisation
+    of J - lambda_k per eigenvalue, all at once, and LAPACK dstein on the
+    runs of neighbours that those cannot resolve (_first_row_weights), in
+    about 32 n^1.5 bytes besides the runs: no full eigenvector matrix is
+    formed. Weights are within about n * eps (absolute) of 60-digit
+    arithmetic on the ensembles, the free matrix, graded matrices and
+    Wilkinson's W21+ and W41+ (pair sums), and floored at the smallest
+    normal number; clusters closer than eps |J| keep their summed weight.
     """
     sec = coeffs.section(coeffs.n)
     lam = _eigenvalues(sec.b, sec.a)
@@ -173,8 +173,8 @@ def _eigenvalues(b: np.ndarray, a: np.ndarray) -> np.ndarray:
 
 def _lowest_weights(b: np.ndarray, a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Eigenvalues, and the weight at the lowest one only, of the tridiagonal
-    matrices (b, a) over leading batch axes; the weight is orthogonalised
-    against the next eigenvalue's vector alone."""
+    matrices (b, a) over leading batch axes; the lowest pair is re-solved
+    together when the two cannot be told apart (_first_row_weights)."""
     lam = _eigenvalues(b, a)
     return lam, _first_row_weights(b, a, lam[..., :2])[..., 0]
 
@@ -185,23 +185,22 @@ def _first_row_weights(b: np.ndarray, a: np.ndarray, lam: np.ndarray) -> np.ndar
     ascending eigenvalues lam (..., m) of the tridiagonal matrices (b, a);
     leading axes are a batch. Weights are floored, not normalised.
 
-    For every eigenvalue at once, with z the eigenvector and z_0 = 1:
+    For every eigenvalue at once, with z the eigenvector and z_0 = 1
+    (Dhillon-Parlett, LAA 387, 2004):
     - forward (LDL^T of J - lambda): pivots d_i and r_i = z_i / z_0, kept at
       checkpoints every ~sqrt(n) rows;
-    - backward (UDU^T): pivots u_i, rho_i = z_{i+1} / z_i = -a_i / u_{i+1}
-      and T_i = sum_{j > i} (z_j / z_i)^2, with the forward rows recomputed
-      one segment at a time from the checkpoints;
+    - backward (UDU^T): pivots u_i and s_i = 1 + sum_{j > i} (z_j / z_i)^2,
+      with the forward rows recomputed one segment at a time from the
+      checkpoints;
     - twist: at r = argmin |gamma_r|, gamma_r = d_r - a_r^2 / u_{r+1}, z is
-      forward up to r and backward after it, and (J - lambda) z = gamma_r r_r e_r.
-    The backward pass also keeps, for each z at its best twist so far, |z|^2,
-    and for neighbouring eigenvalues k < l the overlap z^k . z^l and each
-    vector's value at the other's twist. An eigenvalue off by about eps |J|
-    gives a vector that takes in about eps |J| / gap of its neighbour's. So
-    each neighbour pair in turn is orthogonalised (G^(-1/2) of its 2 x 2
-    Gram matrix G), which restores the pair's summed weight, and rotated to
-    its Rayleigh-Ritz vectors, the projected matrix taken from the
-    residuals, which splits that weight. Pairs whose vectors cannot be told
-    apart in double precision share their weight.
+      forward up to r and backward after it, so
+      |z|^2 = sum_{i < r} r_i^2 + s_r r_r^2 and pi = 1 / |z|^2.
+    A vector taken at an eigenvalue a few eps |J| off takes in about
+    eps |J| / gap of its neighbour's, so neighbours k, k + 1 closer than
+    MIX |J| sqrt(pi_k pi_{k+1}) / n + 8 eps |J| (|J| bounded by Gershgorin)
+    form a run, and each run is re-solved by one call of LAPACK dstein
+    (inverse iteration, orthogonalised within the run), at the same
+    eigenvalues. A run where dstein does not converge keeps its weights.
     """
     lead, n, m = lam.shape[:-1], b.shape[-1], lam.shape[-1]
     rows = math.prod(lead)
@@ -211,9 +210,10 @@ def _first_row_weights(b: np.ndarray, a: np.ndarray, lam: np.ndarray) -> np.ndar
     _, e = np.frexp(np.maximum(np.max(np.abs(b), axis=1), np.max(a, axis=1, initial=0.0)))
     e = -e[:, None]
     lam = np.ldexp(lam.reshape(rows, m), e)
+    b = np.ldexp(b, e)
     a = np.maximum(np.ldexp(a, e), PIVMIN)  # subnormal a_k would make r overflow at once
     # per-row (rows, 1) columns, so each step broadcasts over the eigenvalues
-    b_col = list(np.ldexp(b, e).T[:, :, None])
+    b_col = list(b.T[:, :, None])
     a2_col = list(np.square(a).T[:, :, None])
     ninv_col = list((-1.0 / a).T[:, :, None])
 
@@ -252,106 +252,58 @@ def _first_row_weights(b: np.ndarray, a: np.ndarray, lam: np.ndarray) -> np.ndar
     for k in range(n_seg):
         forward(k)
 
-    # per eigenvalue: |gamma|, gamma, r_r and |z|^2 at the best twist so far
-    # (twist), and the same at twist j (cand)
-    twist = np.zeros((4, rows, m))
+    # per eigenvalue: |gamma| and |z|^2 at the best twist so far (twist),
+    # and the same at twist j (cand)
+    twist = np.zeros((2, rows, m))
     twist[0] = np.inf
-    cand = np.empty((4, rows, m))
-    s = np.ones((rows, m))  # 1 + T_j
+    cand = np.empty((2, rows, m))
+    s = np.ones((rows, m))
     u = np.empty((rows, m))
     g = np.zeros((rows, m))
-    rho = np.zeros((rows, m))
     sq = np.empty((rows, m))
     better = np.empty((rows, m), dtype=bool)
-    # Per neighbour pair k, l = k + 1, sums over i >= j of products of: both
-    # vectors backward from j (z_i / z_j), k backward and l at its twist so
-    # far, the reverse, and both at their twists (z_0 = 1 units); z^k / z^k_j
-    # and z^k at l's twist, and the reverse. The order lets one strided
-    # slice take each twist move below.
-    pair = np.zeros((8, rows, m - 1))
-    cross, l_back, k_at, k_back, both, k_rel, l_at, l_rel = pair
-    prod = np.empty((3, rows, m - 1))
-    rho_k, rho_l, better_k, better_l = rho[:, :-1], rho[:, 1:], better[:, :-1], better[:, 1:]
-    by_k, by_l = pair[3:6], pair[1::3]  # (k_back, both, k_rel), (l_back, both, l_rel)
-    r_pairs = [(r[:, :-1], r[:, 1:]) for _, r in seg_rows]
     for k in range(n_seg - 1, -1, -1):
         c = k * seg_len
         if k < n_seg - 1:
             forward(k)
         for j in range(min(c + seg_len, n) - 1, c - 1, -1):
             d, r = seg_rows[j - c]
-            r_k, r_l = r_pairs[j - c]
             if j < n - 1:
                 np.divide(a2_col[j], u, out=g)  # a_j^2 / u_{j+1}
-                np.multiply(g, ninv_col[j], out=rho)
-            s *= rho
-            s *= rho
-            s += 1.0
-            by_k *= rho_k
-            by_l *= rho_l
-            both += 1.0
-            k_back += r_l
-            l_back += r_k
-            np.multiply(r_k, r_l, out=prod[0])
-            cross += prod[0]
+                s *= g
+                s /= u  # times (z_{j+1} / z_j)^2 = a_j^2 / u_{j+1}^2
+                s += 1.0
             np.multiply(r, r, out=sq)
-            twist[3] += sq  # |z|^2 of each vector at its twist so far
-            np.subtract(d, g, out=cand[1])
-            np.abs(cand[1], out=cand[0])
+            twist[1] += sq  # |z|^2 of each vector at its twist so far
+            np.subtract(d, g, out=cand[0])
+            np.abs(cand[0], out=cand[0])
             np.less(cand[0], twist[0], out=better)
-            cand[2] = r
-            np.multiply(s, sq, out=cand[3])
+            np.multiply(s, sq, out=cand[1])
             np.copyto(twist, cand, where=better)
-            # a vector whose twist moves to j is backward from j on:
-            # cross, l_back, k_at = r_k (k_back, both, k_rel) ...
-            np.multiply(r_k, by_k, out=prod)
-            np.copyto(pair[0:3], prod, where=better_k)
-            np.copyto(l_at, r_l, where=better_k)
-            np.copyto(l_rel, 1.0, where=better_k)
-            # ... and cross, k_back, l_at = r_l (l_back, both, l_rel)
-            np.multiply(r_l, by_l, out=prod)
-            np.copyto(pair[0::3], prod, where=better_l)
-            np.copyto(k_at, r_k, where=better_l)
-            np.copyto(k_rel, 1.0, where=better_l)
             np.subtract(b_col[j], lam, out=u)
             u -= g
             lift(u)
-    _, gam_t, r_t, norm2 = twist
+    # |z|^2 is NaN only where r_r overflowed, and the weight below the floor
+    pi = np.fmax(np.divide(1.0, twist[1], out=twist[1]), WEIGHT_FLOOR)
 
-    # Normalised: first components f = |z|^-1 (z_0 = 1 > 0), Gram entries,
-    # each vector at its own twist (q_t) and at its neighbour's, residuals
-    # (J - lambda) q = nu e_t and Rayleigh quotients lambda + nu q_t
-    f = np.sqrt(np.fmax(np.divide(1.0, norm2, out=norm2), 0.0))
-    f_k, f_l = f[:, :-1], f[:, 1:]
-    gram = cross * f_k * f_l
-    gram[~np.isfinite(gram)] = 0.0
-    q_t = r_t * f
-    nu = gam_t * q_t
-    shift = nu * q_t
-    gap = lam[:, 1:] - lam[:, :-1]
-    # q_k^T (J - lambda_k) q_l = q_l^T (J - lambda_k) q_k, taken both ways
-    # and averaged, to first order in gram after the orthogonalisation
-    proj = 0.5 * (nu[:, 1:] * (k_at * f_k) + nu[:, :-1] * (l_at * f_l))
-    proj -= 0.5 * gram * (shift[:, :-1] + shift[:, 1:])
-    proj[~np.isfinite(proj)] = 0.0
-    # Each neighbour pair in turn, first (0, 1), (2, 3), .. then (1, 2),
-    # (3, 4), ..: G^(-1/2) of its Gram matrix [[1, gram], [gram, 1]], then
-    # the rotation by phi, tan 2 phi = 2 proj / (shift_k - gap - shift_l).
-    # 1 -+ gram is floored at sqrt(eps), below which it is rounding.
-    y = f.copy()
-    for start in (0, 1):
-        k, l = slice(start, m - 1, 2), slice(start + 1, m, 2)
-        c = gram[:, k]
-        same = (y[:, k] + y[:, l]) * np.fmax(1.0 + c, SQRT_EPS) ** -0.5
-        diff = (y[:, k] - y[:, l]) * np.fmax(1.0 - c, SQRT_EPS) ** -0.5
-        y_k, y_l = 0.5 * (same + diff), 0.5 * (same - diff)
-        phi = 0.5 * np.arctan(2.0 * proj[:, k] / (shift[:, k] - gap[:, k] - shift[:, l]))
-        phi[np.isnan(phi)] = 0.0
-        cs, sn = np.cos(phi), np.sin(phi)
-        y[:, k] = cs * y_k + sn * y_l
-        y[:, l] = cs * y_l - sn * y_k
-    pi = np.square(y, out=y)
-    np.fmax(pi, WEIGHT_FLOOR, out=pi)
+    norm = np.abs(b)  # Gershgorin: |J| <= max_i |b_i| + a_{i-1} + a_i
+    norm[:, 1:] += a
+    norm[:, :-1] += a
+    norm = np.max(norm, axis=1, keepdims=True)
+    # flags of the pairs k - 1, k at column k: a run of eigenvalues lo..hi
+    # starts where they rise and ends where they fall
+    flags = np.zeros((rows, m + 1), dtype=np.int8)
+    flags[:, 1:m] = np.diff(lam) < norm * (MIX * np.sqrt(pi[:, 1:] * pi[:, :-1]) / n + 8.0 * EPS)
+    step = np.diff(flags)
+    if np.any(step):
+        from scipy.linalg.lapack import dstein
+
+        block, split = np.ones(n, np.int32), np.zeros(n, np.int32)
+        split[0] = n  # the whole matrix is one block
+        for row, lo, hi in zip(*np.nonzero(step > 0), np.nonzero(step < 0)[1]):
+            z, info = dstein(b[row], a[row], lam[row, lo : hi + 1], block, split)
+            if info == 0:
+                pi[row, lo : hi + 1] = np.fmax(np.square(z[0]), WEIGHT_FLOOR)
     return pi.reshape(lead + (m,))
 
 

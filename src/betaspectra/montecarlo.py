@@ -39,6 +39,8 @@ __all__ = [
 
 CSV_HEADER = "N,x,samples,hits,p_hat,rate_hat,stderr,theory"
 CHUNK = 8192
+# stat_suite passes a test when its p-value exceeds this level
+ALPHA = 0.01
 
 
 @dataclass(frozen=True)
@@ -325,15 +327,14 @@ def stat_suite(
     spec: EnsembleSpec,
     seed: int,
     reps: int = 300,
-    alpha: float = 0.01,
     wrong_marginal: bool = False,
 ) -> StatReport:
     """Distributional checks on the sampler.
 
     KS test of the first spectral weight against Beta(beta', (N-1) beta'),
     independence (correlation) of lambda_max and that weight, and a z-test
-    on the mean first moment. wrong_marginal swaps in Beta(2 beta', .) as a
-    deliberate negative control.
+    on the mean first moment, each passed at p > ALPHA. wrong_marginal swaps
+    in Beta(2 beta', .) as a deliberate negative control.
 
     The p-values need scipy.special only:
     - KS: the Beta CDF is scipy.special.betainc, as in scipy's beta.cdf, so
@@ -378,11 +379,11 @@ def stat_suite(
         Kind.JACOBI_KN: None,
     }[spec.kind]
     tests = [
-        ("ks_pi1_beta", ks_stat, ks_p, ks_p > alpha),
-        ("corr_lmax_pi1", corr, corr_p, corr_p > alpha),
+        ("ks_pi1_beta", ks_stat, ks_p, ks_p > ALPHA),
+        ("corr_lmax_pi1", corr, corr_p, corr_p > ALPHA),
     ]
     if mean_expect is not None:
         z = float((np.mean(m1) - mean_expect) / (np.std(m1, ddof=1) / math.sqrt(reps)))
         p = math.erfc(abs(z) / math.sqrt(2.0))
-        tests.append(("mean_first_moment", z, p, p > alpha))
-    return StatReport(tests=tests, alpha=alpha, all_passed=all(t[3] for t in tests))
+        tests.append(("mean_first_moment", z, p, p > ALPHA))
+    return StatReport(tests=tests, alpha=ALPHA, all_passed=all(t[3] for t in tests))

@@ -217,6 +217,11 @@ MISUSE = [
     ("rate", "--family", "jacobi", "--alpha", "0.1", "--d", "1"),
     ("probe", "--family", "jacobi", "--kappa1", "1", "--model", "nonexistent.json", "--tau", "0.2"),
     ("probe", "--family", "laguerre", "--alpha", "0.1"),
+    # the experiment file replaces every mc option but --format and --out
+    ("mc", "--experiment", "nonexistent.json", "--x", "5"),
+    ("mc", "--experiment", "nonexistent.json", "--seed", "0"),
+    ("mc", "--experiment", "nonexistent.json", "--ensemble", "hermite"),
+    ("mc", "--experiment", "nonexistent.json", "--kappa1", "1", "--interval", "[0,1]"),
 ]
 
 
@@ -242,6 +247,23 @@ def test_ignored_flag_is_named(capsys, argv, flags):
     assert code == 1 and out == ""
     assert err.startswith(f"error: {argv[0]} --family {argv[2]} takes no ")
     assert all(flag in err for flag in flags)
+
+
+def test_mc_experiment_refuses_other_flags(capsys, tmp_path):
+    exp = McExperiment(spec=EnsembleSpec(kind=Kind.HERMITE, n=10, beta=2.0),
+                       x=2.5, n_list=(4, 10), samples=200, seed=3)
+    path = tmp_path / "exp.json"
+    path.write_text(json.dumps(exp.to_json()))
+    code, out, err = run(capsys, "mc", "--experiment", str(path), "--x", "5", "--samples", "3",
+                         "--n-list", "4")
+    assert code == 1 and out == ""
+    assert err == "error: mc --experiment takes no '--n-list', '--samples', '--x'\n"
+    # --format and --out still apply
+    code, out, _ = run(capsys, "mc", "--experiment", str(path), "--format", "json")
+    assert code == 0 and [row["samples"] for row in json.loads(out)["rows"]] == [200, 200]
+    code, out, _ = run(capsys, "mc", "--experiment", str(path), "--out", str(tmp_path / "o.csv"))
+    assert code == 0 and out == ""
+    assert (tmp_path / "o.csv").read_text().count("\n") == 3
 
 
 def test_moments_refuses_c_beside_constraint(capsys, tmp_path):
