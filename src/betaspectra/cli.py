@@ -3,12 +3,13 @@
 Subcommands: sample, sumrule, rate, mc, moments, probe, stats. Three input
 files are read: the model of `sumrule` and `probe --family laguerre`
 (TailJacobiModel), the `mc --experiment` file (McExperiment) and the
-`moments --constraint` file (MomentConstraint). A key that a file's reader
-does not know is refused, as is a flag that the chosen `rate` or `probe`
-family does not read, every `mc` flag but `--format` and `--out` beside
-`--experiment`, and `--c` beside `--constraint`. Outputs use the JSON
-schemas of the owning modules; `mc` emits CSV by default. Exit codes: 0
-success, 1 validation error, 2 numerical failure.
+`moments --constraint` file (MomentConstraint); a key that a file's reader
+does not know is refused. A mode of rate, probe, mc or moments (a --family
+value, or the command with or without its input file) reads its options
+from one table: every other option of the command is refused, a required
+one left out is named, and the rest take their defaults. Outputs use the
+JSON schemas of the owning modules; `mc` emits CSV by default. Exit codes:
+0 success, 1 validation error, 2 numerical failure.
 """
 
 from __future__ import annotations
@@ -83,8 +84,8 @@ class _Parser(argparse.ArgumentParser):
         return None
 
 
-def _float_list(text: str) -> list[float]:
-    return [float(t) for t in text.replace(",", " ").split()]
+def _vector(text: str) -> np.ndarray:
+    return np.asarray([float(t) for t in text.replace(",", " ").split()])
 
 
 def _emit(args, text: str) -> None:
@@ -101,44 +102,37 @@ def _emit_json(args, obj) -> None:
 
 def _resolve_seed(args) -> int:
     env = os.environ.get("SPECTRA_SEED")
-    if env is not None:
-        return int(env)
-    return args.seed
+    return args.seed if env is None else int(env)
 
 
 def _flag(name: str) -> str:
     return "--" + name.replace("_", "-")
 
 
-def _require(args, context: str, *names: str) -> None:
-    """Options a subcommand needs only in some modes, so argparse cannot demand them."""
-    missing = [_flag(name) for name in names if getattr(args, name) is None]
+def _read_json(path: str, cls):
+    with open(path) as fh:
+        return cls.from_json(json.load(fh))
+
+
+# each mode's name maps to its table (every option it reads, to its default
+# or to REQUIRED) and to the call that reads them
+REQUIRED = object()
+
+
+def _run_mode(args, modes: dict, mode: str):
+    """The call of mode among modes, on the options of its table alone. An
+    option of another mode that args sets is refused first, then the
+    REQUIRED ones it leaves out are named; the others take their defaults."""
+    table, call = modes[mode]
+    options = dict.fromkeys(name for other, _ in modes.values() for name in other)
+    refuse_foreign(mode, [_flag(name) for name in options if getattr(args, name) is not None],
+                   [_flag(name) for name in table])
+    read = {name: default if getattr(args, name) is None else getattr(args, name)
+            for name, default in table.items()}
+    missing = [_flag(name) for name, value in read.items() if value is REQUIRED]
     if missing:
-        raise ParameterError(f"{context} needs {', '.join(missing)}")
-
-
-# the options each family reads, and the defaults of those that have one
-_RATE_FLAGS = {"fg": ("x",), "fl": ("x", "tau"), "fj": ("x", "u_minus", "u_plus"),
-               "hermite": ("b", "a"), "laguerre": ("d", "s", "tau"),
-               "jacobi": ("alpha", "kappa1", "kappa2")}
-_PROBE_FLAGS = {"laguerre": ("model", "tau"), "jacobi": ("alpha", "kappa1", "kappa2")}
-_FLAG_DEFAULTS = {"tau": 1.0, "u_minus": 0.0, "u_plus": 1.0}
-# the mc options an experiment file replaces, and the defaults of those that have one
-_MC_DEFAULTS = {"ensemble": "hermite", "beta": 2.0, "interval": "[-2,2]",
-                "n_list": "20,40,80", "samples": 10000, "direction": "max_above", "seed": 0}
-_MC_FLAGS = (*_MC_DEFAULTS, *SPEC_PARAMS, "x")
-
-
-def _family_flags(args, table: dict) -> None:
-    """Refuse each option of table that the call sets and its --family does
-    not read, then give the unset ones their defaults."""
-    names = dict.fromkeys(sum(table.values(), ()))
-    given = [_flag(name) for name in names if getattr(args, name) is not None]
-    refuse_foreign(f"{args.command} --family {args.family}", given,
-                   [_flag(name) for name in table[args.family]])
-    for name, value in _FLAG_DEFAULTS.items():
-        if name in names and getattr(args, name) is None:
-            setattr(args, name, value)
+        raise ParameterError(f"{mode} needs {', '.join(missing)}")
+    return call(argparse.Namespace(**read))
 
 
 def _spec_from_args(args, n: int) -> EnsembleSpec:
@@ -167,9 +161,7 @@ def _cmd_sample(args) -> int:
 
 
 def _cmd_sumrule(args) -> int:
-    with open(args.model) as fh:
-        model = TailJacobiModel.from_json(json.load(fh))
-    report = sumrule_verify(model)
+    report = sumrule_verify(_read_json(args.model, TailJacobiModel))
     _emit_json(args, report.to_json())
     # a NaN gap compares false either way: only <= lets it fail; an infinite
     # gap passes against an infinite tolerance, so it fails by name
@@ -177,63 +169,46 @@ def _cmd_sumrule(args) -> int:
     return 0 if math.isfinite(gap) and abs(gap) <= args.tol * (1.0 + abs(report.jacobi_side)) else 2
 
 
+_RATE_MODES = {
+    "rate --family fg": ({"x": REQUIRED}, lambda o: {"value": rate_fg(o.x)}),
+    "rate --family fl": ({"x": REQUIRED, "tau": 1.0}, lambda o: {"value": rate_fl(o.x, o.tau)}),
+    "rate --family fj": ({"x": REQUIRED, "u_minus": 0.0, "u_plus": 1.0},
+                         lambda o: {"value": rate_fj(o.x, o.u_minus, o.u_plus)}),
+    "rate --family hermite": ({"b": "", "a": ""}, lambda o: hermite_rate(
+        JacobiCoeffs(_vector(o.b), _vector(o.a))).to_json()),
+    "rate --family laguerre": ({"d": REQUIRED, "s": REQUIRED, "tau": 1.0}, lambda o: laguerre_rate(
+        _vector(o.d), _vector(o.s), o.tau).to_json()),
+    "rate --family jacobi": ({"alpha": REQUIRED, "kappa1": 0.0, "kappa2": 0.0},
+                             lambda o: jacobi_ensemble_rate(
+                                 VerblunskyCoeffs(_vector(o.alpha)), o.kappa1, o.kappa2).to_json()),
+}
+
+
 def _cmd_rate(args) -> int:
-    fam = args.family
-    context = f"rate --family {fam}"
-    _family_flags(args, _RATE_FLAGS)
-    if fam in ("fg", "fl", "fj"):
-        _require(args, context, "x")
-    if fam == "fg":
-        _emit_json(args, {"value": rate_fg(args.x)})
-        return 0
-    if fam == "fl":
-        _emit_json(args, {"value": rate_fl(args.x, args.tau)})
-        return 0
-    if fam == "fj":
-        _emit_json(args, {"value": rate_fj(args.x, args.u_minus, args.u_plus)})
-        return 0
-    if fam == "hermite":
-        coeffs = JacobiCoeffs(np.asarray(_float_list(args.b or "")),
-                              np.asarray(_float_list(args.a or "")))
-        report = hermite_rate(coeffs)
-    elif fam == "laguerre":
-        _require(args, context, "d", "s")
-        report = laguerre_rate(
-            np.asarray(_float_list(args.d)), np.asarray(_float_list(args.s)), args.tau
-        )
-    else:
-        _require(args, context, "alpha")
-        report = jacobi_ensemble_rate(
-            VerblunskyCoeffs(np.asarray(_float_list(args.alpha))),
-            args.kappa1 or 0.0, args.kappa2 or 0.0,
-        )
-    _emit_json(args, report.to_json())
+    _emit_json(args, _run_mode(args, _RATE_MODES, f"rate --family {args.family}"))
     return 0
 
 
+def _experiment_from_flags(o) -> McExperiment:
+    n_list = tuple(integral(v, "--n-list") for v in _vector(o.n_list).tolist())
+    if not n_list:
+        raise ParameterError("--n-list needs at least one matrix size")
+    return McExperiment(spec=_spec_from_args(o, max(n_list)), x=o.x, n_list=n_list,
+                        samples=o.samples, seed=_resolve_seed(o), direction=o.direction)
+
+
+_MC_MODES = {
+    "mc --experiment": ({"experiment": REQUIRED}, lambda o: _read_json(o.experiment, McExperiment)),
+    "mc without --experiment": ({"ensemble": "hermite", "beta": 2.0, "interval": "[-2,2]",
+                                 "n_list": "20,40,80", "samples": 10000, "direction": "max_above",
+                                 "seed": 0, **dict.fromkeys(SPEC_PARAMS), "x": REQUIRED},
+                                _experiment_from_flags),
+}
+
+
 def _cmd_mc(args) -> int:
-    if args.experiment:
-        refuse_foreign("mc --experiment",
-                       [_flag(name) for name in _MC_FLAGS if getattr(args, name) is not None], ())
-        with open(args.experiment) as fh:
-            exp = McExperiment.from_json(json.load(fh))
-    else:
-        for name, value in _MC_DEFAULTS.items():
-            if getattr(args, name) is None:
-                setattr(args, name, value)
-        _require(args, "mc without --experiment", "x")
-        n_list = tuple(integral(v, "--n-list") for v in _float_list(args.n_list))
-        if not n_list:
-            raise ParameterError("--n-list needs at least one matrix size")
-        exp = McExperiment(
-            spec=_spec_from_args(args, max(n_list)),
-            x=args.x,
-            n_list=n_list,
-            samples=args.samples,
-            seed=_resolve_seed(args),
-            direction=args.direction,
-        )
-    result = mc_tail_rate(exp)
+    mode = "mc without --experiment" if args.experiment is None else "mc --experiment"
+    result = mc_tail_rate(_run_mode(args, _MC_MODES, mode))
     if args.format == "json":
         _emit_json(args, result.to_json())
     else:
@@ -243,32 +218,32 @@ def _cmd_mc(args) -> int:
     return 0
 
 
+_MOMENTS_MODES = {
+    "moments --constraint": ({"constraint": REQUIRED},
+                             lambda o: _read_json(o.constraint, MomentConstraint)),
+    "moments without --constraint": ({"c": REQUIRED}, lambda o: MomentConstraint(_vector(o.c))),
+}
+
+
 def _cmd_moments(args) -> int:
-    if args.constraint:
-        refuse_foreign("moments --constraint", ["--c"] if args.c is not None else [], ())
-        with open(args.constraint) as fh:
-            constraint = MomentConstraint.from_json(json.load(fh))
-    else:
-        _require(args, "moments without --constraint", "c")
-        constraint = MomentConstraint(np.asarray(_float_list(args.c)))
-    report = moment_opt_report(constraint)
+    mode = "moments without --constraint" if args.constraint is None else "moments --constraint"
+    report = moment_opt_report(_run_mode(args, _MOMENTS_MODES, mode))
     _emit_json(args, report)
     if abs(report["primal"] - report["dual"]) > args.tol and not report["flags"]:
         return 2
     return 0
 
 
+_PROBE_MODES = {
+    "probe --family laguerre": ({"model": REQUIRED, "tau": 1.0}, lambda o: conjecture_probe_laguerre(
+        _read_json(o.model, TailJacobiModel), o.tau)),
+    "probe --family jacobi": ({"alpha": "", "kappa1": 0.0, "kappa2": 0.0},
+                              lambda o: conjecture_probe_jacobi(_vector(o.alpha), o.kappa1, o.kappa2)),
+}
+
+
 def _cmd_probe(args) -> int:
-    _family_flags(args, _PROBE_FLAGS)
-    if args.family == "laguerre":
-        _require(args, "probe --family laguerre", "model")
-        with open(args.model) as fh:
-            model = TailJacobiModel.from_json(json.load(fh))
-        report = conjecture_probe_laguerre(model, args.tau)
-    else:
-        alpha = np.asarray(_float_list(args.alpha)) if args.alpha else np.empty(0)
-        report = conjecture_probe_jacobi(alpha, args.kappa1 or 0.0, args.kappa2 or 0.0)
-    _emit_json(args, report.to_json())
+    _emit_json(args, _run_mode(args, _PROBE_MODES, f"probe --family {args.family}").to_json())
     return 0
 
 
@@ -338,7 +313,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     # no abbreviations: a removed --n must not be read as --n-list
     p = sub.add_parser("mc", allow_abbrev=False)
-    # defaults in _MC_DEFAULTS: beside --experiment, only --format and --out are taken
+    # defaults in _MC_MODES: beside --experiment, only --format and --out are taken
     p.add_argument("--experiment", default=None, help="experiment JSON file")
     p.add_argument("--ensemble", choices=[k.value for k in Kind], default=None)
     p.add_argument("--beta", type=float, default=None)

@@ -111,57 +111,53 @@ def _read_tail(obj) -> dict:
     return {"a_inf": tail["a"], "b_inf": tail["b"]}
 
 
-def _m_free(w):
-    """Transform of the free matrix, (-w + sqrt(w^2 - 4))/2, with the branch
-    analytic off [-2, 2] and m ~ -1/w at infinity (vectorized, complex).
-
-    Real w outside [-2, 2] give the real Herglotz value; real w inside
-    (-2, 2), passed as w + 0j, give the boundary value from above.
-    """
-    w = np.asarray(w, dtype=complex)
-    return 0.5 * (-w + np.sqrt(w - 2.0) * np.sqrt(w + 2.0))
-
-
-def m_function(model: TailJacobiModel, z):
-    """m(z) = <e_1, (J - z)^{-1} e_1>, by backward continued-fraction recursion from the tail.
-
-    Accepts complex z (vectorized) or real z strictly outside the bulk.
-    """
-    zc = np.asarray(z)
-    if np.iscomplexobj(zc) and np.any(zc.imag != 0.0):
-        w = (np.asarray(z, dtype=complex) - model.b_inf) / model.a_inf
-        m = _m_free(w) / model.a_inf
-        for j in range(model.head_len - 1, -1, -1):
-            m = 1.0 / (model.b_at(j) - np.asarray(z, dtype=complex) - model.a_at(j) ** 2 * m)
-        return m if m.ndim else complex(m)
-    # real axis, outside the bulk
-    x = float(z.real if np.iscomplexobj(zc) else z)
+@np.errstate(divide="ignore")
+def _m(model: TailJacobiModel, z: np.ndarray) -> np.ndarray:
+    """m(z) by backward recursion from the tail's m: its Herglotz value off
+    the bulk (real at real z) and, at real z inside the open bulk, its
+    boundary value from above, taken from the distances to the edges so that
+    it stays accurate next to them. Real z lie all inside or all off it."""
     lo, hi = model.bulk
-    if lo <= x <= hi:
-        raise DomainError(f"real z = {x} lies in the bulk [{lo}, {hi}]")
-    m = float(_m_free((x - model.b_inf) / model.a_inf).real) / model.a_inf
+    if np.iscomplexobj(z) or not np.any((lo < z) & (z < hi)):
+        # the free matrix's (-w + sqrt(w^2 - 4))/2, analytic off [-2, 2], ~ -1/w
+        w = np.asarray((z - model.b_inf) / model.a_inf, dtype=complex)
+        m = 0.5 * (-w + np.sqrt(w - 2.0) * np.sqrt(w + 2.0))
+        m = (m if np.iscomplexobj(z) else m.real) / model.a_inf
+    else:
+        m = (model.b_inf - z + 1j * np.sqrt((hi - z) * (z - lo))) / (2.0 * model.a_inf**2)
     for j in range(model.head_len - 1, -1, -1):
-        den = model.b_at(j) - x - model.a_at(j) ** 2 * m
         # a zero denominator is a pole of this stripping level; the limit of
         # the next level is 0, which 1/inf reproduces
-        m = math.inf if den == 0.0 else 1.0 / den
-    if not math.isfinite(m):
-        raise PoleError(f"z = {x} is an eigenvalue of the operator")
+        m = 1.0 / (model.b_at(j) - z - model.a_at(j) ** 2 * m)
     return m
 
 
+def m_function(model: TailJacobiModel, z):
+    """m(z) = <e_1, (J - z)^{-1} e_1> (vectorized), by backward continued-fraction recursion from the tail.
+
+    Takes real or complex z; z without an imaginary part gives real m, and
+    a real point of the closed bulk is refused.
+    """
+    z = np.asarray(z)
+    if not np.any(z.imag):
+        z = z.real.astype(float)
+    lo, hi = model.bulk
+    in_bulk = (z.imag == 0.0) & (lo <= z.real) & (z.real <= hi)
+    if np.any(in_bulk):
+        raise DomainError(f"real z = {float(z.real[in_bulk][0])} lies in the bulk [{lo}, {hi}]")
+    m = _m(model, z)
+    if not np.iscomplexobj(m) and not np.all(np.isfinite(m)):
+        raise PoleError(f"z = {float(z[~np.isfinite(m)][0])} is an eigenvalue of the operator")
+    return m if m.ndim else m.item()
+
+
 def ac_density(model: TailJacobiModel, x):
-    """Lebesgue density of the a.c. part at x inside the open bulk: Im m(x + i0)/pi,
-    the tail's boundary value taken from the distances to the edges, which
-    keeps it accurate next to them (vectorized)."""
+    """Lebesgue density of the a.c. part at x inside the open bulk, Im m(x + i0)/pi (vectorized)."""
     xs = np.asarray(x, dtype=float)
     lo, hi = model.bulk
     if np.any((xs <= lo) | (xs >= hi)):
         raise DomainError("ac_density is defined strictly inside the bulk")
-    m = (model.b_inf - xs + 1j * np.sqrt((hi - xs) * (xs - lo))) / (2.0 * model.a_inf**2)
-    for j in range(model.head_len - 1, -1, -1):
-        m = 1.0 / (model.b_at(j) - xs - model.a_at(j) ** 2 * m)
-    out = np.imag(m) / math.pi
+    out = np.imag(_m(model, xs)) / math.pi
     return float(out) if out.ndim == 0 else out
 
 

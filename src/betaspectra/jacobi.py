@@ -144,9 +144,10 @@ def spectral_decompose(coeffs: JacobiCoeffs) -> DiscreteMeasure:
     """Atoms (lambda_k, pi_k): eigenvalues and squared first components of
     unit eigenvectors of the full n x n matrix, n = coeffs.n.
 
-    Eigenvalues from LAPACK dsterf; weights from one twisted factorisation
-    of J - lambda_k per eigenvalue, all at once, and LAPACK dstein on the
-    runs of neighbours that those cannot resolve (_first_row_weights), in
+    Eigenvalues from LAPACK dsterf and weights from one twisted
+    factorisation of J - lambda_k per eigenvalue, all at once, and LAPACK
+    dstein on the runs of neighbours that those cannot resolve
+    (_first_row_weights), both on J scaled into [-1, 1] (_scaled), in
     about 32 n^1.5 bytes besides the runs: no full eigenvector matrix is
     formed. Weights are within about n * eps (absolute) of 60-digit
     arithmetic on the ensembles, the free matrix, graded matrices and
@@ -154,9 +155,18 @@ def spectral_decompose(coeffs: JacobiCoeffs) -> DiscreteMeasure:
     normal number; clusters closer than eps |J| keep their summed weight.
     """
     sec = coeffs.section(coeffs.n)
-    lam = _eigenvalues(sec.b, sec.a)
-    pi = _first_row_weights(sec.b, sec.a, lam)
-    return DiscreteMeasure(lam, pi / np.sum(pi))  # analytically sums to 1
+    b, a, e = _scaled(sec.b, sec.a)
+    lam = _eigenvalues(b, a)
+    pi = _first_row_weights(b, a, lam)
+    return DiscreteMeasure(np.ldexp(lam, e), pi / np.sum(pi))  # analytically sums to 1
+
+
+def _scaled(b: np.ndarray, a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """b and a of each matrix (last axis) times the power of two 2^-e that
+    puts every entry in [-1, 1], without rounding, and e (..., 1)."""
+    _, e = np.frexp(np.maximum(np.max(np.abs(b), axis=-1), np.max(a, axis=-1, initial=0.0)))
+    e = e[..., None]
+    return np.ldexp(b, -e), np.ldexp(a, -e), e
 
 
 def _eigenvalues(b: np.ndarray, a: np.ndarray) -> np.ndarray:
@@ -173,17 +183,20 @@ def _eigenvalues(b: np.ndarray, a: np.ndarray) -> np.ndarray:
 
 def _lowest_weights(b: np.ndarray, a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Eigenvalues, and the weight at the lowest one only, of the tridiagonal
-    matrices (b, a) over leading batch axes; the lowest pair is re-solved
-    together when the two cannot be told apart (_first_row_weights)."""
+    matrices (b, a) over leading batch axes, both from the matrices scaled
+    into [-1, 1] (_scaled); the lowest pair is re-solved together when the
+    two cannot be told apart (_first_row_weights)."""
+    b, a, e = _scaled(b, a)
     lam = _eigenvalues(b, a)
-    return lam, _first_row_weights(b, a, lam[..., :2])[..., 0]
+    return np.ldexp(lam, e), _first_row_weights(b, a, lam[..., :2])[..., 0]
 
 
 @np.errstate(all="ignore")
 def _first_row_weights(b: np.ndarray, a: np.ndarray, lam: np.ndarray) -> np.ndarray:
     """Squared first components pi_k of the unit eigenvectors at the
-    ascending eigenvalues lam (..., m) of the tridiagonal matrices (b, a);
-    leading axes are a batch. Weights are floored, not normalised.
+    ascending eigenvalues lam (..., m) of the tridiagonal matrices (b, a)
+    scaled into [-1, 1] (_scaled), as are lam; leading axes are a batch.
+    Weights are floored, not normalised.
 
     For every eigenvalue at once, with z the eigenvector and z_0 = 1
     (Dhillon-Parlett, LAA 387, 2004):
@@ -205,13 +218,8 @@ def _first_row_weights(b: np.ndarray, a: np.ndarray, lam: np.ndarray) -> np.ndar
     lead, n, m = lam.shape[:-1], b.shape[-1], lam.shape[-1]
     rows = math.prod(lead)
     b = b.reshape(rows, n)
-    a = a.reshape(rows, n - 1)
-    # a power-of-two scale puts every entry in [-1, 1] without rounding
-    _, e = np.frexp(np.maximum(np.max(np.abs(b), axis=1), np.max(a, axis=1, initial=0.0)))
-    e = -e[:, None]
-    lam = np.ldexp(lam.reshape(rows, m), e)
-    b = np.ldexp(b, e)
-    a = np.maximum(np.ldexp(a, e), PIVMIN)  # subnormal a_k would make r overflow at once
+    a = np.maximum(a.reshape(rows, n - 1), PIVMIN)  # subnormal a_k would make r overflow at once
+    lam = lam.reshape(rows, m)
     # per-row (rows, 1) columns, so each step broadcasts over the eigenvalues
     b_col = list(b.T[:, :, None])
     a2_col = list(np.square(a).T[:, :, None])

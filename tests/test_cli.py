@@ -1,5 +1,6 @@
 """Command-line interface: subcommands, formats, exit codes, seeding."""
 
+import argparse
 import json
 import math
 import os
@@ -274,6 +275,67 @@ def test_moments_refuses_c_beside_constraint(capsys, tmp_path):
     code, out, err = run(capsys, "moments", "--constraint", str(path), "--c", "0,1,0")
     assert code == 1 and out == ""
     assert err == "error: moments --constraint takes no '--c'\n"
+
+
+# every mode of rate, probe, mc and moments by name, from the mode tables
+MODES = {"rate": cli_module._RATE_MODES, "probe": cli_module._PROBE_MODES,
+         "mc": cli_module._MC_MODES, "moments": cli_module._MOMENTS_MODES}
+# read by every mode of their command, so never refused
+ALWAYS_READ = {"--out", "--format", "--tol", "--family"}
+
+
+def parser_options(command):
+    """Each option of the command's parser (but --help), its dest and a value it accepts."""
+    (sub,) = [a for a in cli_module.build_parser()._actions
+              if isinstance(a, argparse._SubParsersAction)]
+    return {action.option_strings[-1]: (action.dest, action.choices[0] if action.choices
+                                        else "3" if action.type is int else "0.5")
+            for action in sub.choices[command]._actions if action.option_strings[-1] != "--help"}
+
+
+def input_files(tmp_path):
+    """A valid file for each option that names one."""
+    exp = McExperiment(spec=EnsembleSpec(kind=Kind.HERMITE, n=6, beta=2.0),
+                       x=2.5, n_list=(6,), samples=50, seed=3)
+    model = TailJacobiModel(a_inf=1.0, b_inf=2.0,
+                            head=JacobiCoeffs(np.array([1.3]), np.array([0.8])))
+    files = {"experiment": exp.to_json(), "model": model.to_json(), "constraint": {"c": [0, 1, 0]}}
+    for name, obj in files.items():
+        (tmp_path / f"{name}.json").write_text(json.dumps(obj))
+    return {name: str(tmp_path / f"{name}.json") for name in files}
+
+
+@pytest.mark.parametrize("command, mode", [(c, m) for c, modes in MODES.items() for m in modes])
+def test_no_option_is_accepted_and_ignored(capsys, tmp_path, command, mode):
+    table = MODES[command][mode][0]
+    options = parser_options(command)
+    values = {dest: value for dest, value in options.values()} | input_files(tmp_path)
+    # an option in a mode's name (--family, --experiment, --constraint) selects the mode
+    selectors = {token for name in MODES[command] for token in name.split() if token in options}
+    base = [command] + (["--family", mode.split()[-1]] if "--family" in mode else [])
+    required = [name for name, default in table.items() if default is cli_module.REQUIRED]
+    argv = base + [arg for name in required for arg in (f"--{name.replace('_', '-')}", values[name])]
+
+    def one_error_naming(flag, *args):
+        code, out, err = run(capsys, *args)
+        assert code == 1 and out == "", (args, err)
+        assert len(err.splitlines()) == 1 and err.startswith("error: ") and flag in err, (args, err)
+
+    for flag, (dest, value) in options.items():
+        if dest not in table and flag not in ALWAYS_READ | selectors:
+            one_error_naming(f"'{flag}'", *argv, flag, value)
+    for name in required:
+        flag = f"--{name.replace('_', '-')}"
+        if flag not in selectors:
+            i = argv.index(flag)
+            one_error_naming(flag, *argv[:i], *argv[i + 2:])
+
+
+@pytest.mark.parametrize("command", MODES)
+def test_every_option_is_read_by_a_mode(command):
+    read = {name for table, _ in MODES[command].values() for name in table}
+    assert [flag for flag, (dest, _) in parser_options(command).items()
+            if dest not in read and flag not in ALWAYS_READ] == []
 
 
 @pytest.mark.parametrize("tau", ["-1", "0", "1.5"])

@@ -28,6 +28,7 @@ from betaspectra.jacobi import (
     _first_row_weights,
     _geronimus,
     _lowest_weights,
+    _scaled,
     affine_s,
     ds_assemble,
     ds_factorize,
@@ -261,8 +262,7 @@ def test_spectral_decompose_memory():
 
 def test_first_row_weights_batch_equals_rows():
     rng = np.random.default_rng(12)
-    b = rng.uniform(-1.0, 1.0, (2, 3, 9))
-    a = rng.uniform(0.1, 1.5, (2, 3, 8))
+    b, a, _ = _scaled(rng.uniform(-1.0, 1.0, (2, 3, 9)), rng.uniform(0.1, 1.5, (2, 3, 8)))
     lam = _eigenvalues(b, a)
     pi = _first_row_weights(b, a, lam)
     assert pi.shape == (2, 3, 9)
@@ -287,11 +287,14 @@ def test_spectral_decompose_subnormal_offdiagonal():
     mu = spectral_decompose(JacobiCoeffs([0.0, 1.0], [5e-324]))
     assert np.array_equal(mu.locations, [0.0, 1.0])
     assert mu.weights[0] == 1.0 and 0.0 < mu.weights[1] < 1e-300
-    # dsterf quantises these eigenvalues to multiples of 5e-324, so runs of
-    # equal ones reach dstein, which does not converge on them: the runs keep
-    # their twisted weights
-    mu = spectral_decompose(JacobiCoeffs(np.zeros(26), np.full(25, 5e-324)))
-    assert mu.n_atoms == 26 and np.min(mu.weights) > 0.0
+    # eigenvalues and weights both come from the matrix scaled into [-1, 1],
+    # the free matrix a = 1/2 here, so only the returned locations are
+    # quantised to multiples of 5e-324; the weights are the free matrix's
+    n = 26
+    mu = spectral_decompose(JacobiCoeffs(np.zeros(n), np.full(n - 1, 5e-324)))
+    assert mu.n_atoms == n and np.min(mu.weights) > 0.0
+    free = 2.0 / (n + 1) * np.sin(np.arange(1, n + 1) * math.pi / (n + 1)) ** 2
+    assert np.max(np.abs(np.sort(mu.weights) - np.sort(free))) < n * np.finfo(float).eps
 
 
 def test_degenerate_measures_rejected():

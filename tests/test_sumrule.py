@@ -71,6 +71,16 @@ def test_m_function_free_closed_form():
         m_function(FREE, 1.5)
 
 
+def test_m_function_vectorised_over_real_and_complex_z():
+    # a real array gives the real values of its points one at a time
+    m = m_function(FREE, np.array([3.0, 4.0]))
+    assert m.dtype == float
+    assert m.tolist() == [m_function(FREE, 3.0), m_function(FREE, 4.0)]
+    # a real point of the bulk is refused inside an array as it is alone
+    with pytest.raises(DomainError):
+        m_function(FREE, np.array([1.5 + 0j, 1j]))
+
+
 def test_m_function_matches_truncation():
     rng = np.random.default_rng(14)
     model = head(rng.uniform(-0.5, 0.5, 3), rng.uniform(0.6, 1.4, 2))
