@@ -46,6 +46,15 @@ EPS = np.finfo(float).eps
 # Neighbours closer than MIX |J| sqrt(pi_k pi_{k+1}) / n are re-solved
 # together: a few eps |J| of eigenvalue error then moves a weight by n eps.
 MIX = 100.0
+# The vector twisted at row 0 gives a weight when its last pivot |gamma_0|
+# is at most TWIST_TOL times the distance to the nearest other eigenvalue:
+# then no other eigenvector's share in it exceeds TWIST_TOL times its own,
+# and the weight corrected to first order is right to about TWIST_TOL^2
+# relative. A twist of J - lambda at the best row re-solves every other
+# weight (_twisted_weights), over at most TWIST_FLOATS / n eigenvalues at a
+# time: its four (n, width) arrays take up to 16 MB, six over a batch.
+TWIST_TOL = 1e-5
+TWIST_FLOATS = 2**19
 
 
 @dataclass(frozen=True)
@@ -144,15 +153,23 @@ def spectral_decompose(coeffs: JacobiCoeffs) -> DiscreteMeasure:
     """Atoms (lambda_k, pi_k): eigenvalues and squared first components of
     unit eigenvectors of the full n x n matrix, n = coeffs.n.
 
-    Eigenvalues from LAPACK dsterf and weights from one twisted
-    factorisation of J - lambda_k per eigenvalue, all at once, and LAPACK
-    dstein on the runs of neighbours that those cannot resolve
-    (_first_row_weights), both on J scaled into [-1, 1] (_scaled), in
-    about 32 n^1.5 bytes besides the runs: no full eigenvector matrix is
-    formed. Weights are within about n * eps (absolute) of 60-digit
-    arithmetic on the ensembles, the free matrix, graded matrices and
-    Wilkinson's W21+ and W41+ (pair sums), and floored at the smallest
-    normal number; clusters closer than eps |J| keep their summed weight.
+    Both come from J scaled into [-1, 1] (_scaled): eigenvalues from LAPACK
+    dsterf, and weights from one backward pass over every eigenvalue at
+    once, the vector twisted at row 0 with its weight corrected to first
+    order in the eigenvalue's error, then a twist of J - lambda at the best
+    row for each eigenvalue where that pass is not accurate enough (the
+    small weights), and LAPACK dstein on each run of neighbours too close
+    to tell apart (_first_row_weights). No eigenvector is kept: memory is
+    O(n) besides the runs and at most 16 MB for the second stage. Each
+    weight, or the summed weight of neighbours closer than 1e-3 |J|, is
+    within n * eps absolute and 1e-10 relative of 60-digit arithmetic on
+    ensemble draws at beta 0.5, 1 and 2 and on heads with weights down to
+    1e-18; on zero-diagonal graded heads the summed weight of neighbours
+    closer than 1e-6 |J| is within n * eps. A weight of such a close pair
+    alone is only good to about eps |J| / gap. Weights are floored at the
+    smallest normal number, and clusters closer than eps |J| keep their
+    summed weight (graded matrices, Wilkinson's W21+ and W41+). Raises
+    InvalidMatrixError on a NaN or infinite coefficient.
     """
     sec = coeffs.section(coeffs.n)
     b, a, e = _scaled(sec.b, sec.a)
@@ -171,13 +188,19 @@ def _scaled(b: np.ndarray, a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.nd
 
 def _eigenvalues(b: np.ndarray, a: np.ndarray) -> np.ndarray:
     """Ascending eigenvalues (LAPACK dsterf) of the tridiagonal matrices with
-    diagonals b (..., n) and off-diagonals a (..., n - 1)."""
+    diagonals b (..., n) and off-diagonals a (..., n - 1); InvalidMatrixError
+    unless every entry is finite."""
+    if not (np.all(np.isfinite(b)) and np.all(np.isfinite(a))):
+        raise InvalidMatrixError("Jacobi coefficients must be finite")
     # imported here so that paths without an eigensolve never load scipy.linalg
-    from scipy.linalg import eigvalsh_tridiagonal
+    from scipy.linalg.lapack import dsterf
 
-    lam = np.empty(b.shape)
-    for i in np.ndindex(b.shape[:-1]):
-        lam[i] = eigvalsh_tridiagonal(b[i], a[i], lapack_driver="sterf")
+    lam = b.copy()  # a 1 x 1 matrix is its own eigenvalue
+    if b.shape[-1] > 1:
+        for i in np.ndindex(b.shape[:-1]):
+            lam[i], info = dsterf(b[i], a[i])
+            if info != 0:
+                raise RuntimeError(f"dsterf failed with info = {info}")
     return lam
 
 
@@ -198,106 +221,41 @@ def _first_row_weights(b: np.ndarray, a: np.ndarray, lam: np.ndarray) -> np.ndar
     scaled into [-1, 1] (_scaled), as are lam; leading axes are a batch.
     Weights are floored, not normalised.
 
-    For every eigenvalue at once, with z the eigenvector and z_0 = 1
-    (Dhillon-Parlett, LAA 387, 2004):
-    - forward (LDL^T of J - lambda): pivots d_i and r_i = z_i / z_0, kept at
-      checkpoints every ~sqrt(n) rows;
-    - backward (UDU^T): pivots u_i and s_i = 1 + sum_{j > i} (z_j / z_i)^2,
-      with the forward rows recomputed one segment at a time from the
-      checkpoints;
-    - twist: at r = argmin |gamma_r|, gamma_r = d_r - a_r^2 / u_{r+1}, z is
-      forward up to r and backward after it, so
-      |z|^2 = sum_{i < r} r_i^2 + s_r r_r^2 and pi = 1 / |z|^2.
+    Two stages of twisted factorisations (Dhillon-Parlett, LAA 387, 2004),
+    with |J| the Gershgorin bound:
+    - every eigenvalue at once (_row0_weights): the vector twisted at row 0,
+      one step of inverse iteration from e_1, from one backward pass of
+      J - lambda, its weight corrected to first order in the eigenvalue's
+      error and kept when |gamma_0| <= TWIST_TOL times the distance to the
+      nearest other eigenvalue in lam;
+    - each other eigenvalue (_twisted_weights): the vector twisted where
+      |gamma_r| is least, from a forward and a backward pass of J - lambda
+      itself, batched over those eigenvalues. Both passes work on the
+      entries b_i - lambda and a_i, so graded matrices keep the relative
+      accuracy of their small eigenvalues.
     A vector taken at an eigenvalue a few eps |J| off takes in about
     eps |J| / gap of its neighbour's, so neighbours k, k + 1 closer than
-    MIX |J| sqrt(pi_k pi_{k+1}) / n + 8 eps |J| (|J| bounded by Gershgorin)
-    form a run, and each run is re-solved by one call of LAPACK dstein
-    (inverse iteration, orthogonalised within the run), at the same
-    eigenvalues. A run where dstein does not converge keeps its weights.
+    MIX |J| sqrt(pi_k pi_{k+1}) / n + 8 eps |J| form a run, and each run is
+    re-solved by one call of LAPACK dstein (inverse iteration,
+    orthogonalised within the run), at the same eigenvalues. A run where
+    dstein does not converge keeps its weights. Memory is O(n + m) per
+    matrix besides the runs and the TWIST_FLOATS numbers of each array of
+    the second stage.
     """
     lead, n, m = lam.shape[:-1], b.shape[-1], lam.shape[-1]
     rows = math.prod(lead)
     b = b.reshape(rows, n)
-    a = np.maximum(a.reshape(rows, n - 1), PIVMIN)  # subnormal a_k would make r overflow at once
+    a = np.maximum(a.reshape(rows, n - 1), PIVMIN)  # subnormal a_k would make s overflow at once
     lam = lam.reshape(rows, m)
-    # per-row (rows, 1) columns, so each step broadcasts over the eigenvalues
-    b_col = list(b.T[:, :, None])
-    a2_col = list(np.square(a).T[:, :, None])
-    ninv_col = list((-1.0 / a).T[:, :, None])
-
-    seg_len = math.isqrt(n - 1) + 1
-    n_seg = -(-n // seg_len)
-    checkpoint = np.empty((n_seg, 2, rows, m))  # d, r at each segment's first row
-    seg = np.empty((seg_len, 2, rows, m))
-    tmp = np.empty((rows, m))
-    # views made once: (d, r) of each row of seg and of each checkpoint
-    seg_rows, cp_rows = [tuple(x) for x in seg], [tuple(x) for x in checkpoint]
-
-    def lift(x):
-        # pivots below PIVMIN in magnitude, exact zeros among them, become -PIVMIN
-        if np.min(np.abs(x, out=tmp)) < PIVMIN:
-            np.copyto(x, -PIVMIN, where=tmp < PIVMIN)
-
-    def forward(k):
-        """Rows of segment k into seg, and the next segment's first row into
-        its checkpoint."""
-        c = k * seg_len
-        seg[0] = checkpoint[k]
-        for i in range(c, min(c + seg_len, n - 1)):
-            d, r = seg_rows[i - c]
-            d1, r1 = seg_rows[i + 1 - c] if i + 1 < c + seg_len else cp_rows[k + 1]
-            np.multiply(d, r, out=r1)
-            r1 *= ninv_col[i]
-            np.divide(a2_col[i], d, out=d1)
-            np.subtract(b_col[i + 1], d1, out=d1)
-            d1 -= lam
-            lift(d1)
-
-    d0, r0 = cp_rows[0]
-    np.subtract(b_col[0], lam, out=d0)
-    lift(d0)
-    r0.fill(1.0)
-    for k in range(n_seg):
-        forward(k)
-
-    # per eigenvalue: |gamma| and |z|^2 at the best twist so far (twist),
-    # and the same at twist j (cand)
-    twist = np.zeros((2, rows, m))
-    twist[0] = np.inf
-    cand = np.empty((2, rows, m))
-    s = np.ones((rows, m))
-    u = np.empty((rows, m))
-    g = np.zeros((rows, m))
-    sq = np.empty((rows, m))
-    better = np.empty((rows, m), dtype=bool)
-    for k in range(n_seg - 1, -1, -1):
-        c = k * seg_len
-        if k < n_seg - 1:
-            forward(k)
-        for j in range(min(c + seg_len, n) - 1, c - 1, -1):
-            d, r = seg_rows[j - c]
-            if j < n - 1:
-                np.divide(a2_col[j], u, out=g)  # a_j^2 / u_{j+1}
-                s *= g
-                s /= u  # times (z_{j+1} / z_j)^2 = a_j^2 / u_{j+1}^2
-                s += 1.0
-            np.multiply(r, r, out=sq)
-            twist[1] += sq  # |z|^2 of each vector at its twist so far
-            np.subtract(d, g, out=cand[0])
-            np.abs(cand[0], out=cand[0])
-            np.less(cand[0], twist[0], out=better)
-            np.multiply(s, sq, out=cand[1])
-            np.copyto(twist, cand, where=better)
-            np.subtract(b_col[j], lam, out=u)
-            u -= g
-            lift(u)
-    # |z|^2 is NaN only where r_r overflowed, and the weight below the floor
-    pi = np.fmax(np.divide(1.0, twist[1], out=twist[1]), WEIGHT_FLOOR)
+    pi, redo = _row0_weights(b, a, lam)
+    if np.any(redo):
+        _twisted_weights(b, a, lam, redo, pi)
 
     norm = np.abs(b)  # Gershgorin: |J| <= max_i |b_i| + a_{i-1} + a_i
     norm[:, 1:] += a
     norm[:, :-1] += a
     norm = np.max(norm, axis=1, keepdims=True)
+
     # flags of the pairs k - 1, k at column k: a run of eigenvalues lo..hi
     # starts where they rise and ends where they fall
     flags = np.zeros((rows, m + 1), dtype=np.int8)
@@ -313,6 +271,147 @@ def _first_row_weights(b: np.ndarray, a: np.ndarray, lam: np.ndarray) -> np.ndar
             if info == 0:
                 pi[row, lo : hi + 1] = np.fmax(np.square(z[0]), WEIGHT_FLOOR)
     return pi.reshape(lead + (m,))
+
+
+@np.errstate(all="ignore")
+def _row0_weights(b: np.ndarray, a: np.ndarray, lam: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Weights (rows, m) at every eigenvalue of the matrices b (rows, n),
+    a (rows, n - 1) (floored at PIVMIN), from the vector twisted at row 0,
+    and where they fail the acceptance test of _first_row_weights.
+
+    One backward (UDU^T) pass of J - lambda gives the pivots u_i and
+    s_i = 1 + sum_{j > i} (z_j / z_i)^2 of z = (J - lambda)^-1 e_1 / z_0, so
+    (J - lambda) z = gamma_0 e_1 with gamma_0 = u_0, and f = 1 / s_0 is the
+    weight of z. At lambda = lambda_k + t, f - pi_k is about
+    -2 t sum_{j != k} pi_j / (lambda_j - lambda_k): a few eps of eigenvalue
+    error times a sum that is large near heavy neighbours. The Rayleigh
+    quotient gives t = -gamma_0 / s_0, and the same pass carries the
+    derivatives u_i' and s_i' in lambda, so the weight taken is f (1 - c),
+    c = gamma_0 s_0' / s_0^2, right to first order in t.
+    """
+    u = np.subtract(b[:, -1:], lam)
+    du = np.full(u.shape, -1.0)  # d u_i / d lambda
+    s = np.ones(u.shape)
+    hs = np.zeros(u.shape)  # half of d s_i / d lambda
+    g, q, r, tmp = (np.empty(u.shape) for _ in range(4))
+    # (n, rows, 1) views: row i of each matrix as a column that broadcasts
+    # over the eigenvalues
+    b_col = b.T[:, :, None]
+    a2_col = np.square(a).T[:, :, None]
+    for i in range(b.shape[1] - 1, -1, -1):
+        if i < b.shape[1] - 1:
+            np.divide(a2_col[i], u, out=g)  # a_i^2 / u_{i+1}
+            np.divide(g, u, out=q)  # (z_{i+1} / z_i)^2
+            np.divide(du, u, out=r)
+            np.multiply(s, r, out=tmp)
+            hs -= tmp
+            hs *= q  # s_i' / 2 = q (s_{i+1}' / 2 - s_{i+1} u_{i+1}' / u_{i+1})
+            s *= q
+            s += 1.0
+            np.multiply(g, r, out=du)
+            du -= 1.0  # u_i' = -1 + a_i^2 u_{i+1}' / u_{i+1}^2
+            np.subtract(b_col[i], lam, out=u)
+            u -= g
+        _lift(u, tmp)
+    step = np.diff(lam, axis=1)
+    gap = np.full(lam.shape, np.inf)  # to the nearest other eigenvalue
+    gap[:, 1:] = step
+    np.minimum(gap[:, :-1], step, out=gap[:, :-1])
+    redo = ~(tmp <= TWIST_TOL * gap)  # |gamma_0|, before the lift
+    np.divide(u, s, out=u)
+    np.divide(hs, s, out=hs)
+    u *= hs
+    u += u  # c
+    redo |= ~np.isfinite(u)
+    np.subtract(1.0, u, out=u)
+    u /= s
+    # s_0 is infinite only where the weight is below the floor
+    return np.fmax(u, WEIGHT_FLOOR, out=u), redo
+
+
+@np.errstate(all="ignore")
+def _twisted_weights(b: np.ndarray, a: np.ndarray, lam: np.ndarray, redo: np.ndarray,
+                     pi: np.ndarray) -> None:
+    """pi[row, k] for every True redo[row, k]: the weight of the vector
+    twisted where |gamma_r| is least, from a forward (LDL^T) and a backward
+    (UDU^T) pass of J - lambda (_first_row_weights), floored. Each pass is
+    batched over up to TWIST_FLOATS / n of those eigenvalues at a time.
+
+    With z_0 = 1, the forward pass gives the pivots d_i and
+    z_{i+1} = -z_i d_i / a_i, and the backward pass the pivots u_i and
+    s_i = 1 + sum_{j > i} (z_j / z_i)^2. At the twist r,
+    gamma_r = d_r - a_r^2 / u_{r+1}, z is forward up to r and backward after
+    it, so |z|^2 = sum_{i < r} z_i^2 + s_r z_r^2 and pi = 1 / |z|^2. Each
+    pass runs without the PIVMIN lift first, and again with it only if a
+    pivot came out below PIVMIN: the result is the same, and the lift costs
+    nothing where it is not needed.
+    """
+    n = b.shape[1]
+    rows, cols = np.nonzero(redo)
+    width = min(rows.size, max(1, TWIST_FLOATS // n))
+    # (n, width) arrays, entry i of each eigenvalue's matrix down the first
+    # axis, made once so that later chunks touch no fresh pages
+    work, spare = np.empty((4, n, width)), np.empty(width)
+    div, sub, mul, add = np.divide, np.subtract, np.multiply, np.add
+    for lo in range(0, rows.size, width):
+        row, col = rows[lo : lo + width], cols[lo : lo + width]
+        c, d, u, s = work[:, :, : row.size]
+        tmp = spare[: row.size]
+        mats = row if b.shape[0] > 1 else slice(None)  # one matrix broadcasts
+        a_t = a.T[:, mats]
+        a2 = np.square(a_t)
+        np.subtract(b.T[:, mats], lam[row, col], out=c)  # the diagonal of J - lambda
+        # the loops call ufuncs with a positional out: at this width the
+        # keyword costs about as much as the arithmetic
+        for lift in (False, True):
+            d[0] = c[0]
+            for a2_i, d_i, d_n, c_n in zip(a2, d, d[1:], c[1:]):
+                if lift:
+                    _lift(d_i, tmp)
+                div(a2_i, d_i, d_n)
+                sub(c_n, d_n, d_n)
+            if lift:
+                _lift(d[-1], tmp)
+            if lift or np.min(np.abs(d, out=s)) >= PIVMIN:
+                break
+        for lift in (False, True):
+            u[-1] = c[-1]
+            for a2_j, c_j, u_j, u_n in zip(a2[::-1], c[-2::-1], u[-2::-1], u[:0:-1]):
+                if lift:
+                    _lift(u_n, tmp)
+                div(a2_j, u_n, tmp)  # a_j^2 / u_{j+1}
+                sub(c_j, tmp, u_j)
+            if lift:
+                _lift(u[0], tmp)
+            if lift or np.min(np.abs(u, out=s)) >= PIVMIN:
+                break
+        z = c  # z_i up to sign, then z_i^2
+        z[0] = 1.0
+        np.divide(d[:-1], a_t, out=z[1:])
+        np.cumprod(z, axis=0, out=z)
+        np.square(z, out=z)
+        np.divide(a2, u[1:], out=s[:-1])  # a_j^2 / u_{j+1}
+        d[:-1] -= s[:-1]  # gamma_r
+        s[:-1] /= u[1:]  # q_j = (z_{j+1} / z_j)^2
+        s[-1] = 1.0
+        for q_j, s_n in zip(s[-2::-1], s[:0:-1]):
+            mul(q_j, s_n, q_j)
+            add(q_j, 1.0, q_j)
+        u[0] = 0.0
+        np.cumsum(z[:-1], axis=0, out=u[1:])  # sum_{i < r} z_i^2
+        s *= z
+        s += u  # |z|^2 at twist r
+        twist = np.argmin(np.abs(d, out=d), axis=0)
+        pi[row, col] = 1.0 / s[twist, np.arange(row.size)]
+    # |z|^2 is NaN only where z overflowed, and the weight below the floor
+    np.fmax(pi, WEIGHT_FLOOR, out=pi)
+
+
+def _lift(x: np.ndarray, tmp: np.ndarray) -> None:
+    """Pivots x below PIVMIN in magnitude, exact zeros among them, become
+    -PIVMIN; tmp is left holding |x| from before."""
+    if np.min(np.abs(x, out=tmp)) < PIVMIN:
+        np.copyto(x, -PIVMIN, where=tmp < PIVMIN)
 
 
 def measure_to_jacobi(mu: DiscreteMeasure) -> JacobiCoeffs:

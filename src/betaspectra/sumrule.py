@@ -146,7 +146,7 @@ def _outlier_mass(b: list, a: list, w: float) -> float:
     entry. One twisted factorisation gives it in O(K) (Dhillon-Parlett,
     LAA 387, 2004): forward pivots d_i, backward pivots p_i, the twist at
     r = argmin |gamma_r|, gamma_r = d_r - a_r^2/p_{r+1}, the rule of
-    `jacobi._first_row_weights`, and u_r = 1 there. The geometric tail
+    `jacobi._twisted_weights`, and u_r = 1 there. The geometric tail
     u_K^2/(1 - w^-2) is added to |u|^2 after.
     """
     k = len(b)
