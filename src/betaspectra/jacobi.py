@@ -37,10 +37,10 @@ ATOM_SEPARATION_RTOL = 1e-13
 # Weights below the smallest normal number are floored to it, so that every
 # atom keeps a positive weight (true weights reach 1e-60 and far below)
 WEIGHT_FLOOR = np.finfo(float).tiny
-# Twisted factorisations run on the matrix scaled into [-1, 1]. Pivots are
-# kept at least PIVMIN in magnitude and off-diagonals at least PIVMIN; the
-# square and the inverse square of PIVMIN are normal numbers, so a ratio
-# a_i / pivot can be squared without overflow.
+# Twisted factorisations run on the matrix scaled into [-1, 1], with
+# off-diagonals at least PIVMIN; the twist at the best row keeps its pivots
+# at least PIVMIN in magnitude. The square and the inverse square of PIVMIN
+# are normal numbers, so a ratio a_i / pivot can be squared without overflow.
 PIVMIN = 2.0**-500
 EPS = np.finfo(float).eps
 # Neighbours closer than MIX |J| sqrt(pi_k pi_{k+1}) / n are re-solved
@@ -163,13 +163,15 @@ def spectral_decompose(coeffs: JacobiCoeffs) -> DiscreteMeasure:
     O(n) besides the runs and at most 16 MB for the second stage. Each
     weight, or the summed weight of neighbours closer than 1e-3 |J|, is
     within n * eps absolute and 1e-10 relative of 60-digit arithmetic on
-    ensemble draws at beta 0.5, 1 and 2 and on heads with weights down to
-    1e-18; on zero-diagonal graded heads the summed weight of neighbours
-    closer than 1e-6 |J| is within n * eps. A weight of such a close pair
-    alone is only good to about eps |J| / gap. Weights are floored at the
-    smallest normal number, and clusters closer than eps |J| keep their
-    summed weight (graded matrices, Wilkinson's W21+ and W41+). Raises
-    InvalidMatrixError on a NaN or infinite coefficient.
+    ensemble draws of size 48 at beta 0.1, 0.5, 1 and 2 and on heads with
+    weights down to 1e-18; on zero-diagonal graded heads the summed weight
+    of neighbours closer than 1e-6 |J| is within n * eps. A weight of such a
+    close pair alone is only good to about eps |J| / gap, and at beta 0.1
+    and n = 4000 the lowest weights of a Laguerre draw are off by up to
+    1e-8 relative (2e-11 summed, against n * eps = 9e-13). Weights are
+    floored at the smallest normal number, and clusters closer than
+    eps |J| keep their summed weight (graded matrices, Wilkinson's W21+ and
+    W41+). Raises InvalidMatrixError on a NaN or infinite coefficient.
     """
     sec = coeffs.section(coeffs.n)
     b, a, e = _scaled(sec.b, sec.a)
@@ -241,6 +243,11 @@ def _first_row_weights(b: np.ndarray, a: np.ndarray, lam: np.ndarray) -> np.ndar
     dstein does not converge keeps its weights. Memory is O(n + m) per
     matrix besides the runs and the TWIST_FLOATS numbers of each array of
     the second stage.
+
+    Off-diagonals are floored at PIVMIN, so a_i^2 and its inverse are
+    normal numbers. Only the second stage lifts pivots below PIVMIN in
+    magnitude to -PIVMIN; the first needs no lift, because a zero pivot or
+    an overflow there ends non-finite and fails its test (_row0_weights).
     """
     lead, n, m = lam.shape[:-1], b.shape[-1], lam.shape[-1]
     rows = math.prod(lead)
@@ -279,45 +286,53 @@ def _row0_weights(b: np.ndarray, a: np.ndarray, lam: np.ndarray) -> tuple[np.nda
     a (rows, n - 1) (floored at PIVMIN), from the vector twisted at row 0,
     and where they fail the acceptance test of _first_row_weights.
 
-    One backward (UDU^T) pass of J - lambda gives the pivots u_i and
-    s_i = 1 + sum_{j > i} (z_j / z_i)^2 of z = (J - lambda)^-1 e_1 / z_0, so
-    (J - lambda) z = gamma_0 e_1 with gamma_0 = u_0, and f = 1 / s_0 is the
-    weight of z. At lambda = lambda_k + t, f - pi_k is about
+    One backward (UDU^T) pass of J - lambda gives the pivots
+    u_i = b_i - lambda - a_i^2 / u_{i+1} and s_i = 1 + q_i s_{i+1}, with
+    q_i = (a_i / u_{i+1})^2 = (z_{i+1} / z_i)^2, of
+    z = (J - lambda)^-1 e_1 / z_0, so (J - lambda) z = gamma_0 e_1 with
+    gamma_0 = u_0, and f = 1 / s_0 is the weight of z. At
+    lambda = lambda_k + t, f - pi_k is about
     -2 t sum_{j != k} pi_j / (lambda_j - lambda_k): a few eps of eigenvalue
     error times a sum that is large near heavy neighbours. The Rayleigh
-    quotient gives t = -gamma_0 / s_0, and the same pass carries the
-    derivatives u_i' and s_i' in lambda, so the weight taken is f (1 - c),
-    c = gamma_0 s_0' / s_0^2, right to first order in t.
+    quotient gives t = -gamma_0 / s_0, and the weight taken is f (1 - c),
+    c = gamma_0 s_0' / s_0^2, right to first order in t. A pivot's
+    derivative in lambda is exactly u_i' = -s_i (by induction from
+    u_{n-1}' = -1), so the pass carries only hs_i = s_i' / 2, with
+    hs_i = q_i (hs_{i+1} + s_{i+1}^2 / u_{i+1}): ten ufunc calls per row.
+
+    No pivot is lifted here. A zero pivot above row 0, or an overflow of
+    q_i, leaves gamma_0 or c infinite or NaN, and the acceptance test sends
+    that eigenvalue to _twisted_weights, which lifts pivots below PIVMIN. A
+    pivot below PIVMIN but not 0 is carried as it is: the pass then either
+    ends non-finite in the same way or is the recursion of J itself, not of
+    J with that pivot moved to -PIVMIN.
     """
     u = np.subtract(b[:, -1:], lam)
-    du = np.full(u.shape, -1.0)  # d u_i / d lambda
     s = np.ones(u.shape)
     hs = np.zeros(u.shape)  # half of d s_i / d lambda
-    g, q, r, tmp = (np.empty(u.shape) for _ in range(4))
+    g, q, t = (np.empty(u.shape) for _ in range(3))
     # (n, rows, 1) views: row i of each matrix as a column that broadcasts
     # over the eigenvalues
     b_col = b.T[:, :, None]
     a2_col = np.square(a).T[:, :, None]
-    for i in range(b.shape[1] - 1, -1, -1):
-        if i < b.shape[1] - 1:
-            np.divide(a2_col[i], u, out=g)  # a_i^2 / u_{i+1}
-            np.divide(g, u, out=q)  # (z_{i+1} / z_i)^2
-            np.divide(du, u, out=r)
-            np.multiply(s, r, out=tmp)
-            hs -= tmp
-            hs *= q  # s_i' / 2 = q (s_{i+1}' / 2 - s_{i+1} u_{i+1}' / u_{i+1})
-            s *= q
-            s += 1.0
-            np.multiply(g, r, out=du)
-            du -= 1.0  # u_i' = -1 + a_i^2 u_{i+1}' / u_{i+1}^2
-            np.subtract(b_col[i], lam, out=u)
-            u -= g
-        _lift(u, tmp)
+    # each ufunc call with a positional out, as in _twisted_weights
+    div, sub, mul, add = np.divide, np.subtract, np.multiply, np.add
+    for b_i, a2_i in zip(b_col[-2::-1], a2_col[::-1]):
+        div(a2_i, u, g)  # a_i^2 / u_{i+1}
+        div(g, u, q)  # q_i = (z_{i+1} / z_i)^2
+        div(s, u, t)
+        mul(t, s, t)
+        add(hs, t, hs)
+        mul(hs, q, hs)  # hs_i = q_i (hs_{i+1} + s_{i+1}^2 / u_{i+1})
+        mul(s, q, s)
+        add(s, 1.0, s)  # s_i = 1 + q_i s_{i+1}
+        sub(b_i, lam, u)
+        sub(u, g, u)  # u_i = b_i - lambda - a_i^2 / u_{i+1}
     step = np.diff(lam, axis=1)
     gap = np.full(lam.shape, np.inf)  # to the nearest other eigenvalue
     gap[:, 1:] = step
     np.minimum(gap[:, :-1], step, out=gap[:, :-1])
-    redo = ~(tmp <= TWIST_TOL * gap)  # |gamma_0|, before the lift
+    redo = ~(np.abs(u, out=t) <= TWIST_TOL * gap)  # |gamma_0|
     np.divide(u, s, out=u)
     np.divide(hs, s, out=hs)
     u *= hs
