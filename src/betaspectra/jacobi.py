@@ -43,17 +43,31 @@ WEIGHT_FLOOR = np.finfo(float).tiny
 # are normal numbers, so a ratio a_i / pivot can be squared without overflow.
 PIVMIN = 2.0**-500
 EPS = np.finfo(float).eps
-# Neighbours closer than MIX |J| sqrt(pi_k pi_{k+1}) / n are re-solved
-# together: a few eps |J| of eigenvalue error then moves a weight by n eps.
+# A vector taken delta off an eigenvalue takes in about delta / gap of a
+# neighbour's, which moves the weight by about 2 delta sqrt(pi_k pi_j) / gap.
+# Where the twisted stage gave either weight of neighbours k, k + 1 (taken at
+# the eigenvalue as it came, up to a few eps |J| off), the pair is re-solved
+# by dstein when closer than MIX |J| sqrt(pi_k pi_{k+1}) / n: that error then
+# moves a weight by a few n eps / MIX. Where the row-0 pass kept both, its
+# first-order correction has removed that error, and its own rounding (a
+# backward error of a few eps in each entry of J - lambda) mixes far less:
+# the pair is re-solved only when closer than MIX_KEPT |J| sqrt(pi_k
+# pi_{k+1}) / n. On 43,000 such pairs of ensemble draws at n = 40 and 200
+# (beta 0.5 to 2, and Hermite and Jacobi-KN at 0.1), those farther apart
+# sum to within 0.65 n eps of their dstein re-solve. Pairs closer than
+# 8 eps |J| are re-solved whatever their weights.
 MIX = 100.0
-# The vector twisted at row 0 gives a weight when its last pivot |gamma_0|
-# is at most TWIST_TOL times the distance to the nearest other eigenvalue:
-# then no other eigenvector's share in it exceeds TWIST_TOL times its own,
-# and the weight corrected to first order is right to about TWIST_TOL^2
-# relative. A twist of J - lambda at the best row re-solves every other
-# weight (_twisted_weights), over at most TWIST_FLOATS / n eigenvalues at a
-# time: its four (n, width) arrays take up to 16 MB, six over a batch.
-TWIST_TOL = 1e-5
+MIX_KEPT = 1.0
+# The row-0 pass (_row0_weights) keeps a weight when the bound B on the
+# relative remainder of its first-order correction is at most ROW0_TOL and
+# f B at most eps, and moves an eigenvalue to the Rayleigh quotient of its
+# vector when |gamma_0| <= SHIFT_TOL gap, which is then off by at most
+# SHIFT_TOL times the move. A twist of J - lambda at the best row
+# (_twisted_weights) re-solves every other weight and shift, over at most
+# TWIST_FLOATS / n eigenvalues at a time: its four (n, width) arrays take up
+# to 16 MB, six over a batch.
+ROW0_TOL = 1e-12
+SHIFT_TOL = 1e-3
 TWIST_FLOATS = 2**19
 
 
@@ -154,29 +168,33 @@ def spectral_decompose(coeffs: JacobiCoeffs) -> DiscreteMeasure:
     unit eigenvectors of the full n x n matrix, n = coeffs.n.
 
     Both come from J scaled into [-1, 1] (_scaled): eigenvalues from LAPACK
-    dsterf, and weights from one backward pass over every eigenvalue at
-    once, the vector twisted at row 0 with its weight corrected to first
-    order in the eigenvalue's error, then a twist of J - lambda at the best
-    row for each eigenvalue where that pass is not accurate enough (the
-    small weights), and LAPACK dstein on each run of neighbours too close
-    to tell apart (_first_row_weights). No eigenvector is kept: memory is
-    O(n) besides the runs and at most 16 MB for the second stage. Each
-    weight, or the summed weight of neighbours closer than 1e-3 |J|, is
-    within n * eps absolute and 1e-10 relative of 60-digit arithmetic on
-    ensemble draws of size 48 at beta 0.1, 0.5, 1 and 2 and on heads with
-    weights down to 1e-18; on zero-diagonal graded heads the summed weight
-    of neighbours closer than 1e-6 |J| is within n * eps. A weight of such a
-    close pair alone is only good to about eps |J| / gap, and at beta 0.1
-    and n = 4000 the lowest weights of a Laguerre draw are off by up to
-    1e-8 relative (2e-11 summed, against n * eps = 9e-13). Weights are
-    floored at the smallest normal number, and clusters closer than
-    eps |J| keep their summed weight (graded matrices, Wilkinson's W21+ and
-    W41+). Raises InvalidMatrixError on a NaN or infinite coefficient.
+    dsterf, each moved to the Rayleigh quotient of its twisted vector where
+    the residual certifies it, and weights from one backward pass over every
+    eigenvalue at once, the vector twisted at row 0 with its weight
+    corrected to first order in the eigenvalue's error and kept by a bound
+    on what that correction leaves, then a twist of J - lambda at the best
+    row for each eigenvalue that bound refuses (small weights next to heavy
+    ones), and LAPACK dstein on each run of neighbours too close to tell
+    apart (_first_row_weights). No eigenvector is kept: memory is O(n)
+    besides the runs and at most 16 MB for the second stage. Each weight,
+    or the summed weight of neighbours closer than 1e-3 |J|, is within
+    n * eps absolute and 1e-10 relative of 60-digit arithmetic on ensemble
+    draws of size 48 at beta 0.1, 0.5, 1 and 2 and on heads with weights
+    down to 1e-18; on zero-diagonal graded heads the summed weight of
+    neighbours closer than 1e-6 |J| is within n * eps. On those draws and
+    heads no location is farther from the oracle than dsterf's eigenvalue
+    but by one rounding unit of |lambda|_max, and the largest error falls
+    from 11.4 to 0.98 eps |lambda|_max. A weight of a close pair alone is
+    only good to about eps |J| / gap, and at beta 0.1 and n = 4000 the
+    lowest weights of a Laguerre draw are off by up to 1.9e-11 (3e-11
+    summed, against n * eps = 9e-13). Weights are floored at the smallest
+    normal number, and clusters closer than eps |J| keep their summed
+    weight (graded matrices, Wilkinson's W21+ and W41+). Raises
+    InvalidMatrixError on a NaN or infinite coefficient.
     """
     sec = coeffs.section(coeffs.n)
     b, a, e = _scaled(sec.b, sec.a)
-    lam = _eigenvalues(b, a)
-    pi = _first_row_weights(b, a, lam)
+    lam, pi = _first_row_weights(b, a, _eigenvalues(b, a))
     return DiscreteMeasure(np.ldexp(lam, e), pi / np.sum(pi))  # analytically sums to 1
 
 
@@ -207,56 +225,80 @@ def _eigenvalues(b: np.ndarray, a: np.ndarray) -> np.ndarray:
 
 
 def _lowest_weights(b: np.ndarray, a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvalues, and the weight at the lowest one only, of the tridiagonal
-    matrices (b, a) over leading batch axes, both from the matrices scaled
-    into [-1, 1] (_scaled); the lowest pair is re-solved together when the
-    two cannot be told apart (_first_row_weights)."""
+    """Eigenvalues, as spectral_decompose gives them, and the weight at the
+    lowest one only, of the tridiagonal matrices (b, a) over leading batch
+    axes, both from the matrices scaled into [-1, 1] (_scaled). The row-0
+    pass runs over every eigenvalue, for the shifts, but weighs and
+    re-solves the lowest two only; that pair is re-solved together when
+    the two cannot be told apart (_first_row_weights)."""
     b, a, e = _scaled(b, a)
-    lam = _eigenvalues(b, a)
-    return np.ldexp(lam, e), _first_row_weights(b, a, lam[..., :2])[..., 0]
+    lam, pi = _first_row_weights(b, a, _eigenvalues(b, a), count=2)
+    return np.ldexp(lam, e), pi[..., 0]
 
 
 @np.errstate(all="ignore")
-def _first_row_weights(b: np.ndarray, a: np.ndarray, lam: np.ndarray) -> np.ndarray:
-    """Squared first components pi_k of the unit eigenvectors at the
-    ascending eigenvalues lam (..., m) of the tridiagonal matrices (b, a)
-    scaled into [-1, 1] (_scaled), as are lam; leading axes are a batch.
+def _first_row_weights(b: np.ndarray, a: np.ndarray, lam: np.ndarray,
+                       count: int | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """The eigenvalues lam (..., m), ascending, of the tridiagonal matrices
+    (b, a) scaled into [-1, 1] (_scaled), as are lam, each moved to the
+    Rayleigh quotient of its twisted vector where that is certified, and
+    the squared first components pi_k (..., count) of the unit eigenvectors
+    at the first count of them (all by default); leading axes are a batch.
     Weights are floored, not normalised.
 
     Two stages of twisted factorisations (Dhillon-Parlett, LAA 387, 2004),
     with |J| the Gershgorin bound:
     - every eigenvalue at once (_row0_weights): the vector twisted at row 0,
       one step of inverse iteration from e_1, from one backward pass of
-      J - lambda, its weight corrected to first order in the eigenvalue's
-      error and kept when |gamma_0| <= TWIST_TOL times the distance to the
-      nearest other eigenvalue in lam;
-    - each other eigenvalue (_twisted_weights): the vector twisted where
-      |gamma_r| is least, from a forward and a backward pass of J - lambda
-      itself, batched over those eigenvalues. Both passes work on the
+      J - lambda; its weight is corrected to first order in the
+      eigenvalue's error and kept when a bound on the relative remainder,
+      c^2 + 4 f (gamma_0 / gap)^2, is at most ROW0_TOL (and at most
+      eps / f), and the eigenvalue moves by gamma_0 / s_0 when
+      |gamma_0| <= SHIFT_TOL gap;
+    - each refused weight and each unmoved eigenvalue (_twisted_weights):
+      the vector twisted where |gamma_r| is least, from a forward and a
+      backward pass of J - lambda itself, batched over those eigenvalues;
+      it gives the weight (at the eigenvalue as it came) and the shift
+      gamma_r z_r^2 / |z|^2 under the same rule. Both passes work on the
       entries b_i - lambda and a_i, so graded matrices keep the relative
       accuracy of their small eigenvalues.
-    A vector taken at an eigenvalue a few eps |J| off takes in about
-    eps |J| / gap of its neighbour's, so neighbours k, k + 1 closer than
-    MIX |J| sqrt(pi_k pi_{k+1}) / n + 8 eps |J| form a run, and each run is
-    re-solved by one call of LAPACK dstein (inverse iteration,
+    Neighbours k, k + 1 form a run when closer than
+    MIX |J| sqrt(pi_k pi_{k+1}) / n + 8 eps |J| where either weight came from
+    the second stage, MIX_KEPT in place of MIX where neither did; each run
+    is re-solved by one call of LAPACK dstein (inverse iteration,
     orthogonalised within the run), at the same eigenvalues. A run where
     dstein does not converge keeps its weights. Memory is O(n + m) per
     matrix besides the runs and the TWIST_FLOATS numbers of each array of
     the second stage.
 
     Off-diagonals are floored at PIVMIN, so a_i^2 and its inverse are
-    normal numbers. Only the second stage lifts pivots below PIVMIN in
-    magnitude to -PIVMIN; the first needs no lift, because a zero pivot or
-    an overflow there ends non-finite and fails its test (_row0_weights).
+    normal numbers; a matrix with a floored a_i keeps its eigenvalues as
+    they came, since the shifts are those of another matrix. Only the
+    second stage lifts pivots below PIVMIN in magnitude to -PIVMIN; the
+    first needs no lift, because a zero pivot or an overflow there ends
+    non-finite and fails both tests (_row0_weights).
     """
     lead, n, m = lam.shape[:-1], b.shape[-1], lam.shape[-1]
     rows = math.prod(lead)
     b = b.reshape(rows, n)
-    a = np.maximum(a.reshape(rows, n - 1), PIVMIN)  # subnormal a_k would make s overflow at once
+    a = a.reshape(rows, n - 1)
+    # a floored a_k changes the matrix, and so the Rayleigh quotient
+    exact = np.all(a >= PIVMIN, axis=1, keepdims=True)
+    a = np.maximum(a, PIVMIN)  # subnormal a_k would make s overflow at once
+    count = m if count is None else min(count, m)
     lam = lam.reshape(rows, m)
-    pi, redo = _row0_weights(b, a, lam)
-    if np.any(redo):
-        _twisted_weights(b, a, lam, redo, pi)
+    pi, shift, redo = _row0_weights(b, a, lam, count)
+    unshifted = np.isnan(shift)
+    lam = np.where(exact & ~unshifted, lam + shift, lam)
+    # the second stage: each refused weight and each unmoved eigenvalue
+    twist = unshifted.copy()
+    twist[:, :count] |= redo
+    if np.any(twist):
+        pi_t, shift = _twisted_weights(b, a, lam, twist)
+        pi[redo] = pi_t[:, :count][redo]
+        lam = np.where(exact & unshifted, lam + shift, lam)
+    out = lam.reshape(lead + (m,)), pi.reshape(lead + (count,))
+    lam, m = lam[:, :count], count  # a view; the runs write into pi
 
     norm = np.abs(b)  # Gershgorin: |J| <= max_i |b_i| + a_{i-1} + a_i
     norm[:, 1:] += a
@@ -266,7 +308,8 @@ def _first_row_weights(b: np.ndarray, a: np.ndarray, lam: np.ndarray) -> np.ndar
     # flags of the pairs k - 1, k at column k: a run of eigenvalues lo..hi
     # starts where they rise and ends where they fall
     flags = np.zeros((rows, m + 1), dtype=np.int8)
-    flags[:, 1:m] = np.diff(lam) < norm * (MIX * np.sqrt(pi[:, 1:] * pi[:, :-1]) / n + 8.0 * EPS)
+    mix = np.where(redo[:, 1:] | redo[:, :-1], MIX, MIX_KEPT) * np.sqrt(pi[:, 1:] * pi[:, :-1]) / n
+    flags[:, 1:m] = np.diff(lam) < norm * (mix + 8.0 * EPS)
     step = np.diff(flags)
     if np.any(step):
         from scipy.linalg.lapack import dstein
@@ -277,40 +320,70 @@ def _first_row_weights(b: np.ndarray, a: np.ndarray, lam: np.ndarray) -> np.ndar
             z, info = dstein(b[row], a[row], lam[row, lo : hi + 1], block, split)
             if info == 0:
                 pi[row, lo : hi + 1] = np.fmax(np.square(z[0]), WEIGHT_FLOOR)
-    return pi.reshape(lead + (m,))
+    return out
 
 
 @np.errstate(all="ignore")
-def _row0_weights(b: np.ndarray, a: np.ndarray, lam: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Weights (rows, m) at every eigenvalue of the matrices b (rows, n),
-    a (rows, n - 1) (floored at PIVMIN), from the vector twisted at row 0,
-    and where they fail the acceptance test of _first_row_weights.
+def _row0_weights(b: np.ndarray, a: np.ndarray, lam: np.ndarray,
+                  count: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Weights (rows, count) at the first count eigenvalues lam (rows, m) of
+    the matrices b (rows, n), a (rows, n - 1) (floored at PIVMIN), from the
+    vector twisted at row 0; the Rayleigh shift (rows, m) of every
+    eigenvalue where it is certified, else NaN; and the weights
+    (rows, count) whose error bound fails.
 
     One backward (UDU^T) pass of J - lambda gives the pivots
     u_i = b_i - lambda - a_i^2 / u_{i+1} and s_i = 1 + q_i s_{i+1}, with
     q_i = (a_i / u_{i+1})^2 = (z_{i+1} / z_i)^2, of
     z = (J - lambda)^-1 e_1 / z_0, so (J - lambda) z = gamma_0 e_1 with
-    gamma_0 = u_0, and f = 1 / s_0 is the weight of z. At
-    lambda = lambda_k + t, f - pi_k is about
-    -2 t sum_{j != k} pi_j / (lambda_j - lambda_k): a few eps of eigenvalue
-    error times a sum that is large near heavy neighbours. The Rayleigh
-    quotient gives t = -gamma_0 / s_0, and the weight taken is f (1 - c),
-    c = gamma_0 s_0' / s_0^2, right to first order in t. A pivot's
-    derivative in lambda is exactly u_i' = -s_i (by induction from
+    gamma_0 = u_0 = 1 / m(lambda), and f = 1 / s_0 = m^2 / m' is the weight
+    of z, m(x) = sum_j pi_j / (lambda_j - x) the Stieltjes transform. A
+    pivot's derivative in lambda is exactly u_i' = -s_i (by induction from
     u_{n-1}' = -1), so the pass carries only hs_i = s_i' / 2, with
-    hs_i = q_i (hs_{i+1} + s_{i+1}^2 / u_{i+1}): ten ufunc calls per row.
+    hs_i = q_i (hs_{i+1} + s_{i+1}^2 / u_{i+1}), and only for the first
+    count eigenvalues: six ufunc calls per row over every eigenvalue and
+    four over those.
+
+    The location. The Rayleigh quotient of z is lambda + gamma_0 f, within
+    |gamma_0| |gamma_0 f| / gap of lambda_k (residual^2 / gap, the residual
+    being |gamma_0| sqrt(f)), where gap is the distance to the nearest other
+    eigenvalue in lam. The shift gamma_0 f is returned where
+    |gamma_0| <= SHIFT_TOL gap: the shifted location is then off by at most
+    SHIFT_TOL times the shift, besides rounding.
+
+    The weight. Write lambda = lambda_k + t, R = sum_{j != k} pi_j / d_j,
+    R' = sum pi_j / d_j^2 and R'' = 2 sum pi_j / d_j^3, d_j = lambda_j -
+    lambda, and x = t R / pi_k, y = t^2 R' / pi_k, v = t^3 R'' / pi_k. From
+    m = -pi_k / t + R, exactly
+        f / pi_k = (1 - x)^2 / (1 + y),
+        c = gamma_0 s_0' / s_0^2 = m m'' / m'^2 - 2 = -2x - 4y - v + ...,
+    and the weight taken, f (1 - c) (f moved to first order to the Rayleigh
+    quotient), has the relative remainder
+        f (1 - c) / pi_k - 1 = -3 x^2 + 3 y + 2 x^3 - 12 x y + v + O(t^4)
+                             = -(3/4) c^2 + 3 y + 2 x^3 + v + O(t^4).
+    Since t / pi_k = -gamma_0 (1 - x), |y| <= f (gamma_0 / gap)^2 and
+    |v| <= 2 f |gamma_0 / gap| |y|, to leading order. The bound taken is
+        B = c^2 + 4 f (gamma_0 / gap)^2,
+    which covers (3/4) c^2 + 2 |c / 2|^3 and 3 |y| + |v| wherever B < 1e-6.
+    A weight is kept when B <= ROW0_TOL (relative) and f B <= eps
+    (absolute); c is then finite. Everything else goes to _twisted_weights:
+    small weights of eigenvalues close to heavy ones (c large), and
+    non-finite passes.
 
     No pivot is lifted here. A zero pivot above row 0, or an overflow of
-    q_i, leaves gamma_0 or c infinite or NaN, and the acceptance test sends
-    that eigenvalue to _twisted_weights, which lifts pivots below PIVMIN. A
-    pivot below PIVMIN but not 0 is carried as it is: the pass then either
-    ends non-finite in the same way or is the recursion of J itself, not of
-    J with that pivot moved to -PIVMIN.
+    q_i, leaves gamma_0 or c infinite or NaN, which fails both tests, and
+    _twisted_weights lifts pivots below PIVMIN. A pivot below PIVMIN but not
+    0 is carried as it is: the pass then either ends non-finite in the same
+    way or is the recursion of J itself, not of J with that pivot moved to
+    -PIVMIN.
     """
     u = np.subtract(b[:, -1:], lam)
     s = np.ones(u.shape)
-    hs = np.zeros(u.shape)  # half of d s_i / d lambda
-    g, q, t = (np.empty(u.shape) for _ in range(3))
+    g, q = np.empty(u.shape), np.empty(u.shape)
+    hs = np.zeros((u.shape[0], count))  # half of d s_i / d lambda
+    t = np.empty(hs.shape)
+    # the first count columns: the derivative is carried only there
+    u_c, s_c, q_c = u[:, :count], s[:, :count], q[:, :count]
     # (n, rows, 1) views: row i of each matrix as a column that broadcasts
     # over the eigenvalues
     b_col = b.T[:, :, None]
@@ -320,50 +393,64 @@ def _row0_weights(b: np.ndarray, a: np.ndarray, lam: np.ndarray) -> tuple[np.nda
     for b_i, a2_i in zip(b_col[-2::-1], a2_col[::-1]):
         div(a2_i, u, g)  # a_i^2 / u_{i+1}
         div(g, u, q)  # q_i = (z_{i+1} / z_i)^2
-        div(s, u, t)
-        mul(t, s, t)
+        div(s_c, u_c, t)
+        mul(t, s_c, t)
         add(hs, t, hs)
-        mul(hs, q, hs)  # hs_i = q_i (hs_{i+1} + s_{i+1}^2 / u_{i+1})
+        mul(hs, q_c, hs)  # hs_i = q_i (hs_{i+1} + s_{i+1}^2 / u_{i+1})
         mul(s, q, s)
         add(s, 1.0, s)  # s_i = 1 + q_i s_{i+1}
         sub(b_i, lam, u)
         sub(u, g, u)  # u_i = b_i - lambda - a_i^2 / u_{i+1}
-    step = np.diff(lam, axis=1)
     gap = np.full(lam.shape, np.inf)  # to the nearest other eigenvalue
-    gap[:, 1:] = step
-    np.minimum(gap[:, :-1], step, out=gap[:, :-1])
-    redo = ~(np.abs(u, out=t) <= TWIST_TOL * gap)  # |gamma_0|
-    np.divide(u, s, out=u)
-    np.divide(hs, s, out=hs)
-    u *= hs
-    u += u  # c
-    redo |= ~np.isfinite(u)
-    np.subtract(1.0, u, out=u)
-    u /= s
+    np.subtract(lam[:, 1:], lam[:, :-1], out=gap[:, 1:])
+    np.minimum(gap[:, :-1], gap[:, 1:], out=gap[:, :-1])
+    f = np.divide(1.0, s, out=s)
+    ratio = np.divide(u, gap, out=g)  # gamma_0 / gap
+    shift = np.multiply(u, f, out=q)  # gamma_0 / s_0
+    shift[~(np.abs(ratio) <= SHIFT_TOL)] = np.nan
+    ratio, f, gamma = ratio[:, :count], f[:, :count], u_c
+    c = np.multiply(gamma, f, out=t)
+    np.multiply(hs, f, out=hs)
+    c *= hs
+    c += c  # c = gamma_0 s_0' / s_0^2
+    bound = np.square(ratio, out=hs)
+    bound *= 4.0 * f
+    bound += np.square(c)
+    keep = bound <= np.minimum(ROW0_TOL, EPS / f)
+    np.subtract(1.0, c, out=c)
+    c *= f
     # s_0 is infinite only where the weight is below the floor
-    return np.fmax(u, WEIGHT_FLOOR, out=u), redo
+    return np.fmax(c, WEIGHT_FLOOR, out=c), shift, ~keep
 
 
 @np.errstate(all="ignore")
-def _twisted_weights(b: np.ndarray, a: np.ndarray, lam: np.ndarray, redo: np.ndarray,
-                     pi: np.ndarray) -> None:
-    """pi[row, k] for every True redo[row, k]: the weight of the vector
-    twisted where |gamma_r| is least, from a forward (LDL^T) and a backward
-    (UDU^T) pass of J - lambda (_first_row_weights), floored. Each pass is
-    batched over up to TWIST_FLOATS / n of those eigenvalues at a time.
+def _twisted_weights(b: np.ndarray, a: np.ndarray, lam: np.ndarray,
+                     twist: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Weights and Rayleigh shifts (rows, m), set where twist (rows, m) is
+    True and 0 elsewhere: the weight of the vector twisted where |gamma_r|
+    is least, from a forward (LDL^T) and a backward (UDU^T) pass of
+    J - lambda (_first_row_weights), floored, and its Rayleigh shift where
+    certified. Each pass is batched over up to TWIST_FLOATS / n of those
+    eigenvalues at a time.
 
     With z_0 = 1, the forward pass gives the pivots d_i and
     z_{i+1} = -z_i d_i / a_i, and the backward pass the pivots u_i and
     s_i = 1 + sum_{j > i} (z_j / z_i)^2. At the twist r,
     gamma_r = d_r - a_r^2 / u_{r+1}, z is forward up to r and backward after
-    it, so |z|^2 = sum_{i < r} z_i^2 + s_r z_r^2 and pi = 1 / |z|^2. Each
-    pass runs without the PIVMIN lift first, and again with it only if a
-    pivot came out below PIVMIN: the result is the same, and the lift costs
-    nothing where it is not needed.
+    it, so |z|^2 = sum_{i < r} z_i^2 + s_r z_r^2 and pi = 1 / |z|^2. Since
+    (J - lambda) z = gamma_r z_r e_r, the Rayleigh quotient of z is
+    lambda + gamma_r z_r^2 / |z|^2, taken when |gamma_r| <= SHIFT_TOL gap as
+    in _row0_weights (r = 0 there). Each pass runs without the PIVMIN lift
+    first, and again with it only if a pivot came out below PIVMIN: the
+    result is the same, and the lift costs nothing where it is not needed.
     """
     n = b.shape[1]
-    rows, cols = np.nonzero(redo)
+    rows, cols = np.nonzero(twist)
     width = min(rows.size, max(1, TWIST_FLOATS // n))
+    # the distance of each of those eigenvalues to the nearest other one
+    edged = np.pad(lam, ((0, 0), (1, 1)), constant_values=(-np.inf, np.inf))
+    gap = np.minimum(edged[rows, cols + 2] - lam[rows, cols], lam[rows, cols] - edged[rows, cols])
+    pi, shift = np.zeros(lam.shape), np.zeros(lam.shape)
     # (n, width) arrays, entry i of each eigenvalue's matrix down the first
     # axis, made once so that later chunks touch no fresh pages
     work, spare = np.empty((4, n, width)), np.empty(width)
@@ -416,10 +503,17 @@ def _twisted_weights(b: np.ndarray, a: np.ndarray, lam: np.ndarray, redo: np.nda
         np.cumsum(z[:-1], axis=0, out=u[1:])  # sum_{i < r} z_i^2
         s *= z
         s += u  # |z|^2 at twist r
-        twist = np.argmin(np.abs(d, out=d), axis=0)
-        pi[row, col] = 1.0 / s[twist, np.arange(row.size)]
+        k = np.arange(row.size)
+        best = np.argmin(np.abs(d, out=u), axis=0)
+        gamma, norm2 = d[best, k], s[best, k]
+        pi[row, col] = 1.0 / norm2
+        # the Rayleigh shift gamma_r z_r^2 / |z|^2, where it is certified
+        shift[row, col] = np.where(np.abs(gamma) <= SHIFT_TOL * gap[lo : lo + row.size],
+                                   gamma * z[best, k] / norm2, 0.0)
     # |z|^2 is NaN only where z overflowed, and the weight below the floor
     np.fmax(pi, WEIGHT_FLOOR, out=pi)
+    shift[np.isnan(shift)] = 0.0
+    return pi, shift
 
 
 def _lift(x: np.ndarray, tmp: np.ndarray) -> None:
