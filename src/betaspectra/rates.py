@@ -232,22 +232,24 @@ def beta_h(u: float, v: float, q: float) -> float:
     return u * (x - lx) + v * (y - ly)
 
 
+def _hermite_terms(b: list, a: list) -> tuple[list, float]:
+    """The terms of `hermite_rate` for the float lists b and a, b_j^2/2 for
+    each b_j and then G(a_j) for each a_j, and their sum taken left to right."""
+    terms = [0.5 * x * x for x in b] + [big_g(x) for x in a]
+    total = 0.0
+    for t in terms:
+        total += t
+    return terms, total
+
+
 def hermite_rate(coeffs) -> RateReport:
     """Coefficient-side Hermite rate: sum b_j^2/2 + sum G(a_j) over the given coefficients."""
     b = np.asarray(coeffs.b, dtype=float).tolist()  # float arithmetic, not numpy scalars
     a = np.asarray(coeffs.a, dtype=float).tolist()
-    terms = []
-    total = 0.0
-    for j, bj in enumerate(b):
-        t = 0.5 * bj * bj
-        terms.append((f"b_{j}^2/2", t))
-        total += t
-    for j, aj in enumerate(a):
-        t = big_g(aj)
-        terms.append((f"G(a_{j})", t))
-        total += t
+    values, total = _hermite_terms(b, a)
+    labels = [f"b_{j}^2/2" for j in range(len(b))] + [f"G(a_{j})" for j in range(len(a))]
     flags = ["infinite"] if not math.isfinite(total) else []
-    return RateReport(value=total, terms=terms, truncation=len(b), flags=flags)
+    return RateReport(value=total, terms=list(zip(labels, values)), truncation=len(b), flags=flags)
 
 
 def laguerre_rate(d, s, tau: float) -> RateReport:

@@ -12,6 +12,7 @@ Rouault, J. Funct. Anal. 270, 2016) and report gaps.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -26,11 +27,11 @@ from .equilibria import (
     kmk_of_slopes,
     m_function,
 )
-from .errors import NotPositiveDefiniteError, ParameterError
+from .errors import InvalidMatrixError, NotPositiveDefiniteError, ParameterError
 from .jacobi import PIVMIN, JacobiCoeffs, VerblunskyCoeffs, ds_factorize, geronimus
 from .rates import (
     RateReport,
-    hermite_rate,
+    _hermite_terms,
     jacobi_ensemble_rate,
     laguerre_rate,
     outlier_cost,
@@ -176,6 +177,25 @@ def _outlier_mass(b: list, a: list, w: float) -> float:
     return u[0] * u[0] / (sum(x * x for x in u) + tail)
 
 
+@functools.lru_cache(maxsize=64)
+def _companion_slots(k: int) -> np.ndarray:
+    """Flat indices, in the 2K x 2K companion matrix of `_jost`, of the
+    diagonal of its upper right block, the diagonal of its lower left block
+    (the last entry apart), that last entry, and the diagonal, the super-
+    and the subdiagonal of its lower right block."""
+    n = 2 * k
+    flat = np.arange(n * n)
+    low = n * k + k
+    return np.concatenate([
+        flat[k : n * k : n + 1],
+        flat[n * k : n * n - k - 1 : n + 1],
+        [n * n - k - 1],
+        flat[low :: n + 1],
+        flat[low + 1 :: n + 1],
+        flat[low + n :: n + 1],
+    ])
+
+
 def _jost(model: TailJacobiModel) -> _JostRoots:
     """Jost roots of the model reduced to the free tail, (J - b_inf)/a_inf,
     with K = head length: eigenvalues only; masses by twisted factorisation.
@@ -189,28 +209,29 @@ def _jost(model: TailJacobiModel) -> _JostRoots:
 
     Complex roots are never outliers: the operator is self-adjoint, and a
     complex root just outside the circle is a resonance pushed there by
-    rounding.
+    rounding. The head is read once, as float lists padded with the reduced
+    tail (0 and 1); a NaN or infinite entry is refused before the companion
+    matrix is built.
     """
     k = model.head_len
     if k == 0:
         return _JostRoots([], 0.0, [], [])
     b_inf, a_inf = model.b_inf, model.a_inf
-    b = [(model.b_at(j) - b_inf) / a_inf for j in range(k)]
-    a = [model.a_at(j) / a_inf for j in range(k)]
+    head_b, head_a = model.head.b.tolist(), model.head.a.tolist()
+    if not all(map(math.isfinite, [b_inf, a_inf, *head_b, *head_a])):
+        raise InvalidMatrixError("Jacobi coefficients must be finite")
+    b = [(x - b_inf) / a_inf for x in head_b] + [0.0] * (k - len(head_b))
+    a = [x / a_inf for x in head_a] + [1.0] * (k - len(head_a))
     if max(a) * max(a) == math.inf:
         raise ParameterError(f"head entry a/a_inf = {max(a)!r} overflows when squared")
     n = 2 * k
-    comp = np.zeros((n, n))
-    flat = comp.reshape(-1)  # strided slices of it are (off-)diagonals of blocks
-    flat[k : n * k : n + 1] = 1.0  # upper right block: I
-    flat[n * k :: n + 1] = -1.0  # lower left block: -I
-    low = n * k + k  # lower right block: J_K
-    flat[low :: n + 1] = b
-    flat[low + 1 :: n + 1] = flat[low + n :: n + 1] = a[:-1]
-    comp[-1, k - 1] += a[-1] ** 2
+    comp = np.zeros(n * n)
+    # the blocks [[0, I], [M, J_K]] in one scatter
+    off = a[:-1]
+    comp[_companion_slots(k)] = [1.0] * k + [-1.0] * (k - 1) + [a[-1] ** 2 - 1.0] + b + off + off
     zeta, outs, edge = [], [], []
     log_out = 0.0  # sum of log|w| over the roots outside the circle
-    for w in np.linalg.eigvals(comp).tolist():
+    for w in np.linalg.eigvals(comp.reshape(n, n)).tolist():
         mag = abs(w)
         if mag <= 1.0:
             zeta.append(w)
@@ -227,7 +248,7 @@ def _jost(model: TailJacobiModel) -> _JostRoots:
             edge.append(energy)
     return _JostRoots(
         zeta=zeta,
-        c0=2.0 * (log_out - sum(math.log(x) for x in a)),
+        c0=2.0 * (log_out - sum(map(math.log, a))),
         outlier_list=sorted(outs),
         edge_resonances=sorted(edge),
     )
@@ -240,6 +261,14 @@ def outliers(model: TailJacobiModel):
     return _jost(model).outlier_list
 
 
+def _measure_terms(reference: EquilibriumLaw, roots: _JostRoots) -> tuple[list, float]:
+    """The terms of the measure side, K(reference | nu) and then the cost of
+    each outlier in the order of roots.outlier_list, and their sum."""
+    terms = [roots.kullback(reference)]
+    terms += [outlier_cost(reference, e) for e, _ in roots.outlier_list]
+    return terms, sum(terms)
+
+
 def _measure_side(
     model: TailJacobiModel, reference: EquilibriumLaw, roots: _JostRoots
 ) -> RateReport:
@@ -249,17 +278,16 @@ def _measure_side(
         raise ParameterError(
             f"reference support [{rlo}, {rhi}] does not match model bulk [{lo}, {hi}]"
         )
-    terms = [("kullback", roots.kullback(reference))]
-    terms += [(f"F({e:.12g})", outlier_cost(reference, e)) for e, _ in roots.outlier_list]
+    values, total = _measure_terms(reference, roots)
+    labels = ["kullback"] + [f"F({e:.12g})" for e, _ in roots.outlier_list]
     flags = [
         f"edge resonance at {e:.12g}: Jost root within {JOST_EDGE_DELTA:g} "
         "of the unit circle, not counted as an outlier"
         for e in roots.edge_resonances
     ]
-    total = sum(t for _, t in terms)
     if not math.isfinite(total):
         flags.append("infinite")
-    return RateReport(value=total, terms=terms, truncation=0, flags=flags)
+    return RateReport(value=total, terms=list(zip(labels, values)), truncation=0, flags=flags)
 
 
 def measure_side_rate(model: TailJacobiModel, reference: EquilibriumLaw) -> RateReport:
@@ -292,18 +320,20 @@ class SumRuleReport:
 def sumrule_verify(model: TailJacobiModel) -> SumRuleReport:
     """Killip-Simon check for a free-tail model: coefficient side
     sum b_j^2/2 + sum G(a_j) against K(SC|nu) + sum F_G(E_j), both sides
-    exact finite sums."""
+    exact finite sums. Each side is summed from the head and the Jost roots
+    as `hermite_rate` and `measure_side_rate` sum it, with no per-term
+    report."""
     if model.a_inf != 1.0 or model.b_inf != 0.0:
         raise ParameterError("sumrule_verify requires the free (SC) tail")
-    jacobi_side = hermite_rate(model.head).value
     roots = _jost(model)
-    measure = _measure_side(model, SC, roots)
-    gap = jacobi_side - measure.value
-    if math.isinf(jacobi_side) and math.isinf(measure.value):
+    _, jacobi_side = _hermite_terms(model.head.b.tolist(), model.head.a.tolist())
+    _, measure_side = _measure_terms(SC, roots)
+    gap = jacobi_side - measure_side
+    if math.isinf(jacobi_side) and math.isinf(measure_side):
         gap = 0.0
     return SumRuleReport(
         jacobi_side=jacobi_side,
-        measure_side=measure.value,
+        measure_side=measure_side,
         gap=gap,
         outlier_list=roots.outlier_list,
     )

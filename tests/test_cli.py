@@ -376,6 +376,10 @@ def test_sumrule_huge_heads(capsys, tmp_path, monkeypatch):
     code, out, err = run(capsys, "sumrule", "--model", model_file(tmp_path, [0.0], [1e160]))
     assert code == 1 and out == ""
     assert len(err.strip().splitlines()) == 1 and err.startswith("error: ")
+    # so is a NaN entry, before the Jost companion matrix is built
+    code, out, err = run(capsys, "sumrule", "--model", model_file(tmp_path, [0.3, math.nan], []))
+    assert code == 1 and out == ""
+    assert len(err.strip().splitlines()) == 1 and err.startswith("error: ") and "finite" in err
     # a NaN gap fails the check rather than passing it
     nan_report = SumRuleReport(jacobi_side=1.0, measure_side=math.nan, gap=math.nan,
                                outlier_list=[])

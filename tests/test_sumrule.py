@@ -12,7 +12,13 @@ from hypothesis import strategies as st
 from scipy.linalg import eigh_tridiagonal, eigvalsh_tridiagonal
 
 from betaspectra.equilibria import ARCSINE_01, ARCSINE_SYM, SC, EquilibriumLaw, Family, u_pm
-from betaspectra.errors import DomainError, NotPositiveDefiniteError, ParameterError
+from betaspectra.errors import (
+    BetaSpectraError,
+    DomainError,
+    InvalidMatrixError,
+    NotPositiveDefiniteError,
+    ParameterError,
+)
 from betaspectra.jacobi import (
     JacobiCoeffs,
     VerblunskyCoeffs,
@@ -20,7 +26,13 @@ from betaspectra.jacobi import (
     geronimus,
     spectral_decompose,
 )
-from betaspectra.rates import big_g, jacobi_ensemble_rate, laguerre_rate, outlier_cost
+from betaspectra.rates import (
+    big_g,
+    hermite_rate,
+    jacobi_ensemble_rate,
+    laguerre_rate,
+    outlier_cost,
+)
 from betaspectra import sumrule as sumrule_module
 from betaspectra.sumrule import (
     JOST_EDGE_DELTA,
@@ -374,6 +386,61 @@ def test_huge_heads():
     # a_0^2 overflows in the Jost companion matrix: refused by name
     with pytest.raises(ParameterError, match="overflows"):
         sumrule_verify(TailJacobiModel(head=JacobiCoeffs(np.array([0.0]), np.array([1e160]))))
+
+
+NONFINITE = [("b", math.nan), ("b", math.inf), ("b", -math.inf), ("a", math.nan), ("a", math.inf)]
+NONFINITE_CALLS = {
+    "sumrule_verify": lambda coeffs, _: sumrule_verify(TailJacobiModel(head=coeffs)),
+    "outliers": lambda coeffs, _: outliers(TailJacobiModel(head=coeffs)),
+    "measure_side_rate": lambda coeffs, _: measure_side_rate(TailJacobiModel(head=coeffs), SC),
+    "laguerre_probe": lambda coeffs, _: conjecture_probe_laguerre(
+        TailJacobiModel(a_inf=1.0, b_inf=2.0, head=coeffs), 1.0),
+    "jacobi_probe": lambda _, bad: conjecture_probe_jacobi([0.1, bad], 1.0, 0.5),
+}
+
+
+@pytest.mark.parametrize("call", NONFINITE_CALLS)
+@pytest.mark.parametrize("where, bad", NONFINITE)
+def test_nonfinite_head_refused(call, where, bad):
+    # refused by type, never numpy's LinAlgError from the companion matrix.
+    # A NaN reaches the Jost roots in every call; an infinity is refused
+    # earlier by the probes (a negative pivot, a Verblunsky coefficient
+    # outside (-1, 1)). a = -inf is not a JacobiCoeffs at all.
+    b, a = [0.1, 0.2], [0.9]
+    (b if where == "b" else a)[0] = bad
+    with pytest.raises(BetaSpectraError) as info:
+        NONFINITE_CALLS[call](JacobiCoeffs(np.array(b), np.array(a)), bad)
+    if math.isnan(bad) or "probe" not in call:
+        assert info.type is InvalidMatrixError and "finite" in str(info.value)
+
+
+# (len(b), len(a)): the 14 short shapes of the sumrule_heads workload, then longer heads
+REFERENCE_SHAPES = (
+    (1, 0), (0, 1), (1, 1), (2, 1), (1, 2), (2, 2), (3, 2), (2, 3), (3, 3),
+    (4, 3), (3, 4), (4, 4), (5, 4), (5, 5), (0, 6), (7, 0), (2, 9), (11, 4),
+)
+
+
+def test_sumrule_verify_sums_as_the_reports_do():
+    # sumrule_verify sums both sides without building the labelled reports;
+    # those stay the reference, to the last bit
+    rng = np.random.default_rng(24)
+    models = [
+        head(rng.uniform(-blo, blo, nb), rng.uniform(alo, ahi, na))
+        for blo, alo, ahi in ((0.5, 0.6, 1.4), (1.5, 0.5, 1.8))  # HEAD and WIDE ranges
+        for nb, na in REFERENCE_SHAPES
+        for _ in range(25)
+    ]
+    models += [head([1.25], []), head([1.0 + 1e-7], []), head([0.0], [math.sqrt(2.0)]),
+               head([1e200], []), head([0.0, 0.0], [1e-170])]
+    seen_outliers = 0
+    for model in models:
+        report = sumrule_verify(model)
+        assert report.jacobi_side == hermite_rate(model.head).value
+        assert report.measure_side == measure_side_rate(model, SC).value
+        assert report.outlier_list == outliers(model)
+        seen_outliers += bool(report.outlier_list)
+    assert seen_outliers > 100
 
 
 def test_conjecture_probe_laguerre_at_minimizer():
