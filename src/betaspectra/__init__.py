@@ -50,7 +50,6 @@ from .ensembles import (
     Kind,
     LaguerreDraw,
     RngStream,
-    esd,
     sample_hermite,
     sample_jacobi_kn,
     sample_laguerre,

@@ -31,7 +31,6 @@ from .jacobi import (
     JacobiCoeffs,
     VerblunskyCoeffs,
     _ds_assemble,
-    _eigenvalues,
     _geronimus,
     _geronimus_step,
     affine_s,
@@ -51,7 +50,6 @@ __all__ = [
     "sample_batch",
     "sample_rows",
     "spectral_measure",
-    "esd",
 ]
 
 
@@ -432,12 +430,3 @@ def spectral_measure(coeffs: JacobiCoeffs, interval: str = "[-2,2]") -> Discrete
         mu = mu.pushforward(affine_s)
     return mu
 
-
-def esd(coeffs: JacobiCoeffs, interval: str = "[-2,2]") -> DiscreteMeasure:
-    """Empirical spectral distribution: equal weights 1/N at the eigenvalues."""
-    _check_interval(interval)
-    sec = coeffs.section(coeffs.n)
-    out = DiscreteMeasure(_eigenvalues(sec.b, sec.a), np.full(sec.n, 1.0 / sec.n))
-    if interval == "[0,1]":
-        out = out.pushforward(affine_s)
-    return out

@@ -70,6 +70,8 @@ class TailJacobiModel:
     head: JacobiCoeffs = field(default_factory=lambda: JacobiCoeffs(np.empty(0), np.empty(0)))
 
     def __post_init__(self) -> None:
+        if not (math.isfinite(self.a_inf) and math.isfinite(self.b_inf)):
+            raise ParameterError(f"tail a_inf, b_inf must be finite, got {self.a_inf}, {self.b_inf}")
         if self.a_inf <= 0.0:
             raise ParameterError("tail off-diagonal a_inf must be > 0")
 

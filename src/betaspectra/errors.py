@@ -48,7 +48,8 @@ def read_fields(obj, what: str, fields: dict, required=()) -> dict:
     fields; absent or null keys are left out. A ParameterError naming what
     and the key refuses a value that is not an object, a key of required
     that is missing or null, a value its converter rejects (a list where a
-    number belongs, say), and then a key that fields lacks."""
+    number belongs, say), and then a key that fields lacks. A converter's
+    own typed error (a non-finite Jacobi coefficient) passes through."""
     if not isinstance(obj, dict):
         raise ParameterError(f"{what} must be a JSON object, got {type(obj).__name__}")
     out = {}
@@ -62,8 +63,8 @@ def read_fields(obj, what: str, fields: dict, required=()) -> dict:
         else:
             try:
                 out[key] = to(value)
-            except ParameterError:
-                raise  # a nested reader's, naming its own key
+            except BetaSpectraError:
+                raise  # a nested reader's or a constructor's, naming its own fault
             except (TypeError, ValueError):
                 raise ParameterError(
                     f"{what}: the {key!r} value {value!r} has the wrong type") from None

@@ -75,7 +75,8 @@ TWIST_FLOATS = 2**19
 class JacobiCoeffs:
     """Diagonal b_0.. and off-diagonal a_0.. of a symmetric tridiagonal matrix.
 
-    An n x n matrix uses b_0..b_{n-1} and a_0..a_{n-2}; all a_k must be > 0.
+    An n x n matrix uses b_0..b_{n-1} and a_0..a_{n-2}; every entry must be
+    finite and all a_k > 0.
     """
 
     b: np.ndarray
@@ -84,6 +85,8 @@ class JacobiCoeffs:
     def __post_init__(self) -> None:
         object.__setattr__(self, "b", np.asarray(self.b, dtype=float))
         object.__setattr__(self, "a", np.asarray(self.a, dtype=float))
+        if not (np.all(np.isfinite(self.b)) and np.all(np.isfinite(self.a))):
+            raise InvalidMatrixError("Jacobi coefficients must be finite")
         if self.a.size and np.min(self.a) <= 0.0:
             raise InvalidMatrixError("off-diagonal entries a_k must be strictly positive")
 
@@ -125,7 +128,7 @@ class VerblunskyCoeffs:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "alpha", np.asarray(self.alpha, dtype=float))
-        if self.alpha.size and np.max(np.abs(self.alpha)) >= 1.0:
+        if not np.all(np.abs(self.alpha) < 1.0):  # NaN fails too
             raise RangeError("Verblunsky coefficients must lie in (-1, 1)")
 
     def __len__(self) -> int:
@@ -189,13 +192,22 @@ def spectral_decompose(coeffs: JacobiCoeffs) -> DiscreteMeasure:
     lowest weights of a Laguerre draw are off by up to 1.9e-11 (3e-11
     summed, against n * eps = 9e-13). Weights are floored at the smallest
     normal number, and clusters closer than eps |J| keep their summed
-    weight (graded matrices, Wilkinson's W21+ and W41+). Raises
-    InvalidMatrixError on a NaN or infinite coefficient.
+    weight (graded matrices, Wilkinson's W21+ and W41+).
     """
     sec = coeffs.section(coeffs.n)
-    b, a, e = _scaled(sec.b, sec.a)
+    lam, pi = _decompose(sec.b, sec.a)
+    return DiscreteMeasure(lam, pi / np.sum(pi))  # analytically sums to 1
+
+
+def _decompose(b: np.ndarray, a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues, ascending, and weights (..., n) of the tridiagonal
+    matrices with diagonals b (..., n) and off-diagonals a (..., n - 1);
+    leading axes are a batch. Both come from the matrices scaled into
+    [-1, 1] (_scaled, _eigenvalues, _first_row_weights), and the eigenvalues
+    are scaled back. Weights are floored, not normalised."""
+    b, a, e = _scaled(b, a)
     lam, pi = _first_row_weights(b, a, _eigenvalues(b, a))
-    return DiscreteMeasure(np.ldexp(lam, e), pi / np.sum(pi))  # analytically sums to 1
+    return np.ldexp(lam, e), pi
 
 
 def _scaled(b: np.ndarray, a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -208,10 +220,7 @@ def _scaled(b: np.ndarray, a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.nd
 
 def _eigenvalues(b: np.ndarray, a: np.ndarray) -> np.ndarray:
     """Ascending eigenvalues (LAPACK dsterf) of the tridiagonal matrices with
-    diagonals b (..., n) and off-diagonals a (..., n - 1); InvalidMatrixError
-    unless every entry is finite."""
-    if not (np.all(np.isfinite(b)) and np.all(np.isfinite(a))):
-        raise InvalidMatrixError("Jacobi coefficients must be finite")
+    diagonals b (..., n) and off-diagonals a (..., n - 1)."""
     # imported here so that paths without an eigensolve never load scipy.linalg
     from scipy.linalg.lapack import dsterf
 
@@ -224,27 +233,14 @@ def _eigenvalues(b: np.ndarray, a: np.ndarray) -> np.ndarray:
     return lam
 
 
-def _lowest_weights(b: np.ndarray, a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvalues, as spectral_decompose gives them, and the weight at the
-    lowest one only, of the tridiagonal matrices (b, a) over leading batch
-    axes, both from the matrices scaled into [-1, 1] (_scaled). The row-0
-    pass runs over every eigenvalue, for the shifts, but weighs and
-    re-solves the lowest two only; that pair is re-solved together when
-    the two cannot be told apart (_first_row_weights)."""
-    b, a, e = _scaled(b, a)
-    lam, pi = _first_row_weights(b, a, _eigenvalues(b, a), count=2)
-    return np.ldexp(lam, e), pi[..., 0]
-
-
 @np.errstate(all="ignore")
-def _first_row_weights(b: np.ndarray, a: np.ndarray, lam: np.ndarray,
-                       count: int | None = None) -> tuple[np.ndarray, np.ndarray]:
+def _first_row_weights(b: np.ndarray, a: np.ndarray,
+                       lam: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The eigenvalues lam (..., m), ascending, of the tridiagonal matrices
     (b, a) scaled into [-1, 1] (_scaled), as are lam, each moved to the
     Rayleigh quotient of its twisted vector where that is certified, and
-    the squared first components pi_k (..., count) of the unit eigenvectors
-    at the first count of them (all by default); leading axes are a batch.
-    Weights are floored, not normalised.
+    the squared first components pi_k (..., m) of the unit eigenvectors at
+    them; leading axes are a batch. Weights are floored, not normalised.
 
     Two stages of twisted factorisations (Dhillon-Parlett, LAA 387, 2004),
     with |J| the Gershgorin bound:
@@ -285,20 +281,16 @@ def _first_row_weights(b: np.ndarray, a: np.ndarray, lam: np.ndarray,
     # a floored a_k changes the matrix, and so the Rayleigh quotient
     exact = np.all(a >= PIVMIN, axis=1, keepdims=True)
     a = np.maximum(a, PIVMIN)  # subnormal a_k would make s overflow at once
-    count = m if count is None else min(count, m)
     lam = lam.reshape(rows, m)
-    pi, shift, redo = _row0_weights(b, a, lam, count)
+    pi, shift, redo = _row0_weights(b, a, lam)
     unshifted = np.isnan(shift)
     lam = np.where(exact & ~unshifted, lam + shift, lam)
     # the second stage: each refused weight and each unmoved eigenvalue
-    twist = unshifted.copy()
-    twist[:, :count] |= redo
+    twist = unshifted | redo
     if np.any(twist):
         pi_t, shift = _twisted_weights(b, a, lam, twist)
-        pi[redo] = pi_t[:, :count][redo]
+        pi[redo] = pi_t[redo]
         lam = np.where(exact & unshifted, lam + shift, lam)
-    out = lam.reshape(lead + (m,)), pi.reshape(lead + (count,))
-    lam, m = lam[:, :count], count  # a view; the runs write into pi
 
     norm = np.abs(b)  # Gershgorin: |J| <= max_i |b_i| + a_{i-1} + a_i
     norm[:, 1:] += a
@@ -320,17 +312,17 @@ def _first_row_weights(b: np.ndarray, a: np.ndarray, lam: np.ndarray,
             z, info = dstein(b[row], a[row], lam[row, lo : hi + 1], block, split)
             if info == 0:
                 pi[row, lo : hi + 1] = np.fmax(np.square(z[0]), WEIGHT_FLOOR)
-    return out
+    return lam.reshape(lead + (m,)), pi.reshape(lead + (m,))
 
 
 @np.errstate(all="ignore")
-def _row0_weights(b: np.ndarray, a: np.ndarray, lam: np.ndarray,
-                  count: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Weights (rows, count) at the first count eigenvalues lam (rows, m) of
-    the matrices b (rows, n), a (rows, n - 1) (floored at PIVMIN), from the
-    vector twisted at row 0; the Rayleigh shift (rows, m) of every
-    eigenvalue where it is certified, else NaN; and the weights
-    (rows, count) whose error bound fails.
+def _row0_weights(b: np.ndarray, a: np.ndarray,
+                  lam: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Weights (rows, m) at the eigenvalues lam (rows, m) of the matrices
+    b (rows, n), a (rows, n - 1) (floored at PIVMIN), from the vector
+    twisted at row 0; the Rayleigh shift (rows, m) of every eigenvalue where
+    it is certified, else NaN; and the weights (rows, m) whose error bound
+    fails.
 
     One backward (UDU^T) pass of J - lambda gives the pivots
     u_i = b_i - lambda - a_i^2 / u_{i+1} and s_i = 1 + q_i s_{i+1}, with
@@ -340,9 +332,8 @@ def _row0_weights(b: np.ndarray, a: np.ndarray, lam: np.ndarray,
     of z, m(x) = sum_j pi_j / (lambda_j - x) the Stieltjes transform. A
     pivot's derivative in lambda is exactly u_i' = -s_i (by induction from
     u_{n-1}' = -1), so the pass carries only hs_i = s_i' / 2, with
-    hs_i = q_i (hs_{i+1} + s_{i+1}^2 / u_{i+1}), and only for the first
-    count eigenvalues: six ufunc calls per row over every eigenvalue and
-    four over those.
+    hs_i = q_i (hs_{i+1} + s_{i+1}^2 / u_{i+1}): ten ufunc calls per row
+    over every eigenvalue.
 
     The location. The Rayleigh quotient of z is lambda + gamma_0 f, within
     |gamma_0| |gamma_0 f| / gap of lambda_k (residual^2 / gap, the residual
@@ -380,10 +371,8 @@ def _row0_weights(b: np.ndarray, a: np.ndarray, lam: np.ndarray,
     u = np.subtract(b[:, -1:], lam)
     s = np.ones(u.shape)
     g, q = np.empty(u.shape), np.empty(u.shape)
-    hs = np.zeros((u.shape[0], count))  # half of d s_i / d lambda
-    t = np.empty(hs.shape)
-    # the first count columns: the derivative is carried only there
-    u_c, s_c, q_c = u[:, :count], s[:, :count], q[:, :count]
+    hs = np.zeros(u.shape)  # half of d s_i / d lambda
+    t = np.empty(u.shape)
     # (n, rows, 1) views: row i of each matrix as a column that broadcasts
     # over the eigenvalues
     b_col = b.T[:, :, None]
@@ -393,10 +382,10 @@ def _row0_weights(b: np.ndarray, a: np.ndarray, lam: np.ndarray,
     for b_i, a2_i in zip(b_col[-2::-1], a2_col[::-1]):
         div(a2_i, u, g)  # a_i^2 / u_{i+1}
         div(g, u, q)  # q_i = (z_{i+1} / z_i)^2
-        div(s_c, u_c, t)
-        mul(t, s_c, t)
+        div(s, u, t)
+        mul(t, s, t)
         add(hs, t, hs)
-        mul(hs, q_c, hs)  # hs_i = q_i (hs_{i+1} + s_{i+1}^2 / u_{i+1})
+        mul(hs, q, hs)  # hs_i = q_i (hs_{i+1} + s_{i+1}^2 / u_{i+1})
         mul(s, q, s)
         add(s, 1.0, s)  # s_i = 1 + q_i s_{i+1}
         sub(b_i, lam, u)
@@ -406,10 +395,8 @@ def _row0_weights(b: np.ndarray, a: np.ndarray, lam: np.ndarray,
     np.minimum(gap[:, :-1], gap[:, 1:], out=gap[:, :-1])
     f = np.divide(1.0, s, out=s)
     ratio = np.divide(u, gap, out=g)  # gamma_0 / gap
-    shift = np.multiply(u, f, out=q)  # gamma_0 / s_0
-    shift[~(np.abs(ratio) <= SHIFT_TOL)] = np.nan
-    ratio, f, gamma = ratio[:, :count], f[:, :count], u_c
-    c = np.multiply(gamma, f, out=t)
+    c = np.multiply(u, f, out=t)  # gamma_0 / s_0
+    shift = np.where(np.abs(ratio) <= SHIFT_TOL, c, np.nan)
     np.multiply(hs, f, out=hs)
     c *= hs
     c += c  # c = gamma_0 s_0' / s_0^2

@@ -24,7 +24,7 @@ import numpy as np
 
 from .ensembles import EnsembleSpec, Kind, RngStream, sample_batch, sample_rows
 from .errors import ParameterError, integral, read_fields
-from .jacobi import _lowest_weights, affine_s
+from .jacobi import _decompose, affine_s
 from .rates import _refuse_nan, outlier_cost
 
 __all__ = [
@@ -360,8 +360,8 @@ def stat_suite(
 
     bp = spec.beta_prime
     b, a = sample_batch(spec, RngStream(seed=seed, stream=1).generator(), reps)
-    lam, pi1 = _lowest_weights(b, a)
-    lam_max = lam[:, -1]
+    lam, pi = _decompose(b, a)
+    lam_max, pi1 = lam[:, -1], pi[:, 0]
     m1 = b[:, 0]  # sum_k pi_k lambda_k = <e_1, J e_1>
     shape1 = 2.0 * bp if wrong_marginal else bp
     cdf = np.sort(betainc(shape1, (size - 1) * bp, pi1))

@@ -281,11 +281,14 @@ def jacobi_ensemble_rate(alpha, kappa1: float, kappa2: float) -> RateReport:
     at the almost-sure limits of the coefficients (sumrule.jacobi_limit_alphas)
     and matches the sampler's even-index mean (kappa1 - kappa2)/(2 + kappa1
     + kappa2). At kappa = 0 it is -sum log(1 - alpha_k^2). The measure side
-    it is probed against picks its outlier cost in `outlier_cost`.
+    it is probed against picks its outlier cost in `outlier_cost`. The rate
+    is +inf once some |alpha_k| >= 1; a NaN alpha_k is refused.
     """
     if not (kappa1 >= 0.0 and kappa2 >= 0.0):
         raise ParameterError(f"slopes kappa must be >= 0, got ({kappa1}, {kappa2})")
     vec = np.asarray(alpha.alpha if hasattr(alpha, "alpha") else alpha, dtype=float)
+    if np.any(np.isnan(vec)):
+        raise ParameterError(f"Verblunsky coefficients must not be NaN, got {vec.tolist()}")
     terms = []
     total = 0.0
     for k, al in enumerate(vec):

@@ -27,7 +27,7 @@ from .equilibria import (
     kmk_of_slopes,
     m_function,
 )
-from .errors import InvalidMatrixError, NotPositiveDefiniteError, ParameterError
+from .errors import NotPositiveDefiniteError, ParameterError
 from .jacobi import PIVMIN, JacobiCoeffs, VerblunskyCoeffs, ds_factorize, geronimus
 from .rates import (
     RateReport,
@@ -210,18 +210,18 @@ def _jost(model: TailJacobiModel) -> _JostRoots:
     Complex roots are never outliers: the operator is self-adjoint, and a
     complex root just outside the circle is a resonance pushed there by
     rounding. The head is read once, as float lists padded with the reduced
-    tail (0 and 1); a NaN or infinite entry is refused before the companion
-    matrix is built.
+    tail (0 and 1); a reduced entry b or a^2 that overflows is refused
+    before the companion matrix is built.
     """
     k = model.head_len
     if k == 0:
         return _JostRoots([], 0.0, [], [])
     b_inf, a_inf = model.b_inf, model.a_inf
     head_b, head_a = model.head.b.tolist(), model.head.a.tolist()
-    if not all(map(math.isfinite, [b_inf, a_inf, *head_b, *head_a])):
-        raise InvalidMatrixError("Jacobi coefficients must be finite")
     b = [(x - b_inf) / a_inf for x in head_b] + [0.0] * (k - len(head_b))
     a = [x / a_inf for x in head_a] + [1.0] * (k - len(head_a))
+    if max(map(abs, b)) == math.inf:
+        raise ParameterError("head entry (b - b_inf)/a_inf overflows")
     if max(a) * max(a) == math.inf:
         raise ParameterError(f"head entry a/a_inf = {max(a)!r} overflows when squared")
     n = 2 * k

@@ -223,6 +223,11 @@ MISUSE = [
     ("mc", "--experiment", "nonexistent.json", "--seed", "0"),
     ("mc", "--experiment", "nonexistent.json", "--ensemble", "hermite"),
     ("mc", "--experiment", "nonexistent.json", "--kappa1", "1", "--interval", "[0,1]"),
+    # non-finite coefficients are refused when the value is built
+    ("rate", "--family", "hermite", "--b", "nan"),
+    ("rate", "--family", "hermite", "--b", "0.1", "--a", "inf"),
+    ("rate", "--family", "jacobi", "--alpha", "nan"),
+    ("rate", "--family", "jacobi", "--alpha", "0.1,nan", "--kappa1", "1"),
 ]
 
 
@@ -376,8 +381,11 @@ def test_sumrule_huge_heads(capsys, tmp_path, monkeypatch):
     code, out, err = run(capsys, "sumrule", "--model", model_file(tmp_path, [0.0], [1e160]))
     assert code == 1 and out == ""
     assert len(err.strip().splitlines()) == 1 and err.startswith("error: ")
-    # so is a NaN entry, before the Jost companion matrix is built
-    code, out, err = run(capsys, "sumrule", "--model", model_file(tmp_path, [0.3, math.nan], []))
+    # so is a NaN entry, when the model file is read (no model can hold one)
+    nan_model = tmp_path / "nan_model.json"
+    nan_model.write_text(json.dumps({"tail": {"a": 1.0, "b": 0.0},
+                                     "head": {"b": [0.3, math.nan], "a": []}}))
+    code, out, err = run(capsys, "sumrule", "--model", str(nan_model))
     assert code == 1 and out == ""
     assert len(err.strip().splitlines()) == 1 and err.startswith("error: ") and "finite" in err
     # a NaN gap fails the check rather than passing it
@@ -392,6 +400,24 @@ def test_sumrule_huge_heads(capsys, tmp_path, monkeypatch):
     monkeypatch.setattr(cli_module, "sumrule_verify", lambda model: inf_report)
     code, out, _ = run(capsys, "sumrule", "--model", model_file(tmp_path, [0.3], []))
     assert code == 2 and json.loads(out)["gap"] == math.inf
+
+
+@pytest.mark.parametrize("argv, tail, head_b, reason", [
+    (("sumrule",), {"a": math.nan, "b": 0.0}, [0.3], "finite"),
+    (("sumrule",), {"a": 1.0, "b": -math.inf}, [0.3], "finite"),
+    # the tail (sqrt(tau), 1 + tau) at tau = 1e-300 reduces b_0 = 1e300 to 1e450
+    (("probe", "--family", "laguerre", "--tau", "1e-300"), {"a": 1e-150, "b": 1.0}, [1e300],
+     "overflows"),
+], ids=["sumrule-a-nan", "sumrule-b-inf", "probe-reduced-overflow"])
+def test_bad_model_refused_by_name(capsys, tmp_path, argv, tail, head_b, reason):
+    # a non-finite tail was refused for not being the free one, and a head
+    # entry that overflows once reduced by the tail reached numpy's LinAlgError
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps({"tail": tail, "head": {"b": head_b, "a": []}}))
+    code, out, err = run(capsys, *argv, "--model", str(path))
+    assert code == 1 and out == ""
+    lines = err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ") and reason in lines[0]
 
 
 def test_sumrule_tiny_off_diagonal(capsys, tmp_path):

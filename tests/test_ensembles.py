@@ -18,7 +18,6 @@ from betaspectra.ensembles import (
     _hermite_draw,
     _jacobi_kn_draw,
     _laguerre_draw,
-    esd,
     sample_batch,
     sample_hermite,
     sample_jacobi_kn,
@@ -114,7 +113,7 @@ def test_measure_interval_validation():
     with pytest.raises(ParameterError):
         spectral_measure(coeffs, interval="[0, 1]")
     with pytest.raises(ParameterError):
-        esd(coeffs, interval="bogus")
+        spectral_measure(coeffs, interval="bogus")
 
 
 def test_spec_slope_scaling():
@@ -319,23 +318,17 @@ def test_jacobi_kn_even_alpha_mean_sign():
           f"(magnitude {abs(sample_med):.3f}, limit {target:.3f})")
 
 
-def test_esd_weights_uniform():
-    spec = EnsembleSpec(kind=Kind.HERMITE, n=50, beta=2.0)
-    coeffs = sample_hermite(spec, RngStream(seed=10))
-    mu = esd(coeffs)
-    assert np.all(mu.weights == 1.0 / 50)
-
-
 def test_esd_arcsine_chi2_improves_with_n():
     # Jacobi-KN with constant exponents has arcsine-distributed eigenvalues
-    # in the large-N limit; a chi-square statistic should shrink with N
+    # in the large-N limit; a chi-square statistic of their empirical
+    # distribution (the locations of the spectral measure) should shrink with N
     def chi2(n):
         spec = EnsembleSpec(kind=Kind.JACOBI_KN, n=n, beta=2.0, a=0.0, b=0.0)
         counts = np.zeros(8)
         reps = max(1, 4000 // n)
         for i in range(reps):
             _, coeffs = sample_jacobi_kn(spec, RngStream(seed=11).substream(i))
-            mu = esd(coeffs, interval="[0,1]")
+            mu = spectral_measure(coeffs, interval="[0,1]")
             counts += np.histogram(mu.locations, bins=8, range=(0.0, 1.0))[0]
         grid = ChebGrid.for_interval(*ARCSINE_01.edges, 1024)
         edges = np.linspace(0.0, 1.0, 9)

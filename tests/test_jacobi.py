@@ -16,7 +16,7 @@ from mpmath.matrices.eigen_symmetric import tridiag_eigen
 from scipy.linalg import eigh_tridiagonal, eigvalsh_tridiagonal
 
 from betaspectra import jacobi
-from betaspectra.ensembles import EnsembleSpec, Kind, _jacobi_kn_draw, esd, sample_batch
+from betaspectra.ensembles import EnsembleSpec, Kind, _jacobi_kn_draw, sample_batch
 from betaspectra.errors import (
     DegenerateMeasureError,
     InvalidMatrixError,
@@ -28,11 +28,11 @@ from betaspectra.jacobi import (
     DiscreteMeasure,
     JacobiCoeffs,
     VerblunskyCoeffs,
+    _decompose,
     _ds_assemble,
     _eigenvalues,
     _first_row_weights,
     _geronimus,
-    _lowest_weights,
     _row0_weights,
     _scaled,
     affine_s,
@@ -173,12 +173,13 @@ def oracle_measure(b, a):
     return lam[order], w[order]
 
 
-def first_row_oracle(b, a):
-    """The eigenvalues and weights of oracle_measure, at 60 digits, from
-    mpmath's implicit QL (EISPACK imtql2) carrying only the first row of
-    the eigenvector matrix (Golub-Welsch): O(n^2) where eigsy is O(n^3)."""
+def first_row_oracle(b, a, digits=60):
+    """The eigenvalues and weights of oracle_measure, at 60 digits by
+    default, from mpmath's implicit QL (EISPACK imtql2) carrying only the
+    first row of the eigenvector matrix (Golub-Welsch): O(n^2) where eigsy
+    is O(n^3)."""
     n = len(b)
-    with mpmath.workdps(60):
+    with mpmath.workdps(digits):
         d = [mpmath.mpf(float(x)) for x in b]
         e = [mpmath.mpf(float(x)) for x in a] + [mpmath.mpf(0)]
         row = mpmath.zeros(1, n)
@@ -250,7 +251,7 @@ def test_ensemble_weights_against_mpmath(kind, beta):
 def row0_refused(coeffs):
     """Whether the vector twisted at row 0 fails its test at some eigenvalue."""
     b, a, _ = _scaled(coeffs.b, coeffs.a)
-    return np.any(_row0_weights(b[None], a[None], _eigenvalues(b, a)[None], coeffs.n)[2])
+    return np.any(_row0_weights(b[None], a[None], _eigenvalues(b, a)[None])[2])
 
 
 def row0_pivots(coeffs):
@@ -265,7 +266,7 @@ def row0_pivots(coeffs):
         u[-1] = b[-1] - lam
         for i in range(coeffs.n - 2, -1, -1):
             u[i] = b[i] - lam - a[i] ** 2 / u[i + 1]
-    return u, _row0_weights(b[None], a[None], lam[None], coeffs.n)[2][0]
+    return u, _row0_weights(b[None], a[None], lam[None])[2][0]
 
 
 def test_row0_zero_pivot_goes_to_twisted_stage():
@@ -396,6 +397,23 @@ def test_small_beta_laguerre_lowest_weights():
     err = mu.weights[:6] - w
     assert abs(np.sum(err)) <= n * EPS
     assert np.max(np.abs(err)) <= n * EPS
+
+
+@pytest.mark.xfail(strict=True, reason="the four lowest weights of a beta = 0.05 Laguerre draw "
+                   "at n = 48 sum 1.3e-10 off, 1.2e4 n eps")
+def test_small_beta_laguerre_hard_edge_weight_sum():
+    # the hard-edge defect of the n = 4000 draw above, at n = 48: the four
+    # lowest eigenvalues are -2.3e-17, 2.7e-43, 2.7e-11 and 2.2e-10, the
+    # first and fourth weights (2.8e-3, 1.5e-2) are 5.2e-10 and -6.9e-10
+    # off, and eigh_tridiagonal's sum of the four is within 1.3e-15
+    spec = EnsembleSpec(kind="laguerre", n=48, beta=0.05, m=48)
+    b, a = sample_batch(spec, np.random.default_rng(1048), 8)
+    b, a = b[7], a[7]
+    mu = spectral_decompose(JacobiCoeffs(b, a))
+    lam, w = first_row_oracle(b, a, digits=100)
+    n = spec.n
+    assert np.max(np.abs(mu.locations - lam)) <= n * EPS * np.max(np.abs(lam))
+    assert abs(np.sum(mu.weights[:4]) - np.sum(w[:4])) <= n * EPS
 
 
 def count_resolves(monkeypatch):
@@ -595,17 +613,16 @@ def test_first_row_weights_batch_equals_rows():
         loc_i, pi_i = _first_row_weights(b[i], a[i], lam[i])
         assert np.array_equal(loc[i], loc_i)
         assert np.array_equal(pi[i], pi_i)
-
-
-def test_lowest_weights_match_spectral_decompose():
+    # the batched decomposition that stat_suite reads is spectral_decompose
+    # row by row: the same locations, and the same weights once normalised
     rng = np.random.default_rng(13)
     b = rng.uniform(-1.0, 1.0, (5, 30))
     a = rng.uniform(0.1, 1.5, (5, 29))
-    lam, pi0 = _lowest_weights(b, a)
+    lam, pi = _decompose(b, a)
     for i in range(5):
         mu = spectral_decompose(JacobiCoeffs(b[i], a[i]))
         assert np.array_equal(lam[i], mu.locations)
-        assert pi0[i] == pytest.approx(mu.weights[0], rel=1e-13, abs=1e-15)
+        assert np.array_equal(pi[i] / np.sum(pi[i]), mu.weights)
 
 
 def test_spectral_decompose_subnormal_offdiagonal():
@@ -633,15 +650,23 @@ def test_degenerate_measures_rejected():
         measure_to_jacobi(mu)
 
 
-@pytest.mark.parametrize("bad", [math.nan, math.inf])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 def test_nonfinite_coefficients_rejected(bad):
-    # before any LAPACK call: scipy's checks raised a bare ValueError, and
-    # the weight kernel alone would return garbage
+    # refused when the coefficients are built, so that no eigensolve, weight
+    # kernel or Jost companion matrix sees one: scipy's checks raised a bare
+    # ValueError, and the weight kernel alone would return garbage
     for b, a in (([0.0, bad, 1.0], [0.5, 0.5]), ([0.0, 0.3, 1.0], [0.5, bad])):
-        coeffs = JacobiCoeffs(b, a)
-        for call in (spectral_decompose, esd, lambda c: _lowest_weights(c.b[None], c.a[None])):
-            with pytest.raises(InvalidMatrixError, match="finite"):
-                call(coeffs)
+        with pytest.raises(InvalidMatrixError, match="finite"):
+            JacobiCoeffs(b, a)
+    with pytest.raises(InvalidMatrixError, match="finite"):
+        JacobiCoeffs.from_json({"b": [0.0, bad], "a": [0.5]})
+
+
+@pytest.mark.parametrize("bad", [math.nan, 1.0, -math.inf])
+def test_verblunsky_coefficients_outside_interval_rejected(bad):
+    # a NaN passed the test max |alpha| >= 1, and geronimus returned NaN coefficients
+    with pytest.raises(RangeError, match="Verblunsky"):
+        VerblunskyCoeffs([0.1, bad, 0.2])
 
 
 def test_invalid_offdiagonal_rejected():

@@ -16,7 +16,7 @@ from scipy import stats
 from betaspectra import montecarlo
 from betaspectra.ensembles import EnsembleSpec, Kind, RngStream, sample_batch, sample_rows
 from betaspectra.errors import ParameterError
-from betaspectra.jacobi import JacobiCoeffs, _lowest_weights, spectral_decompose
+from betaspectra.jacobi import JacobiCoeffs, _decompose, spectral_decompose
 from betaspectra.montecarlo import (
     CSV_HEADER,
     McExperiment,
@@ -487,7 +487,8 @@ def scipy_suite(spec, seed, reps, wrong_marginal):
     """(statistic, p-value) of each stat_suite test, from scipy.stats on the
     same draws: the suite as it was before it dropped scipy.stats."""
     b, a = sample_batch(spec, RngStream(seed=seed, stream=1).generator(), reps)
-    lam, pi1 = _lowest_weights(b, a)
+    lam, pi = _decompose(b, a)
+    pi1 = pi[:, 0]
     bp = spec.beta_prime
     size = spec.laguerre_m if spec.kind is Kind.LAGUERRE else spec.n
     shape1 = 2.0 * bp if wrong_marginal else bp

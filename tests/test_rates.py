@@ -311,6 +311,16 @@ def test_jacobi_ensemble_rate_structure():
     assert len(report.terms) == 3
 
 
+def test_jacobi_ensemble_rate_outside_interval_and_nan():
+    # |alpha_k| >= 1 is a sequence of zero probability: +inf, reported
+    for bad in (1.0, -1.5, math.inf):
+        report = jacobi_ensemble_rate([0.1, bad], 1.0, 0.5)
+        assert report.value == math.inf and report.flags == ["infinite"]
+    # a NaN is no sequence at all: it was reported as +inf too
+    with pytest.raises(ParameterError, match="NaN"):
+        jacobi_ensemble_rate([0.1, math.nan], 1.0, 0.5)
+
+
 def test_jacobi_ensemble_rate_vanishes_at_limits():
     from betaspectra.sumrule import jacobi_limit_alphas
 

@@ -18,6 +18,7 @@ from betaspectra.errors import (
     InvalidMatrixError,
     NotPositiveDefiniteError,
     ParameterError,
+    RangeError,
 )
 from betaspectra.jacobi import (
     JacobiCoeffs,
@@ -390,28 +391,53 @@ def test_huge_heads():
 
 NONFINITE = [("b", math.nan), ("b", math.inf), ("b", -math.inf), ("a", math.nan), ("a", math.inf)]
 NONFINITE_CALLS = {
-    "sumrule_verify": lambda coeffs, _: sumrule_verify(TailJacobiModel(head=coeffs)),
-    "outliers": lambda coeffs, _: outliers(TailJacobiModel(head=coeffs)),
-    "measure_side_rate": lambda coeffs, _: measure_side_rate(TailJacobiModel(head=coeffs), SC),
-    "laguerre_probe": lambda coeffs, _: conjecture_probe_laguerre(
-        TailJacobiModel(a_inf=1.0, b_inf=2.0, head=coeffs), 1.0),
-    "jacobi_probe": lambda _, bad: conjecture_probe_jacobi([0.1, bad], 1.0, 0.5),
+    "sumrule_verify": lambda b, a, _: sumrule_verify(TailJacobiModel(head=JacobiCoeffs(b, a))),
+    "outliers": lambda b, a, _: outliers(TailJacobiModel(head=JacobiCoeffs(b, a))),
+    "measure_side_rate": lambda b, a, _: measure_side_rate(
+        TailJacobiModel(head=JacobiCoeffs(b, a)), SC),
+    "laguerre_probe": lambda b, a, _: conjecture_probe_laguerre(
+        TailJacobiModel(a_inf=1.0, b_inf=2.0, head=JacobiCoeffs(b, a)), 1.0),
+    "jacobi_probe": lambda _b, _a, bad: conjecture_probe_jacobi([0.1, bad], 1.0, 0.5),
 }
 
 
 @pytest.mark.parametrize("call", NONFINITE_CALLS)
 @pytest.mark.parametrize("where, bad", NONFINITE)
 def test_nonfinite_head_refused(call, where, bad):
-    # refused by type, never numpy's LinAlgError from the companion matrix.
-    # A NaN reaches the Jost roots in every call; an infinity is refused
-    # earlier by the probes (a negative pivot, a Verblunsky coefficient
-    # outside (-1, 1)). a = -inf is not a JacobiCoeffs at all.
+    # refused by type, never numpy's LinAlgError from the companion matrix:
+    # a head is refused when its coefficients are built, a NaN Verblunsky
+    # coefficient by the Jacobi rate and an infinite one by VerblunskyCoeffs
     b, a = [0.1, 0.2], [0.9]
     (b if where == "b" else a)[0] = bad
     with pytest.raises(BetaSpectraError) as info:
-        NONFINITE_CALLS[call](JacobiCoeffs(np.array(b), np.array(a)), bad)
-    if math.isnan(bad) or "probe" not in call:
+        NONFINITE_CALLS[call](b, a, bad)
+    if call != "jacobi_probe":
         assert info.type is InvalidMatrixError and "finite" in str(info.value)
+    else:
+        assert info.type is (ParameterError if math.isnan(bad) else RangeError)
+
+
+@pytest.mark.parametrize("key, bad", [("a", math.nan), ("a", math.inf), ("b", math.nan),
+                                      ("b", -math.inf)])
+def test_nonfinite_tail_refused(key, bad):
+    # a NaN a_inf passed the test a_inf <= 0, and m_function then reported a pole
+    with pytest.raises(ParameterError, match="finite"):
+        TailJacobiModel(**{f"{key}_inf": bad})
+    with pytest.raises(ParameterError, match="finite"):
+        TailJacobiModel.from_json({"tail": {"a": 1.0, "b": 0.0, key: bad}})
+
+
+@pytest.mark.parametrize("call", [outliers, lambda m: measure_side_rate(m, SC)],
+                         ids=["outliers", "measure_side_rate"])
+@pytest.mark.parametrize("model", [
+    TailJacobiModel(a_inf=1e-300, head=JacobiCoeffs([1e10], [])),
+    TailJacobiModel(b_inf=-1e308, head=JacobiCoeffs([1e308, 0.0], [0.5])),
+], ids=["b/a_inf", "b-b_inf"])
+def test_reduced_head_overflow_refused(call, model):
+    # a finite head whose reduced entry (b - b_inf)/a_inf overflows reached
+    # the Jost companion matrix, and numpy's LinAlgError
+    with pytest.raises(ParameterError, match="overflows"):
+        call(model)
 
 
 # (len(b), len(a)): the 14 short shapes of the sumrule_heads workload, then longer heads
