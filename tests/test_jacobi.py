@@ -613,6 +613,9 @@ def test_first_row_weights_batch_equals_rows():
         loc_i, pi_i = _first_row_weights(b[i], a[i], lam[i])
         assert np.array_equal(loc[i], loc_i)
         assert np.array_equal(pi[i], pi_i)
+
+
+def test_lowest_weights_match_spectral_decompose():
     # the batched decomposition that stat_suite reads is spectral_decompose
     # row by row: the same locations, and the same weights once normalised
     rng = np.random.default_rng(13)
