@@ -4,12 +4,12 @@ Subcommands: sample, sumrule, rate, mc, moments, probe, stats. Three input
 files are read: the model of `sumrule` and `probe --family laguerre`
 (TailJacobiModel), the `mc --experiment` file (McExperiment) and the
 `moments --constraint` file (MomentConstraint); a key that a file's reader
-does not know is refused. A mode of rate, probe, mc or moments (a --family
-value, or the command with or without its input file) reads its options
-from one table: every other option of the command is refused, a required
-one left out is named, and the rest take their defaults. Outputs use the
-JSON schemas of the owning modules; `mc` emits CSV by default. Exit codes:
-0 success, 1 validation error, 2 numerical failure.
+does not know is refused. A mode of a command (a --family value, mc or
+moments with or without its input file, or the command itself) reads its
+options from one table: every other option of the command is refused, a
+required one left out is named, and the rest take their defaults. Outputs
+use the JSON schemas of the owning modules; `mc` emits CSV by default. Exit
+codes: 0 success, 1 validation error, 2 numerical failure.
 """
 
 from __future__ import annotations
@@ -135,14 +135,14 @@ def _run_mode(args, modes: dict, mode: str):
     return call(argparse.Namespace(**read))
 
 
-def _spec_from_args(args, n: int) -> EnsembleSpec:
-    params = {key: getattr(args, key) for key in SPEC_PARAMS}
-    return EnsembleSpec(Kind(args.ensemble), n, args.beta, interval=args.interval, **params)
+def _spec_from_args(o, n: int) -> EnsembleSpec:
+    params = {key: value for key, value in vars(o).items() if key in (*SPEC_PARAMS, "interval")}
+    return EnsembleSpec(o.ensemble, n, o.beta, **params)
 
 
-def _cmd_sample(args) -> int:
-    spec = _spec_from_args(args, args.n)
-    stream = RngStream(seed=_resolve_seed(args))
+def _sample(o) -> dict:
+    spec = _spec_from_args(o, o.n)
+    stream = RngStream(seed=_resolve_seed(o))
     out = {"spec": spec.to_json()}
     if spec.kind is Kind.HERMITE:
         coeffs = sample_hermite(spec, stream)
@@ -156,12 +156,26 @@ def _cmd_sample(args) -> int:
         out["alpha"] = alpha.alpha.tolist()
     out["coeffs"] = coeffs.to_json()
     out["measure"] = spectral_measure(coeffs, spec.interval).to_json()
-    _emit_json(args, out)
+    return out
+
+
+# the ensemble options of sample and stats
+_ENSEMBLE = {"ensemble": REQUIRED, "n": REQUIRED, "beta": 2.0, **dict.fromkeys(SPEC_PARAMS),
+             "seed": 0}
+_SAMPLE_MODES = {"sample": ({**_ENSEMBLE, "interval": "[-2,2]"}, _sample)}
+
+
+def _cmd_sample(args) -> int:
+    _emit_json(args, _run_mode(args, _SAMPLE_MODES, "sample"))
     return 0
 
 
+_SUMRULE_MODES = {"sumrule": ({"model": REQUIRED},
+                              lambda o: sumrule_verify(_read_json(o.model, TailJacobiModel)))}
+
+
 def _cmd_sumrule(args) -> int:
-    report = sumrule_verify(_read_json(args.model, TailJacobiModel))
+    report = _run_mode(args, _SUMRULE_MODES, "sumrule")
     _emit_json(args, report.to_json())
     # a NaN gap compares false either way: only <= lets it fail; an infinite
     # gap passes against an infinite tolerance, so it fails by name
@@ -247,120 +261,69 @@ def _cmd_probe(args) -> int:
     return 0
 
 
+# no --interval: the affine map to [0, 1] changes no weight or correlation
+_STATS_MODES = {"stats": ({**_ENSEMBLE, "reps": 300, "negative_control": False},
+                          lambda o: stat_suite(_spec_from_args(o, o.n), seed=_resolve_seed(o),
+                                               reps=o.reps, wrong_marginal=o.negative_control))}
+
+
 def _cmd_stats(args) -> int:
-    spec = _spec_from_args(args, args.n)
-    report = stat_suite(
-        spec,
-        seed=_resolve_seed(args),
-        reps=args.reps,
-        wrong_marginal=args.negative_control,
-    )
-    _emit_json(args, report.to_json())
+    _emit_json(args, _run_mode(args, _STATS_MODES, "stats").to_json())
     return 0
 
 
-def _add_common(p, seed=True):
-    p.add_argument("--out", default=None, help="output file (default stdout)")
-    if seed:
-        p.add_argument("--seed", type=int, default=0)
+# each command's modes, the options every mode reads (to their defaults)
+# beside --out, and its call
+_COMMANDS = {
+    "sample": (_SAMPLE_MODES, {}, _cmd_sample),
+    "sumrule": (_SUMRULE_MODES, {"tol": 1e-6}, _cmd_sumrule),
+    "rate": (_RATE_MODES, {"family": REQUIRED}, _cmd_rate),
+    "mc": (_MC_MODES, {"format": "csv"}, _cmd_mc),
+    "moments": (_MOMENTS_MODES, {"tol": 1e-6}, _cmd_moments),
+    "probe": (_PROBE_MODES, {"family": REQUIRED}, _cmd_probe),
+    "stats": (_STATS_MODES, {}, _cmd_stats),
+}
+
+# the argparse type, choices or action of each option that is not a plain
+# string, keyed by "command name" where one name means two things
+_ARGUMENTS = {
+    **dict.fromkeys(["n", "m", "seed", "samples", "reps"], {"type": int}),
+    **dict.fromkeys(["beta", "tau", "a", "b", "kappa1", "kappa2", "x", "u_minus", "u_plus", "tol"],
+                    {"type": float}),
+    "rate a": {}, "rate b": {},
+    "rate family": {"choices": [mode.split()[-1] for mode in _RATE_MODES]},
+    "probe family": {"choices": [mode.split()[-1] for mode in _PROBE_MODES]},
+    "ensemble": {"choices": [k.value for k in Kind]},
+    "interval": {"choices": ["[-2,2]", "[0,1]"]},
+    "direction": {"choices": ["max_above", "min_below"]},
+    "format": {"choices": ["json", "csv"]},
+    "negative_control": {"action": "store_true"},
+}
 
 
-def _add_ensemble_args(p):
-    p.add_argument("--ensemble", required=True, choices=[k.value for k in Kind])
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--beta", type=float, default=2.0)
-    p.add_argument("--m", type=int, default=None)
-    p.add_argument("--tau", type=float, default=None)
-    p.add_argument("--a", type=float, default=None)
-    p.add_argument("--b", type=float, default=None)
-    p.add_argument("--kappa1", type=float, default=None)
-    p.add_argument("--kappa2", type=float, default=None)
+def _help(tables: dict, name: str) -> str:
+    return "; ".join(f"{mode}: " + ("required" if table[name] is REQUIRED
+                                    else f"default {table[name]!r}")
+                     for mode, table in tables.items() if name in table)
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """One --flag per option of a command's mode tables, default None, and
+    the options every mode of the command reads, to their defaults; each
+    option's help names the modes that read it and their defaults."""
     parser = _Parser(prog="betaspectra", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("sample")
-    _add_ensemble_args(p)
-    p.add_argument("--interval", choices=["[-2,2]", "[0,1]"], default="[-2,2]")
-    _add_common(p)
-    p.set_defaults(func=_cmd_sample)
-
-    p = sub.add_parser("sumrule")
-    p.add_argument("--model", required=True)
-    p.add_argument("--tol", type=float, default=1e-6,
-                   help="exit 2 when |gap| exceeds tol * (1 + jacobi_side)")
-    _add_common(p, seed=False)
-    p.set_defaults(func=_cmd_sumrule)
-
-    p = sub.add_parser("rate")
-    p.add_argument("--family", required=True,
-                   choices=["fg", "fl", "fj", "hermite", "laguerre", "jacobi"])
-    p.add_argument("--x", type=float, default=None)
-    p.add_argument("--tau", type=float, default=None, help="fl and laguerre (default 1)")
-    p.add_argument("--u-minus", type=float, default=None, help="fj (default 0)")
-    p.add_argument("--u-plus", type=float, default=None, help="fj (default 1)")
-    p.add_argument("--b", default=None, help="comma-separated diagonal entries")
-    p.add_argument("--a", default=None, help="comma-separated off-diagonal entries")
-    p.add_argument("--d", default=None)
-    p.add_argument("--s", default=None)
-    p.add_argument("--alpha", default=None)
-    p.add_argument("--kappa1", type=float, default=None)
-    p.add_argument("--kappa2", type=float, default=None)
-    _add_common(p, seed=False)
-    p.set_defaults(func=_cmd_rate)
-
-    # no abbreviations: a removed --n must not be read as --n-list
-    p = sub.add_parser("mc", allow_abbrev=False)
-    # defaults in _MC_MODES: beside --experiment, only --format and --out are taken
-    p.add_argument("--experiment", default=None, help="experiment JSON file")
-    p.add_argument("--ensemble", choices=[k.value for k in Kind], default=None)
-    p.add_argument("--beta", type=float, default=None)
-    p.add_argument("--m", type=int, default=None,
-                   help="Laguerre m at the largest --n-list size, so tau = m / N")
-    p.add_argument("--tau", type=float, default=None)
-    p.add_argument("--a", type=float, default=None, help="fixed Jacobi-KN exponent a")
-    p.add_argument("--b", type=float, default=None, help="fixed Jacobi-KN exponent b")
-    p.add_argument("--kappa1", type=float, default=None)
-    p.add_argument("--kappa2", type=float, default=None)
-    p.add_argument("--interval", choices=["[-2,2]", "[0,1]"], default=None)
-    p.add_argument("--x", type=float, default=None)
-    p.add_argument("--n-list", default=None)
-    p.add_argument("--samples", type=int, default=None)
-    p.add_argument("--direction", choices=["max_above", "min_below"], default=None)
-    p.add_argument("--format", choices=["json", "csv"], default="csv")
-    _add_common(p, seed=False)
-    p.add_argument("--seed", type=int, default=None)
-    p.set_defaults(func=_cmd_mc)
-
-    p = sub.add_parser("moments")
-    p.add_argument("--constraint", default=None, help="constraint JSON file")
-    p.add_argument("--c", default=None, help="comma-separated moments c_1..c_{2l-1}")
-    p.add_argument("--tol", type=float, default=1e-6,
-                   help="exit 2 when primal - dual exceeds tol without a flag")
-    _add_common(p, seed=False)
-    p.set_defaults(func=_cmd_moments)
-
-    p = sub.add_parser("probe")
-    p.add_argument("--family", required=True, choices=["laguerre", "jacobi"])
-    p.add_argument("--model", default=None)
-    p.add_argument("--tau", type=float, default=None, help="laguerre (default 1)")
-    p.add_argument("--alpha", default=None)
-    p.add_argument("--kappa1", type=float, default=None)
-    p.add_argument("--kappa2", type=float, default=None)
-    _add_common(p, seed=False)
-    p.set_defaults(func=_cmd_probe)
-
-    # no --interval: the affine map to [0, 1] changes no weight or correlation
-    p = sub.add_parser("stats")
-    _add_ensemble_args(p)
-    p.set_defaults(interval="[-2,2]")
-    p.add_argument("--reps", type=int, default=300)
-    p.add_argument("--negative-control", action="store_true")
-    _add_common(p)
-    p.set_defaults(func=_cmd_stats)
-
+    for command, (modes, always, call) in _COMMANDS.items():
+        # no abbreviations: a removed --n must not be read as --n-list
+        p = sub.add_parser(command, allow_abbrev=False)
+        p.set_defaults(func=call)
+        tables = {mode: table for mode, (table, _) in modes.items()}
+        tables[f"every {command} mode"] = {**always, "out": None}
+        for name in dict.fromkeys(name for table in tables.values() for name in table):
+            default = always.get(name)
+            p.add_argument(_flag(name), default=None if default is REQUIRED else default,
+                           required=default is REQUIRED, help=_help(tables, name),
+                           **_ARGUMENTS.get(f"{command} {name}", _ARGUMENTS.get(name, {})))
     return parser
 
 

@@ -52,10 +52,8 @@ EPS = np.finfo(float).eps
 # first-order correction has removed that error, and its own rounding (a
 # backward error of a few eps in each entry of J - lambda) mixes far less:
 # the pair is re-solved only when closer than MIX_KEPT |J| sqrt(pi_k
-# pi_{k+1}) / n. On 43,000 such pairs of ensemble draws at n = 40 and 200
-# (beta 0.5 to 2, and Hermite and Jacobi-KN at 0.1), those farther apart
-# sum to within 0.65 n eps of their dstein re-solve. Pairs closer than
-# 8 eps |J| are re-solved whatever their weights.
+# pi_{k+1}) / n. Pairs closer than 8 eps |J| are re-solved whatever their
+# weights.
 MIX = 100.0
 MIX_KEPT = 1.0
 # The row-0 pass (_row0_weights) keeps a weight when the bound B on the
@@ -170,29 +168,24 @@ def spectral_decompose(coeffs: JacobiCoeffs) -> DiscreteMeasure:
     """Atoms (lambda_k, pi_k): eigenvalues and squared first components of
     unit eigenvectors of the full n x n matrix, n = coeffs.n.
 
-    Both come from J scaled into [-1, 1] (_scaled): eigenvalues from LAPACK
-    dsterf, each moved to the Rayleigh quotient of its twisted vector where
-    the residual certifies it, and weights from one backward pass over every
-    eigenvalue at once, the vector twisted at row 0 with its weight
-    corrected to first order in the eigenvalue's error and kept by a bound
-    on what that correction leaves, then a twist of J - lambda at the best
-    row for each eigenvalue that bound refuses (small weights next to heavy
-    ones), and LAPACK dstein on each run of neighbours too close to tell
-    apart (_first_row_weights). No eigenvector is kept: memory is O(n)
-    besides the runs and at most 16 MB for the second stage. Each weight,
-    or the summed weight of neighbours closer than 1e-3 |J|, is within
-    n * eps absolute and 1e-10 relative of 60-digit arithmetic on ensemble
-    draws of size 48 at beta 0.1, 0.5, 1 and 2 and on heads with weights
-    down to 1e-18; on zero-diagonal graded heads the summed weight of
-    neighbours closer than 1e-6 |J| is within n * eps. On those draws and
-    heads no location is farther from the oracle than dsterf's eigenvalue
-    but by one rounding unit of |lambda|_max, and the largest error falls
-    from 11.4 to 0.98 eps |lambda|_max. A weight of a close pair alone is
-    only good to about eps |J| / gap, and at beta 0.1 and n = 4000 the
-    lowest weights of a Laguerre draw are off by up to 1.9e-11 (3e-11
-    summed, against n * eps = 9e-13). Weights are floored at the smallest
-    normal number, and clusters closer than eps |J| keep their summed
-    weight (graded matrices, Wilkinson's W21+ and W41+).
+    Both come from J scaled into [-1, 1] (_decompose): eigenvalues from
+    LAPACK dsterf, each moved to a certified Rayleigh quotient, and weights
+    from twisted factorisations, with LAPACK dstein on each run of
+    neighbours too close to tell apart (_first_row_weights). No eigenvector
+    is kept: memory is O(n) besides the runs and at most 16 MB for the
+    second stage.
+
+    Against 60-digit arithmetic on ensemble draws of size 48 at beta 0.1,
+    0.5, 1 and 2 and on heads with weights down to 1e-18, each weight, or
+    the summed weight of neighbours closer than 1e-3 |J|, is within n * eps
+    absolute and 1e-10 relative, and each location within dsterf's error
+    plus one rounding unit of |lambda|_max; on zero-diagonal graded heads
+    the summed weight of neighbours closer than 1e-6 |J| is within n * eps.
+    A weight of a close pair alone is only good to about eps |J| / gap, and
+    the lowest weights of a small-beta Laguerre draw, in its hard-edge
+    cluster, can miss n * eps. Weights are floored at the smallest normal
+    number, and clusters closer than eps |J| (graded matrices, Wilkinson's
+    W21+ and W41+) keep their summed weight.
     """
     sec = coeffs.section(coeffs.n)
     lam, pi = _decompose(sec.b, sec.a)

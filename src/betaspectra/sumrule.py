@@ -210,8 +210,8 @@ def _jost(model: TailJacobiModel) -> _JostRoots:
     Complex roots are never outliers: the operator is self-adjoint, and a
     complex root just outside the circle is a resonance pushed there by
     rounding. The head is read once, as float lists padded with the reduced
-    tail (0 and 1); a reduced entry b or a^2 that overflows is refused
-    before the companion matrix is built.
+    tail (0 and 1); a reduced entry b or a^2 that overflows, or an a that
+    underflows to 0, is refused before the companion matrix is built.
     """
     k = model.head_len
     if k == 0:
@@ -224,6 +224,8 @@ def _jost(model: TailJacobiModel) -> _JostRoots:
         raise ParameterError("head entry (b - b_inf)/a_inf overflows")
     if max(a) * max(a) == math.inf:
         raise ParameterError(f"head entry a/a_inf = {max(a)!r} overflows when squared")
+    if min(a) == 0.0:
+        raise ParameterError("head entry a/a_inf underflows to 0")
     n = 2 * k
     comp = np.zeros(n * n)
     # the blocks [[0, I], [M, J_K]] in one scatter

@@ -228,6 +228,12 @@ MISUSE = [
     ("rate", "--family", "hermite", "--b", "0.1", "--a", "inf"),
     ("rate", "--family", "jacobi", "--alpha", "nan"),
     ("rate", "--family", "jacobi", "--alpha", "0.1,nan", "--kappa1", "1"),
+    # a required option left out is named by the mode, for every command
+    ("sample", "--ensemble", "hermite"),
+    ("stats", "--n", "5"),
+    # no command reads an abbreviated flag
+    ("rate", "--fam", "fg", "--x", "2.5"),
+    ("probe", "--fam", "jacobi"),
 ]
 
 
@@ -282,9 +288,8 @@ def test_moments_refuses_c_beside_constraint(capsys, tmp_path):
     assert err == "error: moments --constraint takes no '--c'\n"
 
 
-# every mode of rate, probe, mc and moments by name, from the mode tables
-MODES = {"rate": cli_module._RATE_MODES, "probe": cli_module._PROBE_MODES,
-         "mc": cli_module._MC_MODES, "moments": cli_module._MOMENTS_MODES}
+# every mode of every command by name, from the mode tables
+MODES = {command: modes for command, (modes, _, _) in cli_module._COMMANDS.items()}
 # read by every mode of their command, so never refused
 ALWAYS_READ = {"--out", "--format", "--tol", "--family"}
 
@@ -341,6 +346,24 @@ def test_every_option_is_read_by_a_mode(command):
     read = {name for table, _ in MODES[command].values() for name in table}
     assert [flag for flag, (dest, _) in parser_options(command).items()
             if dest not in read and flag not in ALWAYS_READ] == []
+
+
+@pytest.mark.parametrize("command", MODES)
+def test_help_names_each_mode_and_default(capsys, monkeypatch, command):
+    monkeypatch.setenv("COLUMNS", "1000")  # one line per option, unless its flag is long
+    code, out, _ = run(capsys, command, "--help")
+    assert code == 0
+    entries, lines = {}, out[out.index("options:"):].splitlines()[1:]
+    for line in lines:
+        if line.startswith("  -"):
+            flag = line.split()[0]
+            entries[flag] = line
+        elif line.strip():
+            entries[flag] += line
+    for mode, (table, _) in MODES[command].items():
+        for name, default in table.items():
+            expect = "required" if default is cli_module.REQUIRED else f"default {default!r}"
+            assert f"{mode}: {expect}" in entries[f"--{name.replace('_', '-')}"], (mode, name)
 
 
 @pytest.mark.parametrize("tau", ["-1", "0", "1.5"])

@@ -429,14 +429,16 @@ def test_nonfinite_tail_refused(key, bad):
 
 @pytest.mark.parametrize("call", [outliers, lambda m: measure_side_rate(m, SC)],
                          ids=["outliers", "measure_side_rate"])
-@pytest.mark.parametrize("model", [
-    TailJacobiModel(a_inf=1e-300, head=JacobiCoeffs([1e10], [])),
-    TailJacobiModel(b_inf=-1e308, head=JacobiCoeffs([1e308, 0.0], [0.5])),
-], ids=["b/a_inf", "b-b_inf"])
-def test_reduced_head_overflow_refused(call, model):
+@pytest.mark.parametrize("model, reason", [
+    (TailJacobiModel(a_inf=1e-300, head=JacobiCoeffs([1e10], [])), "overflows"),
+    (TailJacobiModel(b_inf=-1e308, head=JacobiCoeffs([1e308, 0.0], [0.5])), "overflows"),
+    (TailJacobiModel(a_inf=1e10, head=JacobiCoeffs([0.0, 0.0], [1e-320])), "underflows"),
+], ids=["b/a_inf", "b-b_inf", "a/a_inf-underflow"])
+def test_reduced_head_overflow_refused(call, model, reason):
     # a finite head whose reduced entry (b - b_inf)/a_inf overflows reached
-    # the Jost companion matrix, and numpy's LinAlgError
-    with pytest.raises(ParameterError, match="overflows"):
+    # the Jost companion matrix, and numpy's LinAlgError; an a/a_inf that
+    # rounds to 0 (1e-330) raised a bare ValueError from log(0)
+    with pytest.raises(ParameterError, match=reason):
         call(model)
 
 
