@@ -8,6 +8,7 @@ concave log-integral maximization solved by damped Newton ascent.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -137,15 +138,38 @@ class DualResult:
         return self.value
 
 
+@functools.lru_cache(maxsize=8)
+def _dual_data(order: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The dual's data that depend on the order alone, built once per order
+    and returned read-only: the semicircle weights of the 512-node
+    Gauss-Chebyshev rule, its node powers x^0..x^(2 order), the Hankel
+    index (j + k) of the Hessian, and the powers x^0..x^order of the 4097
+    equispaced points of [-2, 2] on which feasibility is scanned."""
+    grid = ChebGrid.for_interval(-2.0, 2.0, 512)
+    w_sc = grid.weights * density(SC, grid.nodes)
+    powers = np.vstack([grid.nodes**j for j in range(2 * order + 1)])
+    hankel_index = np.add.outer(np.arange(order + 1), np.arange(order + 1))
+    check_x = np.linspace(-2.0, 2.0, 4097)
+    check_powers = np.vstack([check_x**j for j in range(order + 1)])
+    arrays = (w_sc, powers, hankel_index, check_powers)
+    for arr in arrays:
+        arr.flags.writeable = False
+    return arrays
+
+
 def constrained_rate_dual(c: MomentConstraint) -> DualResult:
     """sup over (v_0, v) of v_0 + sum v_j c_j + int log(1 - v_0 - sum v_j x^j) dSC.
 
     Concave; at most 200 damped Newton steps from v = 0 with feasibility
-    backtracking (the integrand requires 1 - sum v_j x^j > 0 on [-2, 2]), on
-    512 Gauss-Chebyshev nodes. Equality with the primal is claimed only for
-    moments of measures supported in [-2, 2]. Moments that no measure on
-    [-2, 2] with an a.c. part has (`MomentConstraint.fits_interval`) make
-    the dual unbounded: +inf with the `infeasible` flag, and no Newton step.
+    backtracking, on 512 Gauss-Chebyshev nodes. The integrand requires
+    u = 1 - sum v_j x^j > 0 on [-2, 2]; a trial step is taken as feasible
+    when u > 0 on 4097 equispaced points of [-2, 2], not on the whole
+    interval. The nodes, their powers and the scan points depend on the
+    order alone and are built once per order (`_dual_data`). Equality with
+    the primal is claimed only for moments of measures supported in
+    [-2, 2]. Moments that no measure on [-2, 2] with an a.c. part has
+    (`MomentConstraint.fits_interval`) make the dual unbounded: +inf with
+    the `infeasible` flag, and no Newton step.
     """
     _check_interior(c.hankel())
     if not c.fits_interval():
@@ -154,20 +178,16 @@ def constrained_rate_dual(c: MomentConstraint) -> DualResult:
             value=math.inf, v=np.zeros(c.order + 1), grad_norm=math.inf, certified=False,
             flags=[flag],
         )
-    grid = ChebGrid.for_interval(-2.0, 2.0, 512)
     order = c.order
     ext = c.extended
-    w_sc = grid.weights * density(SC, grid.nodes)
-    powers = np.vstack([grid.nodes**j for j in range(2 * order + 1)])
-    hankel_index = np.add.outer(np.arange(order + 1), np.arange(order + 1))
-    check_x = np.linspace(-2.0, 2.0, 4097)
-    check_powers = np.vstack([check_x**j for j in range(order + 1)])
+    w_sc, powers, hankel_index, check_powers = _dual_data(order)
 
     def u_quad(v):
         return 1.0 - v @ powers[: order + 1]
 
     def feasible(v):
-        return bool(np.all(1.0 - v @ check_powers > 0.0))
+        # max(v @ x^j) < 1 decides as all(1 - v @ x^j > 0) does; NaN fails both
+        return bool(np.max(v @ check_powers) < 1.0)
 
     def psi(v, u):
         return float(v @ ext + w_sc @ np.log(u))

@@ -173,17 +173,32 @@ def rate_fj(x: float, u_minus: float, u_plus: float) -> float:
     )
 
 
+def _kmk_scale(u_minus: float, u_plus: float) -> float:
+    """2/(1 - sqrt(u_- u_+) - sqrt((1 - u_-)(1 - u_+))), the normalising
+    constant of the KMK(u_-, u_+) density, which is 2 + kappa1 + kappa2 for
+    `kmk_of_slopes` and 2 for KMK(0, 1). The denominator is written as
+    (u_+ - u_-)^2 / ((sqrt(u_-) + sqrt(u_+))^2 (1 - sqrt(u_- u_+) + sqrt((1 - u_-)(1 - u_+)))),
+    a quotient of positive terms, so a narrow support loses no digits."""
+    s = math.sqrt(u_minus * u_plus)
+    one_minus_s = ((1.0 - u_minus) + u_minus * (1.0 - u_plus)) / (1.0 + s)
+    wide = one_minus_s + math.sqrt((1.0 - u_minus) * (1.0 - u_plus))
+    return 2.0 * (math.sqrt(u_minus) + math.sqrt(u_plus)) ** 2 * wide / (u_plus - u_minus) ** 2
+
+
 def outlier_cost(law: EquilibriumLaw, x: float) -> float:
     """The extreme-eigenvalue cost of an outlier at x for the ensemble whose
-    limit law is `law`: F_G for SC, F_L for MP(tau), F_J for KMK(u_-, u_+),
-    and F_J of KMK(0, 1) for the arcsine law on [-2, 2], through `affine_s`."""
+    limit law is `law`, at the speed of its coefficient-side rate: F_G for
+    SC, F_L for MP(tau), and for KMK(u_-, u_+) the integral F_J times the
+    law's normalising constant 2/(1 - sqrt(u_- u_+) - sqrt((1 - u_-)(1 - u_+)))
+    (2 + kappa1 + kappa2 for `kmk_of_slopes`). The arcsine law on [-2, 2] is
+    KMK(0, 1) through `affine_s`: twice F_J of KMK(0, 1)."""
     if law.family is Family.SEMICIRCLE:
         return rate_fg(x)
     if law.family is Family.MARCHENKO_PASTUR:
         return rate_fl(x, law.tau)
     if law.family is Family.KESTEN_MCKAY:
-        return rate_fj(x, law.u_minus, law.u_plus)
-    return rate_fj(float(affine_s(x)), 0.0, 1.0)
+        return _kmk_scale(law.u_minus, law.u_plus) * rate_fj(x, law.u_minus, law.u_plus)
+    return 2.0 * rate_fj(float(affine_s(x)), 0.0, 1.0)
 
 
 def small_g(x: float) -> float:

@@ -264,10 +264,13 @@ def outliers(model: TailJacobiModel):
 
 
 def _measure_terms(reference: EquilibriumLaw, roots: _JostRoots) -> tuple[list, float]:
-    """The terms of the measure side, K(reference | nu) and then the cost of
-    each outlier in the order of roots.outlier_list, and their sum."""
-    terms = [roots.kullback(reference)]
-    terms += [outlier_cost(reference, e) for e, _ in roots.outlier_list]
+    """The terms of the measure side, c K(reference | nu) (c = tau for
+    MP(tau), see `measure_side_rate`) and then the cost of each outlier in
+    the order of roots.outlier_list, and their sum."""
+    kullback = roots.kullback(reference)
+    if reference.family is Family.MARCHENKO_PASTUR:
+        kullback *= reference.tau
+    terms = [kullback] + [outlier_cost(reference, e) for e, _ in roots.outlier_list]
     return terms, sum(terms)
 
 
@@ -281,7 +284,8 @@ def _measure_side(
             f"reference support [{rlo}, {rhi}] does not match model bulk [{lo}, {hi}]"
         )
     values, total = _measure_terms(reference, roots)
-    labels = ["kullback"] + [f"F({e:.12g})" for e, _ in roots.outlier_list]
+    kullback = "tau*kullback" if reference.family is Family.MARCHENKO_PASTUR else "kullback"
+    labels = [kullback] + [f"F({e:.12g})" for e, _ in roots.outlier_list]
     flags = [
         f"edge resonance at {e:.12g}: Jost root within {JOST_EDGE_DELTA:g} "
         "of the unit circle, not counted as an outlier"
@@ -293,12 +297,16 @@ def _measure_side(
 
 
 def measure_side_rate(model: TailJacobiModel, reference: EquilibriumLaw) -> RateReport:
-    """Measure-side rate K(reference | nu) + sum of outlier costs, both exact
-    finite sums over the Jost roots of the model (truncation 0).
+    """Measure-side rate c K(reference | nu) + sum of outlier costs, both
+    exact finite sums over the Jost roots of the model (truncation 0), at
+    the speed of the reference's coefficient side.
 
     reference must share its support with the model bulk: SC for the free
     tail, MP(tau) for the Laguerre tail, KMK(u_-, u_+) for the Jacobi tail on
-    [0, 1]. Its family picks the outlier cost (`rates.outlier_cost`).
+    [0, 1]. Its family picks the outlier cost (`rates.outlier_cost`, which
+    scales F_J by the KMK normalising constant) and the Kullback weight c:
+    tau for MP(tau), whose m Dirichlet weights move at speed
+    beta' m = tau beta' n, and 1 otherwise.
     """
     return _measure_side(model, reference, _jost(model))
 
@@ -363,7 +371,8 @@ class ConjectureReport:
 
 def conjecture_probe_laguerre(model: TailJacobiModel, tau: float) -> ConjectureReport:
     """Laguerre conjecture: sum G(d_k) + tau sum G(s_k/sqrt(tau)), k >= 1, against
-    K(MP(tau) | nu) + sum F_L(E_j) (`measure_side_rate`); both sides exact.
+    tau K(MP(tau) | nu) + sum F_L(E_j) (`measure_side_rate`); both sides
+    exact, and equal to rounding.
 
     Past row K = max(len(head.a), len(head.b) - 1) of the MP(tau) tail,
     x_k = d_k^2 follows x_{k+1} = 1 + tau - tau/x_k, the k-th pair of terms is
@@ -411,7 +420,9 @@ def jacobi_limit_alphas(kappa1: float, kappa2: float) -> tuple[float, float]:
 
 def conjecture_probe_jacobi(alpha_head, kappa1: float, kappa2: float) -> ConjectureReport:
     """Jacobi-ensemble conjecture: Verblunsky-side rate against
-    K(KMK | nu) + sum F_J(E_j) on [0, 1].
+    K(KMK | nu) + (2 + kappa1 + kappa2) sum F_J(E_j) on [0, 1]; the factor is
+    the KMK normalising constant (`rates.outlier_cost`). The two sides are
+    equal to rounding.
 
     alpha_head is a finite Verblunsky prefix (package convention); the
     sequence continues with the limiting values, whose rate terms are 0, so

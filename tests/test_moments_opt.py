@@ -1,5 +1,7 @@
 """Moment-constrained rate minimization: primal map, dual ascent, duality."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -11,7 +13,7 @@ from betaspectra.moments_opt import (
     moment_opt_report,
     moments_to_jacobi,
 )
-from betaspectra.jacobi import jacobi_moments
+from betaspectra.jacobi import JacobiCoeffs, jacobi_moments
 from betaspectra.sumrule import TailJacobiModel
 
 
@@ -121,3 +123,49 @@ def test_report_flags_outliers():
     report = moment_opt_report(MomentConstraint(np.array([0.1])))
     assert report["primal"] == pytest.approx(report["dual"], abs=1e-6)
     assert "coeffs" in report
+
+
+def workload_constraints(seed, count):
+    """Level-2 and level-3 constraints drawn as the sumrule_heads benchmark
+    draws them: the moments of a random section b in (-0.3, 0.3),
+    a in (0.75, 1.2)."""
+    rng = np.random.default_rng(seed)
+    out = []
+    for i in range(count):
+        level = 2 + i % 2
+        b = rng.uniform(-0.3, 0.3, level)
+        a = rng.uniform(0.75, 1.2, level - 1)
+        out.append(MomentConstraint(jacobi_moments(JacobiCoeffs(b, a), level, 2 * level - 1)))
+    return out
+
+
+# sha256 of every DualResult field of the 60 constraints below, bit for bit.
+# It pins the Newton iteration, its trial steps and the feasibility scans;
+# another BLAS build may round the products differently and change it.
+DUAL_DIGEST = "a61e84b606080e75569181599df20edfa6a673fb74f65114d312718152dfe047"
+
+
+def test_dual_bit_identical_on_workload_constraints():
+    digest = hashlib.sha256()
+    uncertified = 0
+    for c in workload_constraints(0, 60):
+        r = constrained_rate_dual(c)
+        uncertified += not r.certified
+        fields = (r.value.hex(), r.v.tobytes().hex(), r.grad_norm.hex(), r.certified, r.flags)
+        digest.update(repr(fields).encode())
+    assert uncertified >= 5
+    assert digest.hexdigest() == DUAL_DIGEST
+
+
+def test_dual_data_built_once_and_read_only():
+    from betaspectra.moments_opt import _dual_data
+
+    arrays = _dual_data(5)
+    assert _dual_data(5) is arrays
+    w_sc, powers, hankel_index, check_powers = arrays
+    assert powers.shape == (11, 512) and check_powers.shape == (6, 4097)
+    assert hankel_index.shape == (6, 6) and w_sc.shape == (512,)
+    for arr in arrays:
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError):
+            arr[0] = 0.0

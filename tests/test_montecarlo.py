@@ -90,12 +90,20 @@ def test_theory_rate_dispatch():
                              interval=interval)
         assert theory_rate(fixed, inside) == 0.0
         assert theory_rate(fixed, outside) == math.inf
+    # Jacobi-KN with slopes: F_J times 2 + kappa1 + kappa2. This corrects
+    # the values this test pinned before, 0.010965941663942456,
+    # 0.21847955877335434 and 1.1917599740602367, which were F_J alone: the
+    # exact beta = 2 tail (a Gram determinant fitted over N = 50..800, ROADMAP
+    # item 1) gives -log P/N -> 0.11471 at kappa = (1, 0.5), u = 0.98664 and
+    # 0.49417 at kappa = (0.3, 2), u = 0.86939, 3.525 and 4.302 times F_J
     slopes = EnsembleSpec(kind=Kind.JACOBI_KN, n=10, beta=2.0, kappa1=1.0, kappa2=0.5)
-    assert theory_rate(slopes, 1.93) == 0.010965941663942456
-    assert theory_rate(slopes, -1.9) == 0.21847955877335434
+    assert theory_rate(slopes, 1.93) == 0.038380795823798615
+    assert theory_rate(slopes, -1.9) == 0.7646784557067405
+    assert theory_rate(slopes, 4.0 * 0.98664 - 2.0) == pytest.approx(0.11471, rel=0.01)
     slopes01 = EnsembleSpec(kind=Kind.JACOBI_KN, n=10, beta=2.0, kappa1=0.3, kappa2=2.0,
                             interval="[0,1]")
-    assert theory_rate(slopes01, 0.99) == 1.1917599740602367
+    assert theory_rate(slopes01, 0.99) == 5.124567888459017
+    assert theory_rate(slopes01, 0.86939) == pytest.approx(0.49417, rel=0.01)
 
 
 def test_sturm_count_matches_eigensolve():

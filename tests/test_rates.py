@@ -8,10 +8,13 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from betaspectra.equilibria import ARCSINE_01, ARCSINE_SYM, SC, EquilibriumLaw, Family, mp_edges
+from betaspectra.equilibria import (
+    ARCSINE_01, ARCSINE_SYM, SC, EquilibriumLaw, Family, kmk_of_slopes, mp_edges,
+)
 from betaspectra.errors import ParameterError
 from betaspectra.jacobi import JacobiCoeffs, VerblunskyCoeffs, ds_assemble
 from betaspectra.rates import (
+    _kmk_scale,
     beta_h,
     big_g,
     hermite_rate,
@@ -181,13 +184,32 @@ def test_g_at_infinity():
 def test_outlier_cost_dispatch():
     assert outlier_cost(SC, -2.7) == rate_fg(-2.7)
     assert outlier_cost(EquilibriumLaw(Family.MARCHENKO_PASTUR, tau=0.3), 2.5) == rate_fl(2.5, 0.3)
+    # KMK: F_J times the law's normalising constant 2/(1 - sqrt(u_- u_+) -
+    # sqrt((1 - u_-)(1 - u_+))). This corrects the unscaled rate_fj that this
+    # test pinned before: the exact beta = 2 tail of the Jacobi ensemble (a
+    # Gram determinant, fitted over N = 50..800) gives -log P/N -> 0.11471 at
+    # kappa = (1, 0.5), u = 0.98664, against F_J = 0.03254 (ratio 3.525,
+    # 2 + kappa1 + kappa2 = 3.5), and 0.49417 at kappa = (0.3, 2),
+    # u = 0.86939, against F_J = 0.11486 (ratio 4.302); ROADMAP item 1
     kmk = EquilibriumLaw(Family.KESTEN_MCKAY, u_minus=0.2, u_plus=0.7)
-    assert outlier_cost(kmk, 0.9) == rate_fj(0.9, 0.2, 0.7)
-    # the arcsine law is KMK(0, 1); on [-2, 2] through s(y) = (y + 2)/4
+    scale = 2.0 / (1.0 - math.sqrt(0.2 * 0.7) - math.sqrt(0.8 * 0.3))
+    assert outlier_cost(kmk, 0.9) == pytest.approx(scale * rate_fj(0.9, 0.2, 0.7), rel=1e-15)
+    for k1, k2, u, oracle in ((1.0, 0.5, 0.98664, 0.11471), (0.3, 2.0, 0.86939, 0.49417)):
+        assert outlier_cost(kmk_of_slopes(k1, k2), u) == pytest.approx(oracle, rel=0.01)
+    # the arcsine law is KMK(0, 1), whose constant is 2; on [-2, 2] through
+    # s(y) = (y + 2)/4
     assert outlier_cost(ARCSINE_01, 0.5) == 0.0 and outlier_cost(ARCSINE_01, 1.2) == INF
     assert outlier_cost(ARCSINE_SYM, -1.9) == 0.0 and outlier_cost(ARCSINE_SYM, 2.1) == INF
     with pytest.raises(ParameterError, match="NaN"):
         outlier_cost(ARCSINE_SYM, math.nan)
+
+
+@pytest.mark.parametrize("kappa", [(0.0, 0.0), (1.0, 0.5), (0.3, 2.0), (1.5, 0.0), (0.7, 1.3)])
+def test_kmk_scale_is_two_plus_slopes(kappa):
+    # the KMK normalising constant depends on the support alone, and on the
+    # law of the slopes it is 2 + kappa1 + kappa2
+    law = kmk_of_slopes(*kappa)
+    assert _kmk_scale(law.u_minus, law.u_plus) == pytest.approx(2.0 + sum(kappa), rel=2e-15)
 
 
 def test_small_big_g():

@@ -356,12 +356,21 @@ def test_measure_side_support_mismatch():
 
 
 # Each law's measure-side terms on the head (b_0, b_1) = tail + (2.8, 0.1) a_inf,
-# a_0 = 1.1 a_inf: one outlier above the support, its cost picked by the law
+# a_0 = 1.1 a_inf: one outlier above the support, its cost picked by the law.
+# Two values are corrected from what this test pinned before, at the speed
+# of each law's coefficient side (ROADMAP item 1):
+# - MP(0.3): the Kullback term is tau K = 0.3 * 2.3078908452048488. The
+#   Laguerre coefficient side equals tau K + sum F_L to rounding, because the
+#   m Dirichlet weights move at speed beta' m = tau beta' n.
+# - KMK(0.2, 0.7): the cost is 2/(1 - sqrt(u_- u_+) - sqrt((1 - u_-)(1 - u_+)))
+#   times F_J = 0.19574274492249122. The exact beta = 2 Jacobi tail (a Gram
+#   determinant fitted over N = 50..800) is 3.525 and 4.302 times F_J at
+#   kappa = (1, 0.5) and (0.3, 2), where this constant is 3.5 and 4.3.
 OUTLIER_TERMS = [
     (SC, 1.9557403434972065, 1.9886392968941444),
-    (EquilibriumLaw(Family.MARCHENKO_PASTUR, tau=0.3), 2.3078908452048488, 0.21339244380907996),
+    (EquilibriumLaw(Family.MARCHENKO_PASTUR, tau=0.3), 0.6923672535614546, 0.21339244380907996),
     (EquilibriumLaw(Family.KESTEN_MCKAY, u_minus=0.2, u_plus=0.7),
-     1.9806609553632066, 0.19574274492249122),
+     1.9806609553632066, 2.8799184109029734),
     (ARCSINE_SYM, 2.62348307849693, math.inf),
 ]
 
@@ -369,7 +378,7 @@ OUTLIER_TERMS = [
 @pytest.mark.parametrize("law, kullback, cost", OUTLIER_TERMS,
                          ids=["sc", "mp0.3", "kmk", "arcsine[-2,2]"])
 def test_measure_side_outlier_cost_terms(law, kullback, cost):
-    # values of the per-family dispatch before rates.outlier_cost, compared exactly
+    # compared exactly; the cost is the one rates.outlier_cost picks
     base = law.model
     model = TailJacobiModel(a_inf=base.a_inf, b_inf=base.b_inf, head=JacobiCoeffs(
         base.b_inf + base.a_inf * np.array([2.8, 0.1]), base.a_inf * np.array([1.1])))
@@ -526,8 +535,61 @@ def test_conjecture_probe_jacobi_perturbed_head():
     report = conjecture_probe_jacobi(np.array([0.4, -0.1]), 0.5, 0.25)
     assert report.coefficient_side.value > 0.0
     assert math.isfinite(report.measure_side.value)
-    # sides agree to modest accuracy at a perturbed point as well
-    assert abs(report.gap) < 1e-4 * (1.0 + report.coefficient_side.value)
+    # both sides are exact finite sums, so they agree to rounding
+    assert abs(report.gap) < 1e-13 * (1.0 + report.coefficient_side.value)
+
+
+def hard_end_allowance(energies, scale, singular_points):
+    """What an outlier's location error of about 4 eps (|J| <= 4) costs
+    through the cost's log singularity: |F'(E)| <= scale/|E - s| at the
+    nearest singular point s (0 for F_L; 0 and 1 for F_J)."""
+    return sum(1e-15 * scale / min(abs(e - p) for p in singular_points) for e in energies)
+
+
+def test_conjecture_probe_jacobi_is_an_identity():
+    # with the KMK cost scaled by 2 + kappa1 + kappa2 the Verblunsky side
+    # equals K(KMK | nu) + sum of outlier costs; unscaled, the gap was
+    # (1 + kappa1 + kappa2) sum F_J. An outlier within about 1e-6 of the
+    # hard ends 0 and 1 is ill-conditioned, which hard_end_allowance bounds
+    rng = np.random.default_rng(27)
+    with_outliers = 0
+    for _ in range(300):
+        k1, k2 = rng.uniform(0.0, 1.5, 2)
+        alpha = rng.uniform(-0.95, 0.95, int(rng.integers(1, 8)))
+        report = conjecture_probe_jacobi(alpha, k1, k2)
+        _, model = jacobi_probe_case(alpha, k1, k2)
+        found = [e for e, _ in outliers(model)]
+        with_outliers += bool(found)
+        coeff = report.coefficient_side.value
+        tol = 1e-11 * (1.0 + coeff) + hard_end_allowance(found, 2.0 + k1 + k2, (0.0, 1.0))
+        assert report.label == "CONJECTURE" and not hasattr(report, "passed")
+        assert abs(report.gap) <= tol
+    assert with_outliers >= 200
+
+
+def test_conjecture_probe_laguerre_is_an_identity():
+    # with K weighted by tau the coefficient side equals
+    # tau K(MP(tau) | nu) + sum F_L; unweighted, the gap was (tau - 1) K
+    rng = np.random.default_rng(28)
+    compared = with_outliers = 0
+    for _ in range(400):
+        tau = rng.uniform(0.3, 1.0)
+        rt = math.sqrt(tau)
+        nb, na = int(rng.integers(1, 5)), int(rng.integers(0, 5))
+        model = laguerre_model(tau, 1.0 + tau + rt * rng.uniform(-1.5, 2.5, nb),
+                               rt * rng.uniform(0.5, 1.6, na))
+        try:
+            report = conjecture_probe_laguerre(model, tau)
+        except NotPositiveDefiniteError:
+            continue
+        found = [e for e, _ in outliers(model)]
+        with_outliers += bool(found)
+        coeff = report.coefficient_side.value
+        tol = 1e-13 * (1.0 + coeff) + hard_end_allowance(found, 1.0, (0.0,))
+        assert report.label == "CONJECTURE" and not hasattr(report, "passed")
+        assert abs(report.gap) <= tol
+        compared += 1
+    assert compared >= 200 and with_outliers >= 100
 
 
 def kullback_oracle(law, model, pieces=8):
@@ -644,11 +706,16 @@ ORACLE_CASES = {
 @pytest.mark.parametrize("case", ORACLE_CASES)
 def test_kullback_exact_against_mpmath(case):
     law, model = ORACLE_CASES[case]()
-    report = measure_side_rate(model, law)
-    (label, got), *_ = report.terms
-    assert label == "kullback" and report.truncation == 0
+    got = _jost(model).kullback(law)
     assert math.isfinite(got)
     assert got == pytest.approx(kullback_oracle(law, model), abs=1e-13)
+    # the measure side's first term is K, weighted by tau for MP(tau)
+    report = measure_side_rate(model, law)
+    assert report.truncation == 0
+    if law.family is Family.MARCHENKO_PASTUR:
+        assert report.terms[0] == ("tau*kullback", law.tau * got)
+    else:
+        assert report.terms[0] == ("kullback", got)
 
 
 def vectorised_phi(w0, w1, z):
