@@ -74,6 +74,8 @@ class TailJacobiModel:
             raise ParameterError(f"tail a_inf, b_inf must be finite, got {self.a_inf}, {self.b_inf}")
         if self.a_inf <= 0.0:
             raise ParameterError("tail off-diagonal a_inf must be > 0")
+        object.__setattr__(self, "a_inf", float(self.a_inf))  # not a numpy scalar
+        object.__setattr__(self, "b_inf", float(self.b_inf))
 
     @property
     def bulk(self) -> tuple[float, float]:

@@ -247,45 +247,49 @@ def beta_h(u: float, v: float, q: float) -> float:
     return u * (x - lx) + v * (y - ly)
 
 
-def _hermite_terms(b: list, a: list) -> tuple[list, float]:
-    """The terms of `hermite_rate` for the float lists b and a, b_j^2/2 for
-    each b_j and then G(a_j) for each a_j, and their sum taken left to right."""
-    terms = [0.5 * x * x for x in b] + [big_g(x) for x in a]
+def _total(values) -> float:
     total = 0.0
-    for t in terms:
+    for t in values:
         total += t
-    return terms, total
+    return total
+
+
+def _report(labels: list, values: list, truncation: int = 0, flags: list = ()) -> RateReport:
+    """The one RateReport builder: each value under its label, their sum left
+    to right (`_total`), and the flags, "infinite" appended unless the sum is finite."""
+    total = _total(values)
+    flags = [*flags, "infinite"] if not math.isfinite(total) else list(flags)
+    return RateReport(total, list(zip(labels, values)), truncation, flags)
+
+
+def _hermite_terms(b: list, a: list) -> list:
+    """The terms of `hermite_rate`: b_j^2/2 for each b_j, then G(a_j) for each a_j."""
+    return [0.5 * x * x for x in b] + [big_g(x) for x in a]
 
 
 def hermite_rate(coeffs) -> RateReport:
     """Coefficient-side Hermite rate: sum b_j^2/2 + sum G(a_j) over the given coefficients."""
     b = np.asarray(coeffs.b, dtype=float).tolist()  # float arithmetic, not numpy scalars
     a = np.asarray(coeffs.a, dtype=float).tolist()
-    values, total = _hermite_terms(b, a)
     labels = [f"b_{j}^2/2" for j in range(len(b))] + [f"G(a_{j})" for j in range(len(a))]
-    flags = ["infinite"] if not math.isfinite(total) else []
-    return RateReport(value=total, terms=list(zip(labels, values)), truncation=len(b), flags=flags)
+    return _report(labels, _hermite_terms(b, a), truncation=len(b))
+
+
+def _laguerre_terms(d: list, s: list, tau: float) -> tuple[list, list]:
+    """The labels and terms of `laguerre_rate` for the float lists d and s."""
+    labels = [f"G(d_{k})" for k in range(1, len(d) + 1)]
+    labels += [f"tau*G(s_{k}/sqrt(tau))" for k in range(1, len(s) + 1)]
+    rt = math.sqrt(tau)
+    return labels, [big_g(x) for x in d] + [tau * big_g(x / rt) for x in s]
 
 
 def laguerre_rate(d, s, tau: float) -> RateReport:
     """Laguerre coefficient-side rate: sum G(d_k) + tau * sum G(s_k/sqrt(tau))."""
     if not (0.0 < tau <= 1.0):
         raise ParameterError(f"tau must be in (0, 1], got {tau}")
-    d = np.asarray(d, dtype=float)
-    s = np.asarray(s, dtype=float)
-    terms = []
-    total = 0.0
-    for k, dk in enumerate(d, start=1):
-        t = big_g(dk)
-        terms.append((f"G(d_{k})", t))
-        total += t
-    rt = math.sqrt(tau)
-    for k, sk in enumerate(s, start=1):
-        t = tau * big_g(sk / rt)
-        terms.append((f"tau*G(s_{k}/sqrt(tau))", t))
-        total += t
-    flags = ["infinite"] if not math.isfinite(total) else []
-    return RateReport(value=total, terms=terms, truncation=len(d), flags=flags)
+    d = np.asarray(d, dtype=float).tolist()
+    s = np.asarray(s, dtype=float).tolist()
+    return _report(*_laguerre_terms(d, s, tau), truncation=len(d))
 
 
 def jacobi_ensemble_rate(alpha, kappa1: float, kappa2: float) -> RateReport:
@@ -301,16 +305,11 @@ def jacobi_ensemble_rate(alpha, kappa1: float, kappa2: float) -> RateReport:
     """
     if not (kappa1 >= 0.0 and kappa2 >= 0.0):
         raise ParameterError(f"slopes kappa must be >= 0, got ({kappa1}, {kappa2})")
-    vec = np.asarray(alpha.alpha if hasattr(alpha, "alpha") else alpha, dtype=float)
-    if np.any(np.isnan(vec)):
-        raise ParameterError(f"Verblunsky coefficients must not be NaN, got {vec.tolist()}")
-    terms = []
-    total = 0.0
-    for k, al in enumerate(vec):
-        if not (-1.0 < al < 1.0):
-            return RateReport(value=INF, terms=[], truncation=len(vec), flags=["infinite"])
-        u, v = (1.0 + kappa2, 1.0 + kappa1) if k % 2 == 0 else (1.0 + kappa1 + kappa2, 1.0)
-        t = beta_h(u, v, al)
-        terms.append((f"alpha_{k}", t))
-        total += t
-    return RateReport(value=total, terms=terms, truncation=len(vec))
+    vec = np.asarray(alpha.alpha if hasattr(alpha, "alpha") else alpha, dtype=float).tolist()
+    if any(map(math.isnan, vec)):
+        raise ParameterError(f"Verblunsky coefficients must not be NaN, got {vec}")
+    if not all(-1.0 < al < 1.0 for al in vec):
+        return RateReport(value=INF, terms=[], truncation=len(vec), flags=["infinite"])
+    uv = ((1.0 + kappa2, 1.0 + kappa1), (1.0 + kappa1 + kappa2, 1.0))  # even, odd k
+    values = [beta_h(*uv[k % 2], al) for k, al in enumerate(vec)]
+    return _report([f"alpha_{k}" for k in range(len(vec))], values, truncation=len(vec))

@@ -32,8 +32,10 @@ from .jacobi import PIVMIN, JacobiCoeffs, VerblunskyCoeffs, ds_factorize, geroni
 from .rates import (
     RateReport,
     _hermite_terms,
+    _laguerre_terms,
+    _report,
+    _total,
     jacobi_ensemble_rate,
-    laguerre_rate,
     outlier_cost,
 )
 
@@ -56,6 +58,8 @@ __all__ = [
 # edge. Rounding of a threshold resonance (|w| = 1) lands there as well, so
 # such roots are reported as edge resonances and not counted as outliers.
 JOST_EDGE_DELTA = 1e-6
+# How far, absolute, a model's a_inf and b_inf may lie from its reference's tail
+_TAIL_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -196,7 +200,7 @@ def _companion_slots(k: int) -> np.ndarray:
     ])
 
 
-def _jost(model: TailJacobiModel) -> _JostRoots:
+def _jost(model: TailJacobiModel, reference: EquilibriumLaw | None = None) -> _JostRoots:
     """Jost roots of the model reduced to the free tail, (J - b_inf)/a_inf,
     with K = head length: eigenvalues only; masses by twisted factorisation.
 
@@ -210,22 +214,29 @@ def _jost(model: TailJacobiModel) -> _JostRoots:
     Complex roots are never outliers: the operator is self-adjoint, and a
     complex root just outside the circle is a resonance pushed there by
     rounding. The head is read once, as float lists padded with the reduced
-    tail (0 and 1); a reduced entry b or a^2 that overflows, or an a that
-    underflows to 0, is refused before the companion matrix is built.
+    tail (0 and 1). A reduced entry b or a^2 that overflows, an a that
+    underflows to 0, then a tail off the reference's, is refused up front.
     """
     k = model.head_len
-    if k == 0:
-        return _JostRoots([], 0.0, [], [])
     b_inf, a_inf = model.b_inf, model.a_inf
     head_b, head_a = model.head.b.tolist(), model.head.a.tolist()
     b = [(x - b_inf) / a_inf for x in head_b] + [0.0] * (k - len(head_b))
     a = [x / a_inf for x in head_a] + [1.0] * (k - len(head_a))
-    if max(map(abs, b)) == math.inf:
+    if k and max(map(abs, b)) == math.inf:
         raise ParameterError("head entry (b - b_inf)/a_inf overflows")
-    if max(a) * max(a) == math.inf:
+    if k and max(a) * max(a) == math.inf:
         raise ParameterError(f"head entry a/a_inf = {max(a)!r} overflows when squared")
-    if min(a) == 0.0:
+    if k and min(a) == 0.0:
         raise ParameterError("head entry a/a_inf underflows to 0")
+    if reference is not None:
+        ref_a, ref_b = reference._tail()
+        if abs(a_inf - ref_a) > _TAIL_TOL or abs(b_inf - ref_b) > _TAIL_TOL:
+            raise ParameterError(
+                f"model tail (a_inf, b_inf) = ({a_inf!r}, {b_inf!r}) is more than {_TAIL_TOL:g} "
+                f"from the {reference.family.name.lower()} tail ({ref_a!r}, {ref_b!r})"
+            )
+    if k == 0:
+        return _JostRoots([], 0.0, [], [])
     n = 2 * k
     comp = np.zeros(n * n)
     # the blocks [[0, I], [M, J_K]] in one scatter
@@ -263,37 +274,14 @@ def outliers(model: TailJacobiModel):
     return _jost(model).outlier_list
 
 
-def _measure_terms(reference: EquilibriumLaw, roots: _JostRoots) -> tuple[list, float]:
-    """The terms of the measure side, c K(reference | nu) (c = tau for
-    MP(tau), see `measure_side_rate`) and then the cost of each outlier in
-    the order of roots.outlier_list, and their sum."""
+def _measure_side(model: TailJacobiModel, reference: EquilibriumLaw) -> tuple[_JostRoots, list]:
+    """The model's Jost roots and its measure-side terms: c K(reference | nu),
+    then each outlier's cost in the order of the roots' outlier_list."""
+    roots = _jost(model, reference)
     kullback = roots.kullback(reference)
     if reference.family is Family.MARCHENKO_PASTUR:
         kullback *= reference.tau
-    terms = [kullback] + [outlier_cost(reference, e) for e, _ in roots.outlier_list]
-    return terms, sum(terms)
-
-
-def _measure_side(
-    model: TailJacobiModel, reference: EquilibriumLaw, roots: _JostRoots
-) -> RateReport:
-    lo, hi = model.bulk
-    rlo, rhi = reference.edges
-    if abs(lo - rlo) > 1e-9 or abs(hi - rhi) > 1e-9:
-        raise ParameterError(
-            f"reference support [{rlo}, {rhi}] does not match model bulk [{lo}, {hi}]"
-        )
-    values, total = _measure_terms(reference, roots)
-    kullback = "tau*kullback" if reference.family is Family.MARCHENKO_PASTUR else "kullback"
-    labels = [kullback] + [f"F({e:.12g})" for e, _ in roots.outlier_list]
-    flags = [
-        f"edge resonance at {e:.12g}: Jost root within {JOST_EDGE_DELTA:g} "
-        "of the unit circle, not counted as an outlier"
-        for e in roots.edge_resonances
-    ]
-    if not math.isfinite(total):
-        flags.append("infinite")
-    return RateReport(value=total, terms=list(zip(labels, values)), truncation=0, flags=flags)
+    return roots, [kullback] + [outlier_cost(reference, e) for e, _ in roots.outlier_list]
 
 
 def measure_side_rate(model: TailJacobiModel, reference: EquilibriumLaw) -> RateReport:
@@ -301,14 +289,27 @@ def measure_side_rate(model: TailJacobiModel, reference: EquilibriumLaw) -> Rate
     exact finite sums over the Jost roots of the model (truncation 0), at
     the speed of the reference's coefficient side.
 
-    reference must share its support with the model bulk: SC for the free
-    tail, MP(tau) for the Laguerre tail, KMK(u_-, u_+) for the Jacobi tail on
-    [0, 1]. Its family picks the outlier cost (`rates.outlier_cost`, which
-    scales F_J by the KMK normalising constant) and the Kullback weight c:
-    tau for MP(tau), whose m Dirichlet weights move at speed
-    beta' m = tau beta' n, and 1 otherwise.
+    The model's a_inf and b_inf must each lie within 1e-12 of the tail of
+    the reference's `model` (ParameterError otherwise): (1, 0) for SC,
+    (sqrt(tau), 1 + tau) for MP(tau), ((u_+ - u_-)/4, (u_- + u_+)/2) for KMK.
+    Its family picks the outlier cost (`rates.outlier_cost`) and the
+    Kullback weight c: tau for MP(tau), whose m Dirichlet weights move at
+    speed beta' m = tau beta' n, and 1 otherwise.
     """
-    return _measure_side(model, reference, _jost(model))
+    roots, values = _measure_side(model, reference)
+    kullback = "tau*kullback" if reference.family is Family.MARCHENKO_PASTUR else "kullback"
+    labels = [kullback] + [f"F({e:.12g})" for e, _ in roots.outlier_list]
+    flags = [
+        f"edge resonance at {e:.12g}: Jost root within {JOST_EDGE_DELTA:g} "
+        "of the unit circle, not counted as an outlier"
+        for e in roots.edge_resonances
+    ]
+    return _report(labels, values, flags=flags)
+
+
+def _gap(coefficient_side: float, measure_side: float) -> float:
+    """Coefficient minus measure side; 0 where they are equal, both +inf too."""
+    return coefficient_side - measure_side if coefficient_side != measure_side else 0.0
 
 
 @dataclass
@@ -328,23 +329,16 @@ class SumRuleReport:
 
 
 def sumrule_verify(model: TailJacobiModel) -> SumRuleReport:
-    """Killip-Simon check for a free-tail model: coefficient side
-    sum b_j^2/2 + sum G(a_j) against K(SC|nu) + sum F_G(E_j), both sides
-    exact finite sums. Each side is summed from the head and the Jost roots
-    as `hermite_rate` and `measure_side_rate` sum it, with no per-term
-    report."""
-    if model.a_inf != 1.0 or model.b_inf != 0.0:
-        raise ParameterError("sumrule_verify requires the free (SC) tail")
-    roots = _jost(model)
-    _, jacobi_side = _hermite_terms(model.head.b.tolist(), model.head.a.tolist())
-    _, measure_side = _measure_terms(SC, roots)
-    gap = jacobi_side - measure_side
-    if math.isinf(jacobi_side) and math.isinf(measure_side):
-        gap = 0.0
+    """Killip-Simon check for a free-tail model: sum b_j^2/2 + sum G(a_j)
+    against K(SC|nu) + sum F_G(E_j), both exact finite sums, summed as
+    `hermite_rate` and `measure_side_rate` sum them, with no per-term report."""
+    roots, values = _measure_side(model, SC)
+    jacobi_side = _total(_hermite_terms(model.head.b.tolist(), model.head.a.tolist()))
+    measure_side = _total(values)
     return SumRuleReport(
         jacobi_side=jacobi_side,
         measure_side=measure_side,
-        gap=gap,
+        gap=_gap(jacobi_side, measure_side),
         outlier_list=roots.outlier_list,
     )
 
@@ -382,28 +376,21 @@ def conjecture_probe_laguerre(model: TailJacobiModel, tau: float) -> ConjectureR
     """
     if not (0.0 < tau <= 1.0):
         raise ParameterError(f"tau must be in (0, 1], got {tau}")
-    if abs(model.a_inf - math.sqrt(tau)) > 1e-12 or abs(model.b_inf - (1.0 + tau)) > 1e-12:
-        raise ParameterError(f"model tail must be (sqrt(tau), 1+tau) for tau = {tau}")
+    measure_report = measure_side_rate(model, EquilibriumLaw(Family.MARCHENKO_PASTUR, tau=tau))
     k = max(len(model.head.a), len(model.head.b) - 1)
-    d, s = ds_factorize(model.coefficients(k + 1))
-    x = model.b_at(k) - (s[k - 1] ** 2 if k else 0.0)  # d_{K+1}^2, the pivot itself
+    d, s = (v.tolist() for v in ds_factorize(model.coefficients(k + 1)))
+    x = model.b_at(k) - (s[k - 1] * s[k - 1] if k else 0.0)  # d_{K+1}^2, the pivot itself
     if x < tau:
         raise NotPositiveDefiniteError(f"tail pivots turn negative: d_{k + 1}^2 = {x} < tau")
     tail = x - 1.0  # (1 - tau) u, the whole tail at tau = 1
     if tau < 1.0:  # minus (1 - tau) log(1 + u), with 1 + u = (x - tau)/(1 - tau) exact near tau
         tail = tail - (1.0 - tau) * math.log((x - tau) / (1.0 - tau)) if x > tau else math.inf
-    coeff_report = laguerre_rate(d[:k], s, tau)
-    coeff_report.terms.append((f"tail: G(d_k) + tau*G(s_k/sqrt(tau)), k > {k}", tail))
-    coeff_report.value += tail
-    if math.isinf(tail):
-        coeff_report.flags.append("infinite")
-    measure_report = measure_side_rate(model, EquilibriumLaw(Family.MARCHENKO_PASTUR, tau=tau))
-    return ConjectureReport(
-        family="laguerre",
-        coefficient_side=coeff_report,
-        measure_side=measure_report,
-        gap=coeff_report.value - measure_report.value,
-    )
+    labels, values = _laguerre_terms(d[:k], s, tau)
+    labels.append(f"tail: G(d_k) + tau*G(s_k/sqrt(tau)), k > {k}")
+    values.append(tail)
+    coeff_report = _report(labels, values, truncation=k)
+    gap = _gap(coeff_report.value, measure_report.value)
+    return ConjectureReport("laguerre", coeff_report, measure_report, gap)
 
 
 def jacobi_limit_alphas(kappa1: float, kappa2: float) -> tuple[float, float]:
@@ -446,9 +433,5 @@ def conjecture_probe_jacobi(alpha_head, kappa1: float, kappa2: float) -> Conject
     b, a = 0.25 * (full.b + 2.0), 0.25 * full.a  # b_span and a_{span-1} are the tail
     model = TailJacobiModel(a_inf=a[-1], b_inf=b[-1], head=JacobiCoeffs(b[:-1], a[:-1]))
     measure_report = measure_side_rate(model, kmk_of_slopes(kappa1, kappa2))
-    return ConjectureReport(
-        family="jacobi_kn",
-        coefficient_side=coeff_report,
-        measure_side=measure_report,
-        gap=coeff_report.value - measure_report.value,
-    )
+    gap = _gap(coeff_report.value, measure_report.value)
+    return ConjectureReport("jacobi_kn", coeff_report, measure_report, gap)

@@ -366,6 +366,46 @@ def test_help_names_each_mode_and_default(capsys, monkeypatch, command):
             assert f"{mode}: {expect}" in entries[f"--{name.replace('_', '-')}"], (mode, name)
 
 
+def _refuse_nan(name):
+    # Infinity is an honest side value; NaN is not a number any reader accepts
+    if name == "NaN":
+        raise ValueError(f"{name} in the output")
+    return float(name)
+
+
+def test_probe_laguerre_positivity_boundary_gap(capsys, tmp_path):
+    # b_0 = tau: the coefficient side is +inf (every tail pivot stays at tau)
+    # and so is the measure side (an outlier at 0); the gap printed NaN
+    path = tmp_path / "mp.json"
+    path.write_text(json.dumps({"tail": {"a": math.sqrt(0.5), "b": 1.5},
+                                "head": {"b": [0.5], "a": []}}))
+    code, out, err = run(capsys, "probe", "--family", "laguerre", "--model", str(path),
+                         "--tau", "0.5")
+    assert code == 0 and err == ""
+    report = json.loads(out, parse_constant=_refuse_nan)
+    assert report["coefficient_side"]["value"] == report["measure_side"]["value"] == math.inf
+    assert report["gap"] == 0.0
+
+
+@pytest.mark.parametrize("argv, tail", [
+    (("sumrule",), {"a": 1.0, "b": 0.0}),
+    (("probe", "--family", "laguerre", "--tau", "0.5"), {"a": math.sqrt(0.5), "b": 1.5}),
+], ids=["sumrule", "probe-laguerre"])
+@pytest.mark.parametrize("key", ["a", "b"])
+def test_tail_within_1e12_of_the_reference(capsys, tmp_path, argv, tail, key):
+    for offset, expect in ((1e-9, 1), (-1e-9, 1), (1e-13, 0), (-1e-13, 0)):
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps({"tail": {**tail, key: tail[key] + offset},
+                                    "head": {"b": [tail["b"] + 2.0], "a": [0.8]}}))
+        code, out, err = run(capsys, *argv, "--model", str(path))
+        assert code == expect, (offset, err)
+        if expect:
+            lines = err.strip().splitlines()
+            assert out == "" and len(lines) == 1 and lines[0].startswith("error: model tail ")
+        else:
+            assert err == "" and json.loads(out)["gap"] == pytest.approx(0.0, abs=1e-11)
+
+
 @pytest.mark.parametrize("tau", ["-1", "0", "1.5"])
 def test_probe_laguerre_checks_tau_first(capsys, tmp_path, tau):
     # a valid model file: tau is refused by name before sqrt(tau) is taken

@@ -11,7 +11,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import eigh_tridiagonal, eigvalsh_tridiagonal
 
-from betaspectra.equilibria import ARCSINE_01, ARCSINE_SYM, SC, EquilibriumLaw, Family, u_pm
+from betaspectra.equilibria import (
+    ARCSINE_01,
+    ARCSINE_SYM,
+    SC,
+    EquilibriumLaw,
+    Family,
+    kmk_of_slopes,
+    u_pm,
+)
 from betaspectra.errors import (
     BetaSpectraError,
     DomainError,
@@ -345,6 +353,96 @@ def test_sumrule_random_heads():
 def test_sumrule_requires_free_tail():
     with pytest.raises(ParameterError):
         sumrule_verify(TailJacobiModel(a_inf=0.5))
+
+
+# Each entry point against its reference's tail (a_inf, b_inf), moved by an
+# offset in one coordinate: 1e-9 is refused and 1e-13 accepted (tolerance
+# 1e-12, absolute). The Jacobi probe builds its model from the Geronimus
+# relations, so there the reference KMK law is moved instead, by the same
+# offset in b_inf = (u_- + u_+)/2 or in a_inf = (u_+ - u_-)/4.
+def _moved_tail(a_inf, b_inf, coordinate, offset):
+    return (a_inf + offset, b_inf) if coordinate == "a" else (a_inf, b_inf + offset)
+
+
+def _free_head(a_inf, b_inf):
+    return TailJacobiModel(a_inf=a_inf, b_inf=b_inf,
+                           head=JacobiCoeffs(np.array([b_inf + 2.5]), np.array([0.8])))
+
+
+def _mp_head(a_inf, b_inf):
+    return TailJacobiModel(a_inf=a_inf, b_inf=b_inf,
+                           head=JacobiCoeffs(np.array([b_inf + 2.0]), np.array([0.6])))
+
+
+def _jacobi_probe_with_moved_law(coordinate, offset, monkeypatch):
+    law = kmk_of_slopes(1.0, 0.5)
+    um, up = law.u_minus, law.u_plus
+    moved = (um, up + 4.0 * offset) if coordinate == "a" else (um + offset, up + offset)
+    monkeypatch.setattr(sumrule_module, "kmk_of_slopes",
+                        lambda k1, k2: EquilibriumLaw(Family.KESTEN_MCKAY, u_minus=moved[0],
+                                                      u_plus=moved[1]))
+    return conjecture_probe_jacobi([0.9, -0.5], 1.0, 0.5)
+
+
+TAIL_RULE_CALLS = {
+    "sumrule_verify": lambda c, off, _: sumrule_verify(_free_head(*_moved_tail(1.0, 0.0, c, off))),
+    "measure_side_rate": lambda c, off, _: measure_side_rate(
+        _free_head(*_moved_tail(1.0, 0.0, c, off)), SC),
+    "laguerre_probe": lambda c, off, _: conjecture_probe_laguerre(
+        _mp_head(*_moved_tail(math.sqrt(0.5), 1.5, c, off)), 0.5),
+    "jacobi_probe": _jacobi_probe_with_moved_law,
+}
+
+
+@pytest.mark.parametrize("call", TAIL_RULE_CALLS)
+@pytest.mark.parametrize("coordinate", ["a", "b"])
+def test_tail_rule_on_every_entry_point(call, coordinate, monkeypatch):
+    for offset in (1e-9, -1e-9):
+        with pytest.raises(ParameterError, match="more than 1e-12 from the"):
+            TAIL_RULE_CALLS[call](coordinate, offset, monkeypatch)
+    exact = TAIL_RULE_CALLS[call](coordinate, 0.0, monkeypatch)
+    for offset in (1e-13, -1e-13):
+        near = TAIL_RULE_CALLS[call](coordinate, offset, monkeypatch)
+        if call == "measure_side_rate":
+            assert near.value == pytest.approx(exact.value, abs=1e-11)
+        else:
+            assert near.gap == pytest.approx(exact.gap, abs=1e-11)
+
+
+def _floats_of(report):
+    """Every number of a report: values, term values, gaps, outlier energies
+    and masses, sides."""
+    if hasattr(report, "outlier_list"):  # SumRuleReport
+        return [report.jacobi_side, report.measure_side, report.gap,
+                *(x for pair in report.outlier_list for x in pair)]
+    if hasattr(report, "coefficient_side"):  # ConjectureReport
+        return [report.gap, *_floats_of(report.coefficient_side), *_floats_of(report.measure_side)]
+    return [report.value, *(value for _, value in report.terms)]
+
+
+def test_reports_hold_python_floats():
+    # numpy scalars used to reach the reports: the Laguerre and Jacobi rates
+    # summed numpy entries, and the Jacobi probe's outlier energies came from
+    # a model whose tail was the last entry of a numpy array
+    alpha = np.array([0.9, -0.5])
+    d, s = np.array([1.2, 0.9]), np.array([0.7])
+    jacobi_probe = conjecture_probe_jacobi(alpha, 1.0, 0.5)
+    model = TailJacobiModel(a_inf=np.float64(1.0), b_inf=np.float64(0.0),
+                            head=JacobiCoeffs(np.array([2.5, 0.1]), np.array([1.3])))
+    reports = [
+        hermite_rate(model.head),
+        laguerre_rate(d, s, 0.5),
+        jacobi_ensemble_rate(alpha, 1.0, 0.5),
+        measure_side_rate(model, SC),
+        sumrule_verify(model),
+        conjecture_probe_laguerre(laguerre_model(0.5, [4.0], []), 0.5),
+        jacobi_probe,
+    ]
+    assert len(jacobi_probe.measure_side.terms) > 1  # the probe has an outlier
+    assert type(model.a_inf) is float and type(model.b_inf) is float
+    numbers = [x for report in reports for x in _floats_of(report)]
+    assert len(numbers) > 25
+    assert [type(x) for x in numbers] == [float] * len(numbers)
 
 
 def test_measure_side_support_mismatch():
@@ -858,8 +956,12 @@ def test_conjecture_probe_laguerre_positivity_boundary(tau):
     # -(1 - tau) log tau > 0, so the sum is infinite
     with pytest.raises(NotPositiveDefiniteError):
         conjecture_probe_laguerre(laguerre_model(tau, [tau * (1.0 - 1e-9)], []), tau)
-    edge = conjecture_probe_laguerre(laguerre_model(tau, [tau], []), tau).coefficient_side
+    report = conjecture_probe_laguerre(laguerre_model(tau, [tau], []), tau)
+    edge = report.coefficient_side
     assert edge.value == math.inf and edge.flags == ["infinite"]
+    # the outlier sits at E = 0, where F_L is +inf, and rounds to 0 or to
+    # +-2.2e-16; where both sides are +inf the gap is 0, not inf - inf = NaN
+    assert report.gap == (0.0 if report.measure_side.value == math.inf else math.inf)
     for b0 in (tau * (1.0 + 1e-12), tau * (1.0 + 1e-9), tau * 1.5):
         coeff = conjecture_probe_laguerre(laguerre_model(tau, [b0], []), tau).coefficient_side
         expect = mp_tail_sum(b0, tau)
