@@ -102,7 +102,12 @@ def _emit_json(args, obj) -> None:
 
 def _resolve_seed(args) -> int:
     env = os.environ.get("SPECTRA_SEED")
-    return args.seed if env is None else int(env)
+    if env is None:
+        return args.seed
+    try:
+        return RngStream(int(env)).seed
+    except ValueError:  # ParameterError is one
+        raise ParameterError(f"SPECTRA_SEED must be a non-negative integer, got {env!r}") from None
 
 
 def _flag(name: str) -> str:

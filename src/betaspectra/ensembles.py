@@ -66,7 +66,8 @@ class Kind(str, Enum):
 
 @dataclass(frozen=True)
 class RngStream:
-    """Reproducible random stream: (seed, stream id) -> generator.
+    """Reproducible random stream: (seed, stream id) -> generator. Both are
+    non-negative integers; anything else is refused with a ParameterError.
 
     Substreams derived from integer keys are independent and stable across
     runs, platforms and chunking of parallel work.
@@ -74,6 +75,13 @@ class RngStream:
 
     seed: int
     stream: int = 0
+
+    def __post_init__(self) -> None:
+        for key in ("seed", "stream"):
+            value = integral(getattr(self, key), key)
+            if value < 0:
+                raise ParameterError(f"{key!r} must be a non-negative integer, got {value!r}")
+            object.__setattr__(self, key, value)
 
     def generator(self, *subkeys: int) -> np.random.Generator:
         ss = np.random.SeedSequence(entropy=self.seed, spawn_key=(self.stream, *subkeys))

@@ -67,6 +67,14 @@ MIX_KEPT = 1.0
 ROW0_TOL = 1e-12
 SHIFT_TOL = 1e-3
 TWIST_FLOATS = 2**19
+# A batch of rows matrices of size n with rows n^3 at most DENSE_BUDGET goes
+# through numpy's eigvalsh, LAPACK dsyevd, on the dense matrices; above it a
+# loop of scipy's dsterf is faster. For eigenvalues alone dsyevd runs dsytrd,
+# whose reflectors on a tridiagonal matrix are all the identity (tau = 0), so
+# d and e pass through exactly, and then the same dsterf (it rescales no
+# matrix scaled into [-1, 1]): the eigenvalues agree bit for bit, and a small
+# eigensolve loads no scipy.linalg.
+DENSE_BUDGET = 2**20
 
 
 @dataclass(frozen=True)
@@ -169,11 +177,11 @@ def spectral_decompose(coeffs: JacobiCoeffs) -> DiscreteMeasure:
     unit eigenvectors of the full n x n matrix, n = coeffs.n.
 
     Both come from J scaled into [-1, 1] (_decompose): eigenvalues from
-    LAPACK dsterf, each moved to a certified Rayleigh quotient, and weights
-    from twisted factorisations, with LAPACK dstein on each run of
-    neighbours too close to tell apart (_first_row_weights). No eigenvector
-    is kept: memory is O(n) besides the runs and at most 16 MB for the
-    second stage.
+    LAPACK dsterf (_eigenvalues; numpy's, so no scipy.linalg, for n^3 <=
+    DENSE_BUDGET), each moved to a certified Rayleigh quotient, and weights
+    from twisted factorisations, with dstein on each run of close
+    neighbours (_first_row_weights). No eigenvector is kept: memory is O(n)
+    besides the runs and at most 16 MB for the second stage.
 
     Against 60-digit arithmetic on ensemble draws of size 48 at beta 0.1,
     0.5, 1 and 2 and on heads with weights down to 1e-18, each weight, or
@@ -194,10 +202,9 @@ def spectral_decompose(coeffs: JacobiCoeffs) -> DiscreteMeasure:
 
 def _decompose(b: np.ndarray, a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Eigenvalues, ascending, and weights (..., n) of the tridiagonal
-    matrices with diagonals b (..., n) and off-diagonals a (..., n - 1);
-    leading axes are a batch. Both come from the matrices scaled into
-    [-1, 1] (_scaled, _eigenvalues, _first_row_weights), and the eigenvalues
-    are scaled back. Weights are floored, not normalised."""
+    matrices b (..., n), a (..., n - 1), leading axes a batch, from the
+    matrices scaled into [-1, 1] (_scaled, _eigenvalues, _first_row_weights)
+    and scaled back. Weights are floored, not normalised."""
     b, a, e = _scaled(b, a)
     lam, pi = _first_row_weights(b, a, _eigenvalues(b, a))
     return np.ldexp(lam, e), pi
@@ -212,17 +219,27 @@ def _scaled(b: np.ndarray, a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.nd
 
 
 def _eigenvalues(b: np.ndarray, a: np.ndarray) -> np.ndarray:
-    """Ascending eigenvalues (LAPACK dsterf) of the tridiagonal matrices with
-    diagonals b (..., n) and off-diagonals a (..., n - 1)."""
-    # imported here so that paths without an eigensolve never load scipy.linalg
+    """Ascending eigenvalues, LAPACK dsterf's, of the matrices (b, a) scaled
+    into [-1, 1] (_scaled): by numpy's dsyevd up to DENSE_BUDGET, else a loop."""
+    n = b.shape[-1]
+    if n == 1:
+        return b.copy()  # a 1 x 1 matrix is its own eigenvalue
+    if math.prod(b.shape) * n * n <= DENSE_BUDGET:
+        dense = np.zeros(b.shape[:-1] + (n * n,))
+        dense[..., :: n + 1] = b
+        dense[..., n :: n + 1] = a  # the lower triangle, which eigvalsh reads
+        try:
+            return np.linalg.eigvalsh(dense.reshape(b.shape + (n,)))
+        except np.linalg.LinAlgError:
+            raise RuntimeError("dsterf failed to converge") from None
+    # imported here so that paths without a large eigensolve never load scipy.linalg
     from scipy.linalg.lapack import dsterf
 
-    lam = b.copy()  # a 1 x 1 matrix is its own eigenvalue
-    if b.shape[-1] > 1:
-        for i in np.ndindex(b.shape[:-1]):
-            lam[i], info = dsterf(b[i], a[i])
-            if info != 0:
-                raise RuntimeError(f"dsterf failed with info = {info}")
+    lam = np.empty(b.shape)
+    for i in np.ndindex(b.shape[:-1]):
+        lam[i], info = dsterf(b[i], a[i])
+        if info != 0:
+            raise RuntimeError("dsterf failed to converge")
     return lam
 
 

@@ -56,8 +56,8 @@ class McExperiment:
     direction: str = "max_above"
 
     def __post_init__(self) -> None:
-        for key in ("samples", "seed"):
-            object.__setattr__(self, key, integral(getattr(self, key), key))
+        object.__setattr__(self, "samples", integral(self.samples, "samples"))
+        object.__setattr__(self, "seed", RngStream(self.seed).seed)  # checked there
         object.__setattr__(self, "n_list", tuple(integral(n, "n_list") for n in self.n_list))
         if self.samples < 1:
             raise ParameterError("samples must be >= 1")

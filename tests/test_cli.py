@@ -1,6 +1,7 @@
 """Command-line interface: subcommands, formats, exit codes, seeding."""
 
 import argparse
+import hashlib
 import json
 import math
 import os
@@ -58,6 +59,32 @@ def test_sample_laguerre_and_jacobi(capsys):
     assert len(obj["alpha"]) == 9
 
 
+# sha256 of the stdout of sample --ensemble <kind> --n <n> --beta 2 --seed 7.
+# Every one of these draws takes the dense route of _eigenvalues, whose
+# eigenvalues are those of the dsterf loop bit for bit
+SAMPLE_EXTRA = {"hermite": (), "laguerre": ("--tau", "0.5"),
+                "jacobi_kn": ("--kappa1", "1", "--kappa2", "0.5")}
+SAMPLE_DIGESTS = {
+    ("hermite", 2): "48c66ab3171b056250a404ee17f0ec16e79686774573d2b5658cab9f0f40c774",
+    ("hermite", 25): "797e78244170cf06fd7054f6cd7eeb038e32aca3109d008cf2e1b237d0f14fa4",
+    ("hermite", 64): "153cdcb71e8dbf6cad575c24429f66d8700a879908141b4d714d2b691957f627",
+    ("laguerre", 2): "b34e7d54d249722baaa51f1b42d82d513564f6120a00156a0323a189b906561c",
+    ("laguerre", 25): "3b9eff1d222243092761eb603b638b676f80137fdcd7168f0e1ad6dcb6b37970",
+    ("laguerre", 64): "a0d297abec48b43f793e9242a370fc040189c08c0831d5a30c53345933fff907",
+    ("jacobi_kn", 2): "eed1e8381a5c938886159186c1da7be5f4524d2459382a3b5945aabb6b286ec2",
+    ("jacobi_kn", 25): "49de700fa1a3148a0172e240099939969f4c6d15eabe29ddebc802608718a768",
+    ("jacobi_kn", 64): "a43a84688cebe9f3108ec863054fd6cf848a5297c5a8ce99c90da440889b8386",
+}
+
+
+@pytest.mark.parametrize("kind, n", SAMPLE_DIGESTS, ids=lambda v: str(v))
+def test_sample_stdout_golden_digests(capsys, kind, n):
+    code, out, _ = run(capsys, "sample", "--ensemble", kind, "--n", str(n), "--beta", "2",
+                       "--seed", "7", *SAMPLE_EXTRA[kind])
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == SAMPLE_DIGESTS[kind, n]
+
+
 def test_seed_env_override(capsys, monkeypatch):
     _, out1, _ = run(capsys, "sample", "--ensemble", "hermite", "--n", "4",
                      "--seed", "1")
@@ -65,6 +92,26 @@ def test_seed_env_override(capsys, monkeypatch):
     _, out2, _ = run(capsys, "sample", "--ensemble", "hermite", "--n", "4",
                      "--seed", "999")
     assert out1 == out2
+
+
+@pytest.mark.parametrize("argv", [
+    ("sample", "--ensemble", "hermite", "--n", "4", "--seed", "-1"),
+    ("stats", "--ensemble", "hermite", "--n", "4", "--reps", "10", "--seed", "-1"),
+    ("mc", "--ensemble", "hermite", "--x", "2.1", "--n-list", "4", "--samples", "10",
+     "--seed", "-1"),
+], ids=lambda argv: argv[0])
+def test_negative_seed_is_one_error_line(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 1 and out == ""
+    assert err == "error: 'seed' must be a non-negative integer, got -1\n"
+
+
+@pytest.mark.parametrize("value", ["abc", "-1", "1.5", ""])
+def test_bad_seed_env_is_one_error_line(capsys, monkeypatch, value):
+    monkeypatch.setenv("SPECTRA_SEED", value)
+    code, out, err = run(capsys, "sample", "--ensemble", "hermite", "--n", "4")
+    assert code == 1 and out == ""
+    assert err == f"error: SPECTRA_SEED must be a non-negative integer, got {value!r}\n"
 
 
 def test_sumrule_command(capsys, tmp_path):
@@ -575,8 +622,17 @@ code = cli(["rate", "--family", "fg", "--x", "2.5"])
 after_rate = sorted(m for m in {heavy!r} if m in sys.modules)
 code_sumrule = cli(["sumrule", "--model", {model!r}])
 after_sumrule = sorted(m for m in {heavy!r} if m in sys.modules)
-print(json.dumps([code, after_import, after_rate, code_sumrule, after_sumrule]))
+# the eigenvalues of a small draw come from numpy's LAPACK
+codes_sample = [cli(["sample", *argv, "--n", "50", "--beta", "2"]) for argv in {samples!r}]
+after_sample = sorted(m for m in {heavy!r} if m in sys.modules)
+print(json.dumps([code, after_import, after_rate, code_sumrule, after_sumrule, codes_sample,
+                  after_sample]))
 """
+
+
+# the sample commands that the cli_cold benchmark workload runs, at the default seed
+SAMPLE_50 = [["--ensemble", "hermite"], ["--ensemble", "laguerre", "--m", "25"],
+             ["--ensemble", "jacobi_kn", "--kappa1", "1", "--kappa2", "0.5"]]
 
 
 def test_import_and_rate_load_no_heavy_scipy(tmp_path):
@@ -584,16 +640,17 @@ def test_import_and_rate_load_no_heavy_scipy(tmp_path):
     model = model_file(tmp_path, [1.25, -0.4, 0.3], [1.6, 0.7])
     heavy = SCIPY_HEAVY + POOL_MODULES
     proc = subprocess.run(
-        [sys.executable, "-c", IMPORT_PROBE.format(heavy=heavy, model=model)],
+        [sys.executable, "-c", IMPORT_PROBE.format(heavy=heavy, model=model, samples=SAMPLE_50)],
         env=source_env(), capture_output=True, text=True, timeout=60, check=True,
     )
-    code, after_import, after_rate, code_sumrule, after_sumrule = json.loads(
-        proc.stdout.strip().splitlines()[-1]
+    code, after_import, after_rate, code_sumrule, after_sumrule, codes_sample, after_sample = (
+        json.loads(proc.stdout.strip().splitlines()[-1])
     )
-    assert code == 0 and code_sumrule == 0
+    assert code == 0 and code_sumrule == 0 and codes_sample == [0, 0, 0]
     assert after_import == []
     assert after_rate == []
     assert after_sumrule == []
+    assert after_sample == []
 
 
 STATS_PROBE = """

@@ -135,6 +135,26 @@ def test_determinism_and_stream_independence():
     assert sub_a != RngStream(seed=9).substream(4)
 
 
+@pytest.mark.parametrize("fields, match", [
+    ({"seed": -1}, "'seed' must be a non-negative integer, got -1"),
+    ({"seed": 1.5}, "'seed' must be an integer, got 1.5"),
+    ({"seed": "7"}, "'seed' must be an integer, got '7'"),
+    ({"seed": 1, "stream": -2}, "'stream' must be a non-negative integer, got -2"),
+    ({"seed": 1, "stream": 0.5}, "'stream' must be an integer, got 0.5"),
+])
+def test_rng_stream_refuses_a_bad_seed(fields, match):
+    # refused when the stream is made, not later by numpy's SeedSequence
+    with pytest.raises(ParameterError, match=match):
+        RngStream(**fields)
+
+
+def test_rng_stream_takes_integral_seeds():
+    stream = RngStream(seed=np.int64(5), stream=2.0)
+    assert (stream.seed, stream.stream) == (5, 2)
+    assert type(stream.seed) is int and type(stream.stream) is int
+    assert np.array_equal(stream.generator().random(3), RngStream(5, 2).generator().random(3))
+
+
 def test_beta_s_orientation():
     # mean of the symmetric-beta draw is (b - a)/(b + a)
     rng = RngStream(seed=2).generator()

@@ -615,6 +615,92 @@ def test_first_row_weights_batch_equals_rows():
         assert np.array_equal(pi[i], pi_i)
 
 
+DSTERF = scipy.linalg.lapack.dsterf
+
+
+def dsterf_loop(b, a):
+    """The eigenvalues of each matrix (b, a), one call of scipy's dsterf each."""
+    lam = np.empty(b.shape)
+    for i in np.ndindex(b.shape[:-1]):
+        lam[i], info = DSTERF(b[i], a[i])
+        assert info == 0
+    return lam
+
+
+# graded entries come as powers of two down to the least subnormal
+GRADED_ENTRY = st.integers(0, 1074).map(lambda k: 2.0**-k)
+DIAGONAL = st.one_of(st.floats(-1.0, 1.0), GRADED_ENTRY, GRADED_ENTRY.map(lambda x: -x))
+OFF_DIAGONAL = st.one_of(st.floats(0.0, 1.0), st.floats(0.0, 1e-307), st.just(0.0), GRADED_ENTRY)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(n=st.integers(2, 40), data=st.data())
+def test_dense_eigenvalues_match_dsterf(n, data):
+    # numpy's dsyevd is dsytrd, whose reflectors are the identity on a
+    # tridiagonal matrix, then dsterf: the same eigenvalues bit for bit
+    b = np.array(data.draw(st.lists(DIAGONAL, min_size=n, max_size=n)))
+    a = np.array(data.draw(st.lists(OFF_DIAGONAL, min_size=n - 1, max_size=n - 1)))
+    b, a, _ = _scaled(b, a)
+    assert np.array_equal(_eigenvalues(b, a), dsterf_loop(b, a))
+
+
+@pytest.mark.parametrize("case", ORACLE_CASES)
+def test_dense_eigenvalues_match_dsterf_on_oracle_cases(case):
+    b, a, _ = _scaled(*ORACLE_CASES[case]())
+    assert np.array_equal(_eigenvalues(b, a), dsterf_loop(b, a))
+
+
+@pytest.mark.parametrize("beta", [0.1, 2.0])
+@pytest.mark.parametrize("kind", ["hermite", "laguerre", "jacobi_kn"])
+def test_dense_eigenvalues_match_dsterf_on_draws(kind, beta):
+    # a batch of four n = 101 draws is above the budget, each alone below it
+    rng = np.random.default_rng(29)
+    for n in (2, 5, 17, 40, 64, 101):
+        b, a, _ = _scaled(*sample_batch(ensemble_spec(kind, n, beta), rng, 4))
+        batch = _eigenvalues(b, a)
+        assert np.array_equal(batch, dsterf_loop(b, a))
+        for i in range(4):
+            assert np.array_equal(_eigenvalues(b[i], a[i]), batch[i])
+
+
+def count_dsterf(monkeypatch):
+    """Calls of scipy's dsterf from here on."""
+    calls = [0]
+
+    def counted(*args):
+        calls[0] += 1
+        return DSTERF(*args)
+
+    monkeypatch.setattr(scipy.linalg.lapack, "dsterf", counted)
+    return calls
+
+
+@pytest.mark.parametrize("n", [16, 64])
+def test_dsterf_loop_runs_above_the_budget_only(monkeypatch, n):
+    rows = jacobi.DENSE_BUDGET // n**3  # rows n^3 is the budget, rows + 1 a step above
+    rng = np.random.default_rng(n)
+    b, a, _ = _scaled(rng.uniform(-1.0, 1.0, (rows + 1, n)),
+                      rng.uniform(0.0, 1.0, (rows + 1, n - 1)))
+    calls = count_dsterf(monkeypatch)
+    at = _eigenvalues(b[:rows], a[:rows])
+    assert calls[0] == 0
+    above = _eigenvalues(b, a)
+    assert calls[0] == rows + 1
+    assert np.array_equal(above, dsterf_loop(b, a))
+    assert np.array_equal(at, above[:rows])
+
+
+def test_lapack_failure_is_one_error_on_both_routes(monkeypatch):
+    def no_convergence(*args, **kwargs):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", no_convergence)
+    monkeypatch.setattr(scipy.linalg.lapack, "dsterf", lambda d, e: (d, 1))
+    for n in (3, 102):  # below and above the budget
+        with pytest.raises(RuntimeError, match="^dsterf failed to converge$"):
+            _eigenvalues(np.zeros(n), np.full(n - 1, 0.5))
+
+
 def test_lowest_weights_match_spectral_decompose():
     # the batched decomposition that stat_suite reads is spectral_decompose
     # row by row: the same locations, and the same weights once normalised

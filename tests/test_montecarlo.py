@@ -71,6 +71,16 @@ def test_experiment_validation():
     assert back == exp
 
 
+def test_negative_seed_refused_by_experiment_and_suite():
+    # both take the check of RngStream, before any draw
+    with pytest.raises(ParameterError, match="'seed' must be a non-negative integer, got -1"):
+        McExperiment(spec=HERMITE, x=2.2, n_list=(10,), samples=10, seed=-1)
+    with pytest.raises(ParameterError, match="'seed' must be an integer, got 1.5"):
+        McExperiment(spec=HERMITE, x=2.2, n_list=(10,), samples=10, seed=1.5)
+    with pytest.raises(ParameterError, match="'seed' must be a non-negative integer, got -1"):
+        stat_suite(HERMITE, seed=-1, reps=10)
+
+
 def test_theory_rate_dispatch():
     assert theory_rate(HERMITE, 2.5) == rate_fg(2.5)
     lag = EnsembleSpec(kind=Kind.LAGUERRE, n=10, beta=2.0, tau=0.5)
