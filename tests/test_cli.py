@@ -675,6 +675,39 @@ def test_stats_load_no_scipy_stats():
     assert not after_stats
 
 
+# a level-5 constraint on which a dual trial step once passed the feasibility
+# test with u <= 0 at a quadrature node, and numpy warned from np.log
+LEVEL5_C = [-0.004553466414522811, 0.7619746814494487, -0.09752602504426533, 1.8165914730794819,
+            -0.8673682722941722, 5.1708393725996755, -4.181917609659708, 15.677306940348632,
+            -16.976064986974]
+
+
+def run_moments_fresh(*argv):
+    # a fresh interpreter: pytest's warning capture cannot hide what it prints
+    return subprocess.run(
+        [sys.executable, "-m", "betaspectra.cli", "moments",
+         "--c=" + ",".join(map(repr, LEVEL5_C)), *argv],
+        env=source_env(), capture_output=True, text=True, timeout=60,
+    )
+
+
+def test_moments_level5_prints_nothing_on_stderr():
+    proc = run_moments_fresh()
+    assert proc.returncode == 0 and proc.stderr == ""
+    obj = json.loads(proc.stdout)
+    assert obj["primal"] == pytest.approx(0.7679417460140157, rel=1e-12)
+    assert obj["dual"] == pytest.approx(0.767941744885315, rel=1e-10)
+    assert obj["flags"] == []
+
+
+def test_moments_gap_above_tol_exits_2():
+    # primal - dual is 1.1e-9 with no flag: above --tol 1e-12, a numerical failure
+    proc = run_moments_fresh("--tol", "1e-12")
+    assert proc.returncode == 2 and proc.stderr == ""
+    obj = json.loads(proc.stdout)
+    assert obj["primal"] - obj["dual"] > 1e-12 and obj["flags"] == []
+
+
 JACOBI_INSIDE = ("mc", "--ensemble", "jacobi_kn", "--a", "1", "--b", "2", "--x", "1.5",
                  "--n-list", "6,10")
 

@@ -1,6 +1,7 @@
 """Moment-constrained rate minimization: primal map, dual ascent, duality."""
 
 import hashlib
+import warnings
 
 import numpy as np
 import pytest
@@ -140,9 +141,9 @@ def workload_constraints(seed, count):
 
 
 # sha256 of every DualResult field of the 60 constraints below, bit for bit.
-# It pins the Newton iteration, its trial steps and the feasibility scans;
+# It pins the Newton iteration, its trial steps and their feasibility tests;
 # another BLAS build may round the products differently and change it.
-DUAL_DIGEST = "a61e84b606080e75569181599df20edfa6a673fb74f65114d312718152dfe047"
+DUAL_DIGEST = "0f17e7c9b9f06d6a3312d311a4c9f9ee2a6bbe75d7c87506c05ddeb0e26fae4f"
 
 
 def test_dual_bit_identical_on_workload_constraints():
@@ -162,10 +163,47 @@ def test_dual_data_built_once_and_read_only():
 
     arrays = _dual_data(5)
     assert _dual_data(5) is arrays
-    w_sc, powers, hankel_index, check_powers = arrays
-    assert powers.shape == (11, 512) and check_powers.shape == (6, 4097)
-    assert hankel_index.shape == (6, 6) and w_sc.shape == (512,)
+    w_sc, powers, hankel_index = arrays
+    # the 512 nodes, then the ends -2 and 2 at weight 0
+    assert powers.shape == (11, 514) and w_sc.shape == (514,)
+    assert np.array_equal(powers[1, -2:], [-2.0, 2.0]) and np.array_equal(w_sc[-2:], [0.0, 0.0])
+    assert hankel_index.shape == (6, 6)
     for arr in arrays:
         assert not arr.flags.writeable
         with pytest.raises(ValueError):
             arr[0] = 0.0
+
+
+def finding_three_constraints():
+    """40 constraints per level 2..6: the first 2l - 1 moments of a random
+    section b in (-0.5, 0.5), a in (0.6, 1.4). Some stall, and on one of them
+    a trial step once passed the feasibility test with u <= 0 at a node."""
+    rng = np.random.default_rng(3)
+    out = []
+    for level in range(2, 7):
+        for _ in range(40):
+            b = rng.uniform(-0.5, 0.5, level)
+            a = rng.uniform(0.6, 1.4, level - 1)
+            out.append(MomentConstraint(jacobi_moments(JacobiCoeffs(b, a), level, 2 * level - 1)))
+    return out
+
+
+def test_dual_warns_nowhere():
+    # log u is taken only where a trial step has u > 0, so no NaN and no warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for c in finding_three_constraints():
+            constrained_rate_dual(c)
+
+
+def test_dual_keeps_u_positive_at_the_nodes_and_the_ends():
+    # u = 1 - sum v_j x^j at the returned v. As the dual evaluates it, u > 0
+    # at the 512 nodes and at -2 and 2. Where the primal achiever has an
+    # outlier, u goes to 0 at an edge, so Horner's rounding may read just
+    # below 0 there; a dual that tested the nodes alone left u near -1e-4
+    from betaspectra.moments_opt import _dual_data
+
+    for c in workload_constraints(0, 60):
+        r = constrained_rate_dual(c)
+        assert (1.0 - r.v @ _dual_data(c.order)[1][: c.order + 1]).min() > 0.0
+        assert (1.0 - np.polynomial.polynomial.polyval([-2.0, 2.0], r.v)).min() > -1e-12

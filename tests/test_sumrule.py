@@ -282,6 +282,55 @@ def test_twisted_masses_match_eigenvectors():
     assert count > 500
 
 
+def twisted_mass_50(b, a, energy):
+    """Mass of the outlier near `energy` of the free-tail head (b, a), all
+    in 50 digits: the Jost root w refined as a zero of the determinant of
+    the section minus E = w + 1/w with the tail's a_{K-1}^2/w added to its
+    last entry, then the twisted factorisation of `sumrule._outlier_mass`."""
+    with mpmath.workdps(50):
+        b, a = [mpmath.mpf(x) for x in b], [mpmath.mpf(x) for x in a]
+        k = len(b)
+
+        def diagonal(w):
+            return [b[i] - w - 1 / w + (a[-1] ** 2 / w if i == k - 1 else 0) for i in range(k)]
+
+        def det(w):
+            # the three-term recurrence of the tridiagonal determinant
+            diag = diagonal(w)
+            prev, cur = 1, diag[0]
+            for i in range(1, k):
+                prev, cur = cur, diag[i] * cur - a[i - 1] ** 2 * prev
+            return cur
+
+        e = mpmath.mpf(energy)
+        w = mpmath.findroot(det, (e + mpmath.sqrt(e * e - 4)) / 2)
+        diag = diagonal(w)
+        d, p = diag[:], diag[:]
+        for i in range(1, k):
+            d[i] -= a[i - 1] ** 2 / d[i - 1]
+        for i in range(k - 2, -1, -1):
+            p[i] -= a[i] ** 2 / p[i + 1]
+        r = min(range(k), key=lambda i: abs(d[i] + p[i] - diag[i]))
+        u = [mpmath.mpf(0)] * k
+        u[r] = 1
+        for i in range(r - 1, -1, -1):
+            u[i] = -a[i] * u[i + 1] / d[i]
+        for i in range(r + 1, k):
+            u[i] = -a[i - 1] * u[i - 1] / p[i]
+        tail = (a[-1] * u[-1] / w) ** 2 / (1 - w**-2)
+        return u[0] ** 2 / (mpmath.fsum(x * x for x in u) + tail)
+
+
+@pytest.mark.parametrize("k", [2, 4, 6, 8])
+def test_tiny_outlier_masses_to_relative_precision(k):
+    # a_0 = 1e-k decouples b_0 from the outlier near 5.2: its mass is about
+    # 3.55e-(2k + 2), which an absolute bound of 1e-11 cannot see
+    (e, mass), = outliers(head([0.0, 5.0, 0.0], [10.0**-k, 1.0, 1.0]))
+    expect = twisted_mass_50([0.0, 5.0, 0.0], [10.0**-k, 1.0, 1.0], e)
+    assert mass == pytest.approx(float(expect), rel=1e-12)
+    assert float(expect) == pytest.approx(3.55 * 10.0 ** -(2 * k + 2), rel=0.01)
+
+
 def test_sumrule_forms_no_eigenvector():
     with open(sumrule_module.__file__) as fh:
         tree = ast.parse(fh.read())
