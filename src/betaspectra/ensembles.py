@@ -212,19 +212,6 @@ _SPEC_FIELDS = {"kind": Kind, "n": None, "beta": float, "m": None,
                 **{key: float for key in SPEC_PARAMS if key != "m"}, "interval": None}
 
 
-def sample_beta_s(a: float, b: float, rng: np.random.Generator, size=None):
-    """Symmetric-beta draw on (-1, 1] with density prop. to (1-x)^(a-1)(1+x)^(b-1).
-
-    The (a, b) order is pinned by the mean (b - a)/(b + a): x = 2*Beta(b, a) - 1.
-    """
-    if np.min(a) <= 0.0 or np.min(b) <= 0.0:
-        raise ParameterError("beta_s parameters must be > 0")
-    x = rng.beta(b, a, size=size)
-    x *= 2.0
-    x -= 1.0
-    return x
-
-
 # A Beta draw with a tiny parameter can round to 0 or 1, making 2x - 1 = -1
 # or 1 exactly; the Geronimus relations need |alpha| < 1 for a_k > 0.
 ALPHA_MAX = np.nextafter(1.0, 0.0)
@@ -349,7 +336,12 @@ def _jacobi_kn_laws(n: int, ea: float, eb: float, beta_prime: float):
 
 
 def _jacobi_kn_alphas(first, second, gen: np.random.Generator, size) -> np.ndarray:
-    draws = sample_beta_s(first, second, gen, size=size)
+    """alpha = 2 Beta(second, first) - 1, of density proportional to
+    (1 - x)^(first - 1) (1 + x)^(second - 1) and mean
+    (second - first) / (second + first), clipped to +-ALPHA_MAX."""
+    draws = gen.beta(second, first, size=size)
+    draws *= 2.0
+    draws -= 1.0
     return np.clip(draws, -ALPHA_MAX, ALPHA_MAX, out=draws)
 
 

@@ -246,10 +246,10 @@ def _eigenvalues(b: np.ndarray, a: np.ndarray) -> np.ndarray:
 @np.errstate(all="ignore")
 def _first_row_weights(b: np.ndarray, a: np.ndarray,
                        lam: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The eigenvalues lam (..., m), ascending, of the tridiagonal matrices
+    """The eigenvalues lam (..., n), ascending, of the tridiagonal matrices
     (b, a) scaled into [-1, 1] (_scaled), as are lam, each moved to the
     Rayleigh quotient of its twisted vector where that is certified, and
-    the squared first components pi_k (..., m) of the unit eigenvectors at
+    the squared first components pi_k (..., n) of the unit eigenvectors at
     them; leading axes are a batch. Weights are floored, not normalised.
 
     Two stages of twisted factorisations (Dhillon-Parlett, LAA 387, 2004),
@@ -273,25 +273,23 @@ def _first_row_weights(b: np.ndarray, a: np.ndarray,
     the second stage, MIX_KEPT in place of MIX where neither did; each run
     is re-solved by one call of LAPACK dstein (inverse iteration,
     orthogonalised within the run), at the same eigenvalues. A run where
-    dstein does not converge keeps its weights. Memory is O(n + m) per
-    matrix besides the runs and the TWIST_FLOATS numbers of each array of
-    the second stage.
+    dstein does not converge keeps its weights. Memory is O(n) per matrix
+    besides the runs and the TWIST_FLOATS numbers of each array of the
+    second stage.
 
     Off-diagonals are floored at PIVMIN, so a_i^2 and its inverse are
     normal numbers; a matrix with a floored a_i keeps its eigenvalues as
     they came, since the shifts are those of another matrix. Only the
-    second stage lifts pivots below PIVMIN in magnitude to -PIVMIN; the
-    first needs no lift, because a zero pivot or an overflow there ends
-    non-finite and fails both tests (_row0_weights).
+    second stage lifts pivots (_pivots); _row0_weights needs no lift.
     """
-    lead, n, m = lam.shape[:-1], b.shape[-1], lam.shape[-1]
+    lead, n = lam.shape[:-1], b.shape[-1]
     rows = math.prod(lead)
     b = b.reshape(rows, n)
     a = a.reshape(rows, n - 1)
     # a floored a_k changes the matrix, and so the Rayleigh quotient
     exact = np.all(a >= PIVMIN, axis=1, keepdims=True)
     a = np.maximum(a, PIVMIN)  # subnormal a_k would make s overflow at once
-    lam = lam.reshape(rows, m)
+    lam = lam.reshape(rows, n)
     pi, shift, redo = _row0_weights(b, a, lam)
     unshifted = np.isnan(shift)
     lam = np.where(exact & ~unshifted, lam + shift, lam)
@@ -309,9 +307,9 @@ def _first_row_weights(b: np.ndarray, a: np.ndarray,
 
     # flags of the pairs k - 1, k at column k: a run of eigenvalues lo..hi
     # starts where they rise and ends where they fall
-    flags = np.zeros((rows, m + 1), dtype=np.int8)
+    flags = np.zeros((rows, n + 1), dtype=np.int8)
     mix = np.where(redo[:, 1:] | redo[:, :-1], MIX, MIX_KEPT) * np.sqrt(pi[:, 1:] * pi[:, :-1]) / n
-    flags[:, 1:m] = np.diff(lam) < norm * (mix + 8.0 * EPS)
+    flags[:, 1:n] = np.diff(lam) < norm * (mix + 8.0 * EPS)
     step = np.diff(flags)
     if np.any(step):
         from scipy.linalg.lapack import dstein
@@ -322,16 +320,16 @@ def _first_row_weights(b: np.ndarray, a: np.ndarray,
             z, info = dstein(b[row], a[row], lam[row, lo : hi + 1], block, split)
             if info == 0:
                 pi[row, lo : hi + 1] = np.fmax(np.square(z[0]), WEIGHT_FLOOR)
-    return lam.reshape(lead + (m,)), pi.reshape(lead + (m,))
+    return lam.reshape(lead + (n,)), pi.reshape(lead + (n,))
 
 
 @np.errstate(all="ignore")
 def _row0_weights(b: np.ndarray, a: np.ndarray,
                   lam: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Weights (rows, m) at the eigenvalues lam (rows, m) of the matrices
+    """Weights (rows, n) at the eigenvalues lam (rows, n) of the matrices
     b (rows, n), a (rows, n - 1) (floored at PIVMIN), from the vector
-    twisted at row 0; the Rayleigh shift (rows, m) of every eigenvalue where
-    it is certified, else NaN; and the weights (rows, m) whose error bound
+    twisted at row 0; the Rayleigh shift (rows, n) of every eigenvalue where
+    it is certified, else NaN; and the weights (rows, n) whose error bound
     fails.
 
     One backward (UDU^T) pass of J - lambda gives the pivots
@@ -387,7 +385,7 @@ def _row0_weights(b: np.ndarray, a: np.ndarray,
     # over the eigenvalues
     b_col = b.T[:, :, None]
     a2_col = np.square(a).T[:, :, None]
-    # each ufunc call with a positional out, as in _twisted_weights
+    # each ufunc call with a positional out, as in _pivots
     div, sub, mul, add = np.divide, np.subtract, np.multiply, np.add
     for b_i, a2_i in zip(b_col[-2::-1], a2_col[::-1]):
         div(a2_i, u, g)  # a_i^2 / u_{i+1}
@@ -423,12 +421,12 @@ def _row0_weights(b: np.ndarray, a: np.ndarray,
 @np.errstate(all="ignore")
 def _twisted_weights(b: np.ndarray, a: np.ndarray, lam: np.ndarray,
                      twist: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Weights and Rayleigh shifts (rows, m), set where twist (rows, m) is
+    """Weights and Rayleigh shifts (rows, n), set where twist (rows, n) is
     True and 0 elsewhere: the weight of the vector twisted where |gamma_r|
     is least, from a forward (LDL^T) and a backward (UDU^T) pass of
-    J - lambda (_first_row_weights), floored, and its Rayleigh shift where
-    certified. Each pass is batched over up to TWIST_FLOATS / n of those
-    eigenvalues at a time.
+    J - lambda (_pivots), floored, and its Rayleigh shift where certified.
+    Each pass is batched over up to TWIST_FLOATS / n of those eigenvalues
+    at a time.
 
     With z_0 = 1, the forward pass gives the pivots d_i and
     z_{i+1} = -z_i d_i / a_i, and the backward pass the pivots u_i and
@@ -437,9 +435,7 @@ def _twisted_weights(b: np.ndarray, a: np.ndarray, lam: np.ndarray,
     it, so |z|^2 = sum_{i < r} z_i^2 + s_r z_r^2 and pi = 1 / |z|^2. Since
     (J - lambda) z = gamma_r z_r e_r, the Rayleigh quotient of z is
     lambda + gamma_r z_r^2 / |z|^2, taken when |gamma_r| <= SHIFT_TOL gap as
-    in _row0_weights (r = 0 there). Each pass runs without the PIVMIN lift
-    first, and again with it only if a pivot came out below PIVMIN: the
-    result is the same, and the lift costs nothing where it is not needed.
+    in _row0_weights (r = 0 there).
     """
     n = b.shape[1]
     rows, cols = np.nonzero(twist)
@@ -450,40 +446,17 @@ def _twisted_weights(b: np.ndarray, a: np.ndarray, lam: np.ndarray,
     pi, shift = np.zeros(lam.shape), np.zeros(lam.shape)
     # (n, width) arrays, entry i of each eigenvalue's matrix down the first
     # axis, made once so that later chunks touch no fresh pages
-    work, spare = np.empty((4, n, width)), np.empty(width)
-    div, sub, mul, add = np.divide, np.subtract, np.multiply, np.add
+    work = np.empty((4, n, width))
+    mul, add = np.multiply, np.add
     for lo in range(0, rows.size, width):
         row, col = rows[lo : lo + width], cols[lo : lo + width]
         c, d, u, s = work[:, :, : row.size]
-        tmp = spare[: row.size]
         mats = row if b.shape[0] > 1 else slice(None)  # one matrix broadcasts
         a_t = a.T[:, mats]
         a2 = np.square(a_t)
         np.subtract(b.T[:, mats], lam[row, col], out=c)  # the diagonal of J - lambda
-        # the loops call ufuncs with a positional out: at this width the
-        # keyword costs about as much as the arithmetic
-        for lift in (False, True):
-            d[0] = c[0]
-            for a2_i, d_i, d_n, c_n in zip(a2, d, d[1:], c[1:]):
-                if lift:
-                    _lift(d_i, tmp)
-                div(a2_i, d_i, d_n)
-                sub(c_n, d_n, d_n)
-            if lift:
-                _lift(d[-1], tmp)
-            if lift or np.min(np.abs(d, out=s)) >= PIVMIN:
-                break
-        for lift in (False, True):
-            u[-1] = c[-1]
-            for a2_j, c_j, u_j, u_n in zip(a2[::-1], c[-2::-1], u[-2::-1], u[:0:-1]):
-                if lift:
-                    _lift(u_n, tmp)
-                div(a2_j, u_n, tmp)  # a_j^2 / u_{j+1}
-                sub(c_j, tmp, u_j)
-            if lift:
-                _lift(u[0], tmp)
-            if lift or np.min(np.abs(u, out=s)) >= PIVMIN:
-                break
+        _pivots(c, a2, d, s)  # forward
+        _pivots(c[::-1], a2[::-1], u[::-1], s)  # backward
         z = c  # z_i up to sign, then z_i^2
         z[0] = 1.0
         np.divide(d[:-1], a_t, out=z[1:])
@@ -511,6 +484,26 @@ def _twisted_weights(b: np.ndarray, a: np.ndarray, lam: np.ndarray,
     np.fmax(pi, WEIGHT_FLOOR, out=pi)
     shift[np.isnan(shift)] = 0.0
     return pi, shift
+
+
+def _pivots(c: np.ndarray, a2: np.ndarray, p: np.ndarray, work: np.ndarray) -> None:
+    """p_0 = c_0, p_{i+1} = c_{i+1} - a2_i / p_i down the first axis of
+    c (n, width) into p, work (n, width) as scratch; again with pivots
+    below PIVMIN lifted (_lift) only if one came out below it."""
+    # ufuncs with a positional out: at this width the keyword costs about
+    # as much as the arithmetic
+    div, sub = np.divide, np.subtract
+    for lift in (False, True):
+        p[0] = c[0]
+        for a2_i, p_i, p_n, c_n in zip(a2, p, p[1:], c[1:]):
+            if lift:
+                _lift(p_i, work[0])
+            div(a2_i, p_i, p_n)
+            sub(c_n, p_n, p_n)
+        if lift:
+            _lift(p[-1], work[0])
+        if lift or np.min(np.abs(p, out=work)) >= PIVMIN:
+            break
 
 
 def _lift(x: np.ndarray, tmp: np.ndarray) -> None:

@@ -16,13 +16,13 @@ from betaspectra.ensembles import (
     Kind,
     RngStream,
     _hermite_draw,
+    _jacobi_kn_alphas,
     _jacobi_kn_draw,
     _laguerre_draw,
     sample_batch,
     sample_hermite,
     sample_jacobi_kn,
     sample_laguerre,
-    sample_beta_s,
     sample_rows,
     spectral_measure,
 )
@@ -158,7 +158,7 @@ def test_rng_stream_takes_integral_seeds():
 def test_beta_s_orientation():
     # mean of the symmetric-beta draw is (b - a)/(b + a)
     rng = RngStream(seed=2).generator()
-    x = sample_beta_s(2.0, 6.0, rng, size=400000)
+    x = _jacobi_kn_alphas(2.0, 6.0, rng, 400000)
     mean = (6.0 - 2.0) / (6.0 + 2.0)
     sd = np.std(x) / np.sqrt(len(x))
     assert abs(np.mean(x) - mean) < 5.0 * sd
@@ -236,12 +236,12 @@ def test_jacobi_kn_alpha_matches_scalar_draws():
     def scalar(n, ea, eb, bp, gen):
         alpha = np.empty(2 * n - 1)
         for p in range(n):
-            alpha[2 * p] = sample_beta_s(
-                (n - p - 1) * bp + ea + 1.0, (n - p - 1) * bp + eb + 1.0, gen
+            alpha[2 * p] = _jacobi_kn_alphas(
+                (n - p - 1) * bp + ea + 1.0, (n - p - 1) * bp + eb + 1.0, gen, ()
             )
             if p >= 1:
-                alpha[2 * p - 1] = sample_beta_s(
-                    (n - p - 1) * bp + ea + eb + 2.0, (n - p) * bp, gen
+                alpha[2 * p - 1] = _jacobi_kn_alphas(
+                    (n - p - 1) * bp + ea + eb + 2.0, (n - p) * bp, gen, ()
                 )
         return alpha
 
